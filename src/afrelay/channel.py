@@ -13,7 +13,9 @@ so the total receive SNR is gamma * (D + S).
 
 Closed forms implemented here:
 
-* exact CDF/PDF of S (srd_cdf / srd_pdf), valid at any gamma;
+* exact CDF/PDF of S (srd_cdf / srd_pdf), valid at any gamma, with K_0/K_1
+  from scipy.special by default (the quadrature oracle reference.bessel_k
+  audits them in the tests) or from the truncated series;
 * a high-SNR series CDF/PDF of D + S (combined_cdf / combined_pdf) built
   from the truncated Bessel-K series, in the exponential-polynomial form
 
@@ -33,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
+from scipy import special
 
 from . import bessel_series, reference
 from .reference import DEFAULT_SPEC, QuadratureSpec
@@ -59,6 +62,11 @@ EXCURSION_TOL = 1e-6
 # Relative spacing of lambda_srd and lambda_sd below which the series
 # coefficients hit their removable singularity.
 DEGENERATE_REL_TOL = 1e-9
+
+
+# K_0 and K_1 of the "reference" backend; srd_cdf and srd_pdf need no
+# other order.
+_SCIPY_K = {0.0: special.k0, 1.0: special.k1}
 
 
 class DegenerateParameterError(RuntimeError):
@@ -99,9 +107,9 @@ class DerivedParams:
     lambda_srd: float  # (sqrt(lambda_sr) + sqrt(lambda_rd))**2
 
 
-def _bessel_backend(backend: str, depth: int, spec: QuadratureSpec):
+def _bessel_backend(backend: str, depth: int):
     if backend == "reference":
-        return lambda nu, z: reference.bessel_k(nu, z, spec)
+        return lambda nu, z: float(_SCIPY_K[nu](z))
     if backend == "series":
         if depth < 1:
             raise ValueError("series backend needs depth >= 1")
@@ -114,14 +122,13 @@ def srd_cdf(
     x: float,
     backend: str = "reference",
     depth: int = 10,
-    spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> float:
     """Exact CDF of the relayed-path equivalent power S at x >= 0.
 
     F(x) = 1 - 2 zeta exp(-lambda_s x) K_1(2 zeta) with
     zeta = sqrt(lambda_p x (x + 1/gamma)).  The x -> 0 limit is 0 because
-    z K_1(z) -> 1.  K_1 comes from the quadrature oracle by default; the
-    truncated series can be selected for speed.
+    z K_1(z) -> 1.  K_1 comes from scipy.special.k1 by default; the
+    truncated series can be selected instead.
     """
     x = float(x)
     if x < 0.0:
@@ -135,7 +142,7 @@ def srd_cdf(
         # z*K_1(z) = 1 + O(z^2 log z); below double resolution of the product
         tail = math.exp(-der.lambda_s * x)
     else:
-        k1 = _bessel_backend(backend, depth, spec)(1.0, z)
+        k1 = _bessel_backend(backend, depth)(1.0, z)
         tail = z * math.exp(-der.lambda_s * x) * k1
     return min(max(1.0 - tail, 0.0), 1.0)
 
@@ -145,16 +152,20 @@ def srd_pdf(
     x: float,
     backend: str = "reference",
     depth: int = 10,
-    spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> float:
-    """Exact PDF of the relayed-path equivalent power S at x > 0."""
+    """Exact PDF of the relayed-path equivalent power S at x > 0.
+
+    f(x) = 2 exp(-lambda_s x) (lambda_p (2x + 1/gamma) K_0(2 zeta)
+    + lambda_s zeta K_1(2 zeta)), with K_0/K_1 from the same backend as
+    srd_cdf.
+    """
     x = float(x)
     if x <= 0.0:
         raise ValueError(f"density is defined for x > 0, got {x!r}")
     der = params.derived()
     inv_g = 1.0 / params.gamma
     zeta = math.sqrt(der.lambda_p * x * (x + inv_g))
-    kf = _bessel_backend(backend, depth, spec)
+    kf = _bessel_backend(backend, depth)
     k0 = kf(0.0, 2.0 * zeta)
     k1 = kf(1.0, 2.0 * zeta)
     return 2.0 * math.exp(-der.lambda_s * x) * (
@@ -295,7 +306,7 @@ def combined_cdf_exact(
     lam = params.lambda_sd
 
     def integrand(v: float) -> float:
-        return lam * math.exp(-lam * v) * srd_cdf(params, x - v, backend, depth, spec)
+        return lam * math.exp(-lam * v) * srd_cdf(params, x - v, backend, depth)
 
     val = reference.adaptive_quad(integrand, 0.0, x, spec)
     return min(max(val, 0.0), 1.0)

@@ -17,6 +17,7 @@ counter arithmetic above).
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -51,6 +52,10 @@ class SimConfig:
     histogram_range: tuple[float, float] = (0.0, 8.0)
 
     def __post_init__(self):
+        # the seed is one 64-bit Philox key word; masking it instead would
+        # give -1 and 2**64 - 1 the same stream
+        if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2**64):
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if self.relays < 1:
@@ -120,7 +125,7 @@ class Histogram:
 def _uniforms(seed: int, link: int, start: int, n: int) -> np.ndarray:
     # start is in draw units and must sit on a Philox counter boundary
     # (4 x 64-bit words per counter step, one word per double)
-    bg = np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, link], dtype=np.uint64))
+    bg = np.random.Philox(key=np.array([seed, link], dtype=np.uint64))
     bg.advance(start // 4)
     return np.random.Generator(bg).random(n)
 

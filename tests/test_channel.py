@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+from afrelay import reference
 from afrelay.bessel_series import series_coeffs
 from afrelay.channel import (
     ChannelParams,
@@ -276,6 +277,85 @@ class TestCombinedCdfExact:
             for x in np.linspace(0.0, 10.0, 21)
         )
         assert 0.0 < sup < 0.1
+
+
+# relative-only tolerance for the quadrature oracle: with the default
+# absolute floor of 1e-12, K_nu(z) loses relative accuracy for z >~ 20
+ORACLE_SPEC = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-12)
+
+
+def oracle_srd_cdf(p: ChannelParams, x: float) -> float:
+    """srd_cdf's formula with K_1 from the quadrature oracle."""
+    if x == 0.0:
+        return 0.0
+    der = p.derived()
+    z = 2.0 * math.sqrt(der.lambda_p * x * (x + 1.0 / p.gamma))
+    tail = z * math.exp(-der.lambda_s * x) * reference.bessel_k(1.0, z, ORACLE_SPEC)
+    return min(max(1.0 - tail, 0.0), 1.0)
+
+
+def oracle_srd_pdf(p: ChannelParams, x: float) -> float:
+    """srd_pdf's formula with K_0/K_1 from the quadrature oracle."""
+    der = p.derived()
+    inv_g = 1.0 / p.gamma
+    zeta = math.sqrt(der.lambda_p * x * (x + inv_g))
+    k0 = reference.bessel_k(0.0, 2.0 * zeta, ORACLE_SPEC)
+    k1 = reference.bessel_k(1.0, 2.0 * zeta, ORACLE_SPEC)
+    return 2.0 * math.exp(-der.lambda_s * x) * (
+        der.lambda_p * (2.0 * x + inv_g) * k0 + der.lambda_s * zeta * k1
+    )
+
+
+def rel_gap(a: float, b: float) -> float:
+    return abs(a - b) / abs(b) if b else abs(a)
+
+
+class TestExactModelAgainstOracle:
+    """scipy's K_0/K_1 in the exact model, audited by the quadrature oracle."""
+
+    RATES = ((0.3, 2.5), (1.7, 4.0))  # (lambda_sr, lambda_rd)
+
+    def test_srd_cdf_and_pdf_match_oracle(self):
+        # measured worst relative gap 2.1e-15 (1 - F) and 1.9e-15 (pdf)
+        xs = np.geomspace(1e-6, 15.0, 40)
+        worst_sf = worst_pdf = 0.0
+        for gamma in (1.0, 1e3, 1e6):
+            for lsr, lrd in self.RATES:
+                p = ChannelParams(gamma=gamma, lambda_sd=1.0, lambda_sr=lsr, lambda_rd=lrd)
+                for x in map(float, xs):
+                    worst_sf = max(
+                        worst_sf, rel_gap(1.0 - srd_cdf(p, x), 1.0 - oracle_srd_cdf(p, x))
+                    )
+                    worst_pdf = max(worst_pdf, rel_gap(srd_pdf(p, x), oracle_srd_pdf(p, x)))
+        assert worst_sf < 1e-12
+        assert worst_pdf < 1e-12
+
+    def test_combined_cdf_exact_matches_oracle_convolution(self):
+        # the outer quadrature lands on the same value: measured gap 0
+        for gamma, (lsr, lrd), x in (
+            (1.0, self.RATES[0], 0.7),
+            (1e3, self.RATES[1], 2.0),
+            (1e6, (1.0, 1.0), 5.0),
+        ):
+            p = ChannelParams(gamma=gamma, lambda_sd=0.6, lambda_sr=lsr, lambda_rd=lrd)
+            lam = p.lambda_sd
+            want = adaptive_quad(
+                lambda v: lam * math.exp(-lam * v) * oracle_srd_cdf(p, x - v), 0.0, x
+            )
+            assert rel_gap(combined_cdf_exact(p, x), want) < 1e-10, (gamma, x)
+
+    def test_no_nested_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the exact model must not call the quadrature oracle")
+
+        monkeypatch.setattr(reference, "bessel_k", refuse)
+        assert 0.0 < srd_cdf(UNIT, 0.5) < 1.0
+        assert srd_pdf(UNIT, 0.5) > 0.0
+        assert 0.0 < combined_cdf_exact(UNIT, 1.0) < 1.0
+        # far in the tail K_1 and K_0 underflow to 0: no NaN, no negative mass
+        assert srd_cdf(UNIT, 1e3) == 1.0
+        pdf = srd_pdf(UNIT, 1e3)
+        assert math.isfinite(pdf) and pdf >= 0.0
 
 
 class TestMinboundBaseline:

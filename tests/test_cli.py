@@ -249,6 +249,12 @@ class TestPerf:
         code, _, _ = run_cli(capsys, "perf", "--metrics", "outage,nope")
         assert code == 2
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "perf", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert "seed" in err
+
 
 class TestValidate:
     def test_report_shape_and_exit(self, capsys, tmp_path):

@@ -43,6 +43,16 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="histogram_range"):
             SimConfig(seed=1, samples=10, histogram_range=(-1.0, 1.0))
 
+    def test_seed_range(self):
+        # the seed is one 64-bit Philox key word: both ends of [0, 2**64)
+        # are accepted, and values outside are refused rather than wrapped
+        # onto another seed's stream
+        SimConfig(seed=0, samples=1)
+        SimConfig(seed=2**64 - 1, samples=1)
+        for bad in (-1, 2**64, 1.5):
+            with pytest.raises(ValueError, match="seed"):
+                SimConfig(seed=bad, samples=1)
+
 
 class TestStreams:
     def test_slices_are_consistent(self):
