@@ -60,7 +60,6 @@ from .montecarlo import (
     SimEstimate,
     histogram_at_edges,
     relay_power,
-    sample_srd_power,
     simulate,
     simulate_minbound,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "e1",
     "e1_scaled",
     "relay_power",
-    "sample_srd_power",
     "simulate",
     "simulate_minbound",
     "histogram_at_edges",

@@ -215,6 +215,9 @@ def _cmd_dist(args) -> int:
         raise ValueError("x grid must be ascending and nonnegative")
     gamma, gamma_param = _resolve_gamma(args)
     params = _channel_params(args, gamma)
+    # built before any work so a bad seed or sample count is refused
+    # whether or not Monte Carlo is asked for
+    cfg = SimConfig(seed=args.seed, samples=args.samples)
     co = combined_cdf_coeffs(params, series_coeffs(1.0, args.k))
 
     cdf = combined_cdf(params, co, xs)
@@ -227,7 +230,6 @@ def _cmd_dist(args) -> int:
         inner = 0.5 * (xs[:-1] + xs[1:])
         first = max(xs[0] - (inner[0] - xs[0]), 0.0) if len(xs) > 1 else 0.0
         edges = np.concatenate([[first], inner, [xs[-1] + (xs[-1] - inner[-1])]])
-        cfg = SimConfig(seed=args.seed, samples=args.samples)
         if args.with_mc:
             mc = histogram_at_edges(
                 params, cfg, edges, workers=args.workers
@@ -288,55 +290,51 @@ def _cmd_perf(args) -> int:
     snr_threshold = 10 ** (args.snr_threshold_db / 10)
     cap_scale = 1.0 / _LN2 if args.bits else 1.0
     cap_name = "capacity_bits" if args.bits else "capacity_nats"
+    # built before any work so a bad seed, sample or relay count is
+    # refused whether or not Monte Carlo is asked for
+    cfg = SimConfig(seed=args.seed, samples=args.samples, relays=args.relays)
 
     # A/B coefficients depend only on the fading parameters, not on gamma
     co = combined_cdf_coeffs(
         _channel_params(args, 1.0), series_coeffs(1.0, args.k)
     )
-
+    # the model itself needs gamma > 0; zero-SNR rows get analytic limits
+    grid = [_channel_params(args, float(g)) for g in gammas if g != 0.0]
+    limits = {"outage": 1.0, "bep": 0.5, "capacity": 0.0}
     columns = ["gamma_db"]
+    by_gamma = []  # per column after gamma_db, its values over grid
+    zero_row = []
     for m in wanted:
-        columns.append(cap_name if m == "capacity" else m)
+        if m == "outage":
+            closed = [metrics.outage(p, co, snr_threshold) for p in grid]
+        elif m == "bep":
+            closed = [metrics.bit_error_prob(p, co) for p in grid]
+        else:
+            closed = [cap_scale * metrics.capacity(p, co) for p in grid]
+        base = cap_name if m == "capacity" else m
+        columns.append(base)
+        by_gamma.append(closed)
+        zero_row.append(limits[m])
         if args.with_mc:
-            base = cap_name if m == "capacity" else m
+            # one pass over the streams for the whole SNR grid
+            ests = run_simulation(
+                grid, cfg, m, threshold=snr_threshold, workers=args.workers
+            ) if grid else []
+            scale = cap_scale if m == "capacity" else 1.0
             columns.extend((f"mc_{base}", f"mc_{base}_se"))
+            by_gamma.append([scale * e.value for e in ests])
+            by_gamma.append([scale * e.std_error for e in ests])
+            zero_row.extend((limits[m], 0.0))
 
     rows = []
+    j = 0
     for g in gammas:
         g = float(g)
-        gamma_db = 10 * math.log10(g) if g > 0 else -math.inf
-        row = [gamma_db]
         if g == 0.0:
-            # analytic zero-SNR limits; the model itself needs gamma > 0
-            limits = {"outage": 1.0, "bep": 0.5, "capacity": 0.0}
-            for m in wanted:
-                row.append(limits[m])
-                if args.with_mc:
-                    row.extend((limits[m], 0.0))
-            rows.append(tuple(row))
-            continue
-        p = _channel_params(args, g)
-        cfg = SimConfig(seed=args.seed, samples=args.samples, relays=args.relays)
-        for m in wanted:
-            if m == "outage":
-                row.append(metrics.outage(p, co, snr_threshold))
-                if args.with_mc:
-                    est = run_simulation(
-                        p, cfg, "outage", threshold=snr_threshold,
-                        workers=args.workers,
-                    )
-                    row.extend((est.value, est.std_error))
-            elif m == "bep":
-                row.append(metrics.bit_error_prob(p, co))
-                if args.with_mc:
-                    est = run_simulation(p, cfg, "bep", workers=args.workers)
-                    row.extend((est.value, est.std_error))
-            else:
-                row.append(cap_scale * metrics.capacity(p, co))
-                if args.with_mc:
-                    est = run_simulation(p, cfg, "capacity", workers=args.workers)
-                    row.extend((cap_scale * est.value, cap_scale * est.std_error))
-        rows.append(tuple(row))
+            rows.append((-math.inf, *zero_row))
+        else:
+            rows.append((10 * math.log10(g), *(col[j] for col in by_gamma)))
+            j += 1
 
     parameters = {
         "bits": args.bits,

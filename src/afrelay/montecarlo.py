@@ -12,12 +12,19 @@ reproducible regardless of how many workers processed the blocks.
 Exponentials come from the inverse CDF, -log(1 - U)/rate, one uniform
 per draw, keeping the draw count per sample fixed (a requirement for the
 counter arithmetic above).
+
+The transmit SNR gamma never enters the draws: it appears only in the
+relayed-path power x*y/(x + y + 1/gamma) and in the metric reductions.
+So `simulate` over a sequence of gamma (an SNR grid) is one pass over the
+streams, drawing each block once and reducing it at every gamma; its
+results come back in input order, each bit-identical to a one-gamma call.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -31,7 +38,6 @@ __all__ = [
     "SimConfig",
     "SimEstimate",
     "Histogram",
-    "sample_srd_power",
     "simulate",
     "simulate_minbound",
 ]
@@ -143,40 +149,38 @@ def relay_power(x, y, inv_gamma: float):
     return x * y / (x + y + inv_gamma)
 
 
-def sample_srd_power(params: ChannelParams, rng: np.random.Generator, size=None) -> np.ndarray:
-    """Draw the relayed-path equivalent power S from the exact product form."""
-    shape = (size,) if isinstance(size, int) else size
-    u = rng.random((2,) if shape is None else (2, *shape))
-    x = _exponential(u[0], params.lambda_sr)
-    y = _exponential(u[1], params.lambda_rd)
-    s = relay_power(x, y, 1.0 / params.gamma)
-    return float(s) if size is None else s
+def _block_draws(params: ChannelParams, seed: int, relays: int, b: int, m: int):
+    # direct-path power and each relay's (source-relay, relay-destination)
+    # hop powers for samples [b*BLOCK, b*BLOCK + m); gamma plays no part
+    direct = _exponential(_uniforms(seed, 0, b * BLOCK, m), params.lambda_sd)
+    hops = []
+    for r in range(1, relays + 1):
+        u = _uniforms(seed, r, 2 * b * BLOCK, 2 * m).reshape(m, 2)
+        hops.append(
+            (_exponential(u[:, 0], params.lambda_sr), _exponential(u[:, 1], params.lambda_rd))
+        )
+    return direct, hops
+
+
+def _powers(draws, gamma: float) -> np.ndarray:
+    # total combined power D + sum_r S_r at one SNR, relays added in order
+    direct, hops = draws
+    total = direct.copy()
+    inv_g = 1.0 / gamma
+    for x, y in hops:
+        total += relay_power(x, y, inv_g)
+    return total
 
 
 def _block_powers(params: ChannelParams, cfg: SimConfig, b: int, m: int) -> np.ndarray:
-    # total combined power D + sum_r S_r for samples [b*BLOCK, b*BLOCK + m)
-    total = _exponential(
-        _uniforms(cfg.seed, 0, b * BLOCK, m), params.lambda_sd
-    )
-    inv_g = 1.0 / params.gamma
-    for r in range(1, cfg.relays + 1):
-        u = _uniforms(cfg.seed, r, 2 * b * BLOCK, 2 * m).reshape(m, 2)
-        x = _exponential(u[:, 0], params.lambda_sr)
-        y = _exponential(u[:, 1], params.lambda_rd)
-        total += relay_power(x, y, inv_g)
-    return total
+    return _powers(_block_draws(params, cfg.seed, cfg.relays, b, m), params.gamma)
 
 
 def _block_minbound(params: ChannelParams, cfg: SimConfig, b: int, m: int) -> np.ndarray:
     # direct path plus min of the first relay's two hops, same streams as
     # _block_powers so bound and model are compared on common randomness
-    total = _exponential(
-        _uniforms(cfg.seed, 0, b * BLOCK, m), params.lambda_sd
-    )
-    u = _uniforms(cfg.seed, 1, 2 * b * BLOCK, 2 * m).reshape(m, 2)
-    x = _exponential(u[:, 0], params.lambda_sr)
-    y = _exponential(u[:, 1], params.lambda_rd)
-    return total + np.minimum(x, y)
+    direct, [(x, y)] = _block_draws(params, cfg.seed, 1, b, m)
+    return direct + np.minimum(x, y)
 
 
 def _blocks(samples: int):
@@ -186,7 +190,9 @@ def _blocks(samples: int):
 
 
 def _map_blocks(fn, blocks, workers: int):
-    if workers <= 1:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
+    if workers == 1:
         return [fn(b, m) for b, m in blocks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda bm: fn(*bm), blocks))
@@ -212,8 +218,30 @@ def _count_estimate(hits: int, n: int) -> SimEstimate:
     )
 
 
+def _config_edges(cfg: SimConfig) -> np.ndarray:
+    lo, hi = cfg.histogram_range
+    return np.linspace(lo, hi, cfg.histogram_bins + 1)
+
+
+def _bin(powers: np.ndarray, edges: np.ndarray):
+    counts, _ = np.histogram(powers, bins=edges)
+    below = int(np.count_nonzero(powers < edges[0]))
+    above = int(np.count_nonzero(powers > edges[-1]))
+    return counts.astype(np.int64), below, above
+
+
+def _merge_bins(partials, edges: np.ndarray, n: int) -> Histogram:
+    counts = np.zeros(len(edges) - 1, dtype=np.int64)
+    below = above = 0
+    for c, b_, a_ in partials:
+        counts += c
+        below += b_
+        above += a_
+    return Histogram(edges=edges, counts=counts, below=below, above=above, samples_used=n)
+
+
 def simulate(
-    params: ChannelParams,
+    params: ChannelParams | Sequence[ChannelParams],
     cfg: SimConfig,
     metric: str,
     x: float | None = None,
@@ -227,76 +255,80 @@ def simulate(
     SNR), 'bep' (mean conditional BPSK error rate) or 'capacity' (mean
     half-duplex rate, nats).  Returns a Histogram for 'pdf' and a
     SimEstimate otherwise.
+
+    params may also be a sequence of ChannelParams that share the three
+    fading rates and differ only in gamma, e.g. an SNR grid.  gamma never
+    enters the draws, so the whole sequence is one pass over the streams:
+    each block is drawn once and reduced at every gamma.  A sequence
+    returns a list of results in input order, each bit-identical to the
+    call with that element alone.
     """
+    single = isinstance(params, ChannelParams)
+    grid = [params] if single else list(params)
+    if not grid:
+        raise ValueError("params sequence is empty")
+    if len({(p.lambda_sd, p.lambda_sr, p.lambda_rd) for p in grid}) > 1:
+        raise ValueError("params in one simulate call may differ only in gamma")
     if metric not in _METRICS:
         raise ValueError(f"metric must be one of {_METRICS}, got {metric!r}")
     if metric == "cdf" and x is None:
         raise ValueError("metric 'cdf' needs x")
-    if metric == "outage":
-        if threshold is None or threshold <= 0.0:
-            raise ValueError("metric 'outage' needs a positive threshold")
-        x = threshold / params.gamma
-    blocks = _blocks(cfg.samples)
+    if metric == "outage" and (threshold is None or threshold <= 0.0):
+        raise ValueError("metric 'outage' needs a positive threshold")
     n = cfg.samples
-    g = params.gamma
 
+    # reduce: one gamma's block powers to a partial result; merge: the
+    # partials of every block, in block order, to that gamma's result
     if metric in ("cdf", "outage"):
 
-        def fn(b, m):
-            return int(np.count_nonzero(_block_powers(params, cfg, b, m) <= x))
+        def reduce(p, s):
+            return int(np.count_nonzero(s <= (x if metric == "cdf" else threshold / p.gamma)))
 
-        return _count_estimate(sum(_map_blocks(fn, blocks, workers)), n)
+        def merge(partials):
+            return _count_estimate(sum(partials), n)
 
-    if metric == "pdf":
-        return _histogram(params, cfg, workers, _block_powers)
+    elif metric == "pdf":
+        edges = _config_edges(cfg)
 
-    if metric == "bep":
+        def reduce(p, s):
+            return _bin(s, edges)
 
-        def fn(b, m):
-            v = 0.5 * erfc(np.sqrt(g * _block_powers(params, cfg, b, m)))
+        def merge(partials):
+            return _merge_bins(partials, edges, n)
+
+    else:
+
+        def reduce(p, s):
+            gs = p.gamma * s
+            v = 0.5 * (erfc(np.sqrt(gs)) if metric == "bep" else np.log1p(gs))
             return float(v.sum()), float((v * v).sum())
 
-    else:  # capacity
+        def merge(partials):
+            return _mean_estimate(partials, n)
 
-        def fn(b, m):
-            v = 0.5 * np.log1p(g * _block_powers(params, cfg, b, m))
-            return float(v.sum()), float((v * v).sum())
+    def fn(b, m):
+        draws = _block_draws(grid[0], cfg.seed, cfg.relays, b, m)
+        return [reduce(p, _powers(draws, p.gamma)) for p in grid]
 
-    return _mean_estimate(_map_blocks(fn, blocks, workers), n)
+    per_block = _map_blocks(fn, _blocks(n), workers)
+    results = [merge([blk[i] for blk in per_block]) for i in range(len(grid))]
+    return results[0] if single else results
 
 
 def _histogram(
-    params: ChannelParams, cfg: SimConfig, workers: int, block_fn, edges=None
+    params: ChannelParams, cfg: SimConfig, workers: int, block_fn, edges
 ) -> Histogram:
-    if edges is None:
-        lo, hi = cfg.histogram_range
-        edges = np.linspace(lo, hi, cfg.histogram_bins + 1)
-    else:
-        edges = np.asarray(edges, dtype=float)
-        lo, hi = float(edges[0]), float(edges[-1])
-
-    def fn(b, m):
-        powers = block_fn(params, cfg, b, m)
-        counts, _ = np.histogram(powers, bins=edges)
-        below = int(np.count_nonzero(powers < lo))
-        above = int(np.count_nonzero(powers > hi))
-        return counts.astype(np.int64), below, above
-
-    counts = np.zeros(len(edges) - 1, dtype=np.int64)
-    below = above = 0
-    for c, b_, a_ in _map_blocks(fn, _blocks(cfg.samples), workers):
-        counts += c
-        below += b_
-        above += a_
-    return Histogram(
-        edges=edges, counts=counts, below=below, above=above,
-        samples_used=cfg.samples,
+    partials = _map_blocks(
+        lambda b, m: _bin(block_fn(params, cfg, b, m), edges),
+        _blocks(cfg.samples),
+        workers,
     )
+    return _merge_bins(partials, edges, cfg.samples)
 
 
 def simulate_minbound(params: ChannelParams, cfg: SimConfig, workers: int = 1) -> Histogram:
     """Histogram of the min-of-hops bound, on common random numbers."""
-    return _histogram(params, cfg, workers, _block_minbound)
+    return _histogram(params, cfg, workers, _block_minbound, _config_edges(cfg))
 
 
 def histogram_at_edges(
@@ -314,4 +346,4 @@ def histogram_at_edges(
     if edges[0] < 0:
         raise ValueError("edges must be nonnegative (powers are nonnegative)")
     fn = _block_minbound if minbound else _block_powers
-    return _histogram(params, cfg, workers, fn, edges=edges)
+    return _histogram(params, cfg, workers, fn, edges)

@@ -280,19 +280,29 @@ def check_capacity_vs_mc(seed: int, samples: int, workers: int) -> CheckResult:
     within ~1 SE.  Reported honestly.
     """
     tab = series_coeffs(1.0, 10)
+
+    def unit(gdb):
+        return ChannelParams(
+            gamma=10 ** (gdb / 10), lambda_sd=1.0, lambda_sr=1.0, lambda_rd=1.0
+        )
+
+    # one simulation pass per relay count over its SNR grid
+    single_db = (0.0, 5.0, 10.0, 15.0, 20.0)
+    two_db = (0.0, 10.0, 20.0)
+    single = dict(zip(single_db, run_simulation(
+        [unit(gdb) for gdb in single_db], SimConfig(seed=seed, samples=samples),
+        "capacity", workers=workers,
+    )))
+    two = run_simulation(
+        [unit(gdb) for gdb in two_db], SimConfig(seed=seed, samples=samples, relays=2),
+        "capacity", workers=workers,
+    )
     lines = []
     ok = True
     worst_z = 0.0
-    single = {}  # single-relay estimates, reused by the two-relay check
-    for gdb in (0.0, 5.0, 10.0, 15.0, 20.0):
-        p = ChannelParams(
-            gamma=10 ** (gdb / 10), lambda_sd=1.0, lambda_sr=1.0, lambda_rd=1.0
-        )
+    for gdb, est in single.items():
+        p = unit(gdb)
         closed = metrics.capacity(p, combined_cdf_coeffs(p, tab))
-        est = single[gdb] = run_simulation(
-            p, SimConfig(seed=seed, samples=samples), "capacity",
-            workers=workers,
-        )
         z = (closed - est.value) / est.std_error
         worst_z = max(worst_z, abs(z))
         ok = ok and abs(z) <= 3.0
@@ -300,15 +310,8 @@ def check_capacity_vs_mc(seed: int, samples: int, workers: int) -> CheckResult:
             f"gamma {_f(gdb)} dB: closed {_f(closed)}, MC {_f(est.value)} +- {_f(est.std_error)}, z = {_f(z)}"
         )
     two_ok = True
-    for gdb in (0.0, 10.0, 20.0):
-        p = ChannelParams(
-            gamma=10 ** (gdb / 10), lambda_sd=1.0, lambda_sr=1.0, lambda_rd=1.0
-        )
+    for gdb, e2r in zip(two_db, two):
         e1r = single[gdb]
-        e2r = run_simulation(
-            p, SimConfig(seed=seed, samples=samples, relays=2), "capacity",
-            workers=workers,
-        )
         slack = 3.0 * math.hypot(e1r.std_error, e2r.std_error)
         two_ok = two_ok and (e2r.value >= e1r.value - slack)
         lines.append(

@@ -197,6 +197,12 @@ class TestDist:
         _, out4, _ = run_cli(capsys, *argv, "--workers", "4")
         assert out1 == out4
 
+    def test_negative_seed_is_usage_error_without_sampling(self, capsys):
+        code, out, err = run_cli(capsys, "dist", "--x", "0:2:3", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert "seed" in err
+
 
 class TestPerf:
     def test_closed_form_sweep_values(self, capsys):
@@ -250,10 +256,37 @@ class TestPerf:
         assert code == 2
 
     def test_negative_seed_is_usage_error(self, capsys):
-        code, out, err = run_cli(capsys, "perf", "--seed", "-1")
+        # refused also where no row needs Monte Carlo (a zero-SNR grid)
+        for extra in ((), ("--gamma-linear-grid", "0")):
+            code, out, err = run_cli(capsys, "perf", "--seed", "-1", *extra)
+            assert code == 2
+            assert out == ""
+            assert "seed" in err
+
+    def test_nonpositive_workers_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "perf", "--gamma-db-grid", "0:10:2", "--with-mc",
+            "--samples", "1000", "--workers", "-3",
+        )
         assert code == 2
         assert out == ""
-        assert "seed" in err
+        assert "workers" in err
+
+    # golden: the artifact_checksum of this command before the SNR grid was
+    # simulated in one pass; three dB points, two relays, 1000500 samples
+    # (one full block and a partial one)
+    PINNED_ARGV = (
+        "perf", "--with-mc", "--gamma-db-grid", "0:20:3", "--samples", "1000500",
+        "--relays", "2",
+    )
+    PINNED_CHECKSUM = "ffdf528720f3538e4c39a1e37dc94ccb922596b454d5f81b378d546983da9882"
+
+    @pytest.mark.parametrize("workers", ("1", "2", "4"))
+    def test_pinned_monte_carlo_artifact(self, capsys, workers):
+        code, out, _ = run_cli(capsys, *self.PINNED_ARGV, "--workers", workers)
+        assert code == 0
+        manifest, _, _ = parse_csv(out)
+        assert manifest["artifact_checksum"] == self.PINNED_CHECKSUM
 
 
 class TestValidate:

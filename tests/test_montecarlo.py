@@ -22,7 +22,6 @@ from afrelay.montecarlo import (
     _uniforms,
     histogram_at_edges,
     relay_power,
-    sample_srd_power,
     simulate,
     simulate_minbound,
 )
@@ -102,12 +101,6 @@ class TestRelayPower:
     def test_high_snr_limit(self):
         assert relay_power(2.0, 3.0, 0.0) == pytest.approx(1.2, rel=1e-15)
 
-    def test_sampler_is_positive(self):
-        rng = np.random.default_rng(0)
-        s = sample_srd_power(UNIT, rng, size=1000)
-        assert s.shape == (1000,)
-        assert np.all(s > 0)
-
 
 class TestSimulate:
     def test_argument_validation(self):
@@ -120,6 +113,9 @@ class TestSimulate:
             simulate(UNIT, cfg, "outage")
         with pytest.raises(ValueError, match="positive threshold"):
             simulate(UNIT, cfg, "outage", threshold=0.0)
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="workers"):
+                simulate(UNIT, cfg, "capacity", workers=workers)
 
     def test_infinite_threshold_is_certain(self):
         est = simulate(UNIT, SimConfig(seed=1, samples=1000), "outage", threshold=math.inf)
@@ -158,6 +154,54 @@ class TestSimulate:
         one = simulate(UNIT, SimConfig(seed=42, samples=n), "cdf", x=1.0)
         two = simulate(UNIT, SimConfig(seed=42, samples=n, relays=2), "cdf", x=1.0)
         assert two.value < one.value - 3 * one.std_error
+
+
+# unsorted SNRs and non-unit rates, so input order and rate handling show
+GRID = [
+    ChannelParams(gamma=g, lambda_sd=0.7, lambda_sr=1.3, lambda_rd=2.0)
+    for g in (1000.0, 1.0, 10.0)
+]
+GRID_KW = {"cdf": {"x": 1.0}, "outage": {"threshold": 1.0}, "bep": {}, "capacity": {}, "pdf": {}}
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, Histogram):
+        return (
+            np.array_equal(a.edges, b.edges) and np.array_equal(a.counts, b.counts)
+            and (a.below, a.above, a.samples_used) == (b.below, b.above, b.samples_used)
+        )
+    return a == b
+
+
+class TestGrid:
+    """simulate over a sequence of gamma: one pass, each element
+    bit-identical to the call with that element alone."""
+
+    @pytest.mark.parametrize("relays", (1, 2))
+    @pytest.mark.parametrize("metric", sorted(GRID_KW))
+    def test_matches_one_gamma_calls(self, metric, relays):
+        # BLOCK + 1000 samples: one full block and a partial last block
+        cfg = SimConfig(seed=5, samples=BLOCK + 1000, relays=relays)
+        kw = GRID_KW[metric]
+        alone = [simulate(p, cfg, metric, **kw) for p in GRID]
+        for workers in (1, 2, 4):
+            grid = simulate(GRID, cfg, metric, workers=workers, **kw)
+            assert isinstance(grid, list) and len(grid) == len(GRID)
+            for g, a in zip(grid, alone):
+                assert _same(g, a), (workers, g, a)
+
+    def test_one_element_sequence(self):
+        cfg = SimConfig(seed=5, samples=1000)
+        assert simulate(GRID[:1], cfg, "capacity") == [simulate(GRID[0], cfg, "capacity")]
+
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            simulate([], SimConfig(seed=5, samples=1000), "capacity")
+
+    def test_mixed_fading_rates_rejected(self):
+        other = ChannelParams(gamma=10.0, lambda_sd=0.7, lambda_sr=1.3, lambda_rd=2.5)
+        with pytest.raises(ValueError, match="gamma"):
+            simulate([GRID[0], other], SimConfig(seed=5, samples=1000), "capacity")
 
 
 @pytest.fixture(scope="module")
