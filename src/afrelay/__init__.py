@@ -36,7 +36,6 @@ from .channel import (
     srd_pdf,
 )
 from .metrics import (
-    PerfPoint,
     bit_error_prob,
     bit_error_prob_quadrature,
     capacity,
@@ -79,7 +78,6 @@ __all__ = [
     "DegenerateParameterError",
     "QuadratureSpec",
     "QuadratureError",
-    "PerfPoint",
     "SimConfig",
     "SimEstimate",
     "Histogram",

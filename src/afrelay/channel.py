@@ -25,6 +25,13 @@ Closed forms implemented here:
   used to audit the high-SNR form;
 * the classical min(X, Y) upper-bound baseline (minbound_cdf/minbound_pdf),
   a hypoexponential Exp(lambda_sd) + Exp(lambda_sr + lambda_rd).
+
+The vectorized closed forms take a scalar or an array of powers through one
+formula.  A scalar stays a Python float end to end and comes back as one,
+so a quadrature integrand pays for a few float operations and np.exp
+calls, not for array set-up.  Facts that depend only on the parameters are
+computed once: ChannelParams derives its rate combinations on
+construction, and SeriesCdfCoeffs its column sums and derivative columns.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 from scipy import special
 
 from . import bessel_series, reference
@@ -87,15 +93,22 @@ class ChannelParams:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
-
-    def derived(self) -> "DerivedParams":
+        # not a field: equality, hash, repr and dataclasses.replace ignore it
         lam_p = self.lambda_sr * self.lambda_rd
         lam_s = self.lambda_sr + self.lambda_rd
-        return DerivedParams(
-            lambda_p=lam_p,
-            lambda_s=lam_s,
-            lambda_srd=lam_s + 2.0 * math.sqrt(lam_p),
+        object.__setattr__(
+            self,
+            "_derived",
+            DerivedParams(
+                lambda_p=lam_p,
+                lambda_s=lam_s,
+                lambda_srd=lam_s + 2.0 * math.sqrt(lam_p),
+            ),
         )
+
+    def derived(self) -> "DerivedParams":
+        """The rate combinations, computed once on construction."""
+        return self._derived
 
 
 @dataclass(frozen=True)
@@ -107,13 +120,14 @@ class DerivedParams:
     lambda_srd: float  # (sqrt(lambda_sr) + sqrt(lambda_rd))**2
 
 
-def _bessel_backend(backend: str, depth: int):
+def _bessel_k(backend: str, nu: float, depth: int):
+    """K_nu of the chosen backend as a function of z alone."""
     if backend == "reference":
-        return lambda nu, z: float(_SCIPY_K[nu](z))
+        return _SCIPY_K[nu]
     if backend == "series":
         if depth < 1:
             raise ValueError("series backend needs depth >= 1")
-        return lambda nu, z: bessel_series.evaluate(nu, depth, z).value
+        return lambda z: bessel_series.evaluate(nu, depth, z).value
     raise ValueError(f"unknown bessel backend {backend!r}")
 
 
@@ -142,7 +156,7 @@ def srd_cdf(
         # z*K_1(z) = 1 + O(z^2 log z); below double resolution of the product
         tail = math.exp(-der.lambda_s * x)
     else:
-        k1 = _bessel_backend(backend, depth)(1.0, z)
+        k1 = float(_bessel_k(backend, 1.0, depth)(z))
         tail = z * math.exp(-der.lambda_s * x) * k1
     return min(max(1.0 - tail, 0.0), 1.0)
 
@@ -165,9 +179,8 @@ def srd_pdf(
     der = params.derived()
     inv_g = 1.0 / params.gamma
     zeta = math.sqrt(der.lambda_p * x * (x + inv_g))
-    kf = _bessel_backend(backend, depth)
-    k0 = kf(0.0, 2.0 * zeta)
-    k1 = kf(1.0, 2.0 * zeta)
+    k0 = float(_bessel_k(backend, 0.0, depth)(2.0 * zeta))
+    k1 = float(_bessel_k(backend, 1.0, depth)(2.0 * zeta))
     return 2.0 * math.exp(-der.lambda_s * x) * (
         der.lambda_p * (2.0 * x + inv_g) * k0 + der.lambda_s * zeta * k1
     )
@@ -180,6 +193,7 @@ class SeriesCdfCoeffs:
     F(x) = 1 - A exp(-lambda_sd x) + sum_{q=0..k} sum_{c=0..q} B[q, c] x^c
     exp(-lambda_srd x).  Rows of B beyond c > q are zero.  The identity
     A - 1 = sum_q B[q, 0] pins F(0) = 0 regardless of truncation depth.
+    The column sums and the derivative columns are computed once, here.
     """
 
     k: int
@@ -191,11 +205,22 @@ class SeriesCdfCoeffs:
         if B.shape != (self.k + 1, self.k + 1):
             raise ValueError(f"B must be ({self.k + 1}, {self.k + 1}), got {B.shape}")
         B.flags.writeable = False
+        cols = B.sum(axis=0)
+        cols.flags.writeable = False
         object.__setattr__(self, "B", B)
+        object.__setattr__(self, "_cols", cols)
+        # Python floats, so a scalar power stays a Python float in _horner;
+        # at k = 0 the derivative polynomial is the zero constant
+        dcols = cols[1:] * np.arange(1, self.k + 1)
+        object.__setattr__(self, "_poly", tuple(cols.tolist()))
+        object.__setattr__(self, "_dpoly", tuple(dcols.tolist()) or (0.0,))
 
     def column_sums(self) -> np.ndarray:
-        """sum_q B[q, c] for each power c; the polynomial actually evaluated."""
-        return self.B.sum(axis=0)
+        """sum_q B[q, c] for each power c; the polynomial actually evaluated.
+
+        Read-only and shared: computed once on construction.
+        """
+        return self._cols
 
 
 def combined_cdf_coeffs(
@@ -237,11 +262,33 @@ def combined_cdf_coeffs(
     return SeriesCdfCoeffs(k=k, A=1.0 + a_sum, B=B)
 
 
-def _as_float_array(x):
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("power must be >= 0")
-    return arr
+def _powers(x):
+    """The checked power argument: a Python float for a scalar (float, int,
+    np.float64 or 0-d array), else a float ndarray."""
+    if not isinstance(x, (float, int)):
+        x = np.asarray(x, dtype=float)
+        if x.ndim:
+            if np.any(x < 0.0):
+                raise ValueError("power must be >= 0")
+            return x
+    v = float(x)
+    if v < 0.0:
+        raise ValueError(f"power must be >= 0, got {v!r}")
+    return v
+
+
+def _result(out, v):
+    """A closed form's value in its argument's shape: a float for a scalar."""
+    return out if isinstance(v, np.ndarray) else float(out)
+
+
+def _horner(c, x):
+    """sum_i c[i] x**i with numpy.polynomial.polyval's operations, bit for
+    bit, for a Python float or an ndarray x."""
+    p = c[-1] + x * 0.0
+    for ci in c[-2::-1]:
+        p = ci + p * x
+    return p
 
 
 def combined_cdf(params: ChannelParams, coeffs: SeriesCdfCoeffs, x, clamp: bool = True):
@@ -251,14 +298,21 @@ def combined_cdf(params: ChannelParams, coeffs: SeriesCdfCoeffs, x, clamp: bool 
     RuntimeWarning as a truncation diagnostic.  Pass clamp=False for the
     raw values.
     """
-    arr = _as_float_array(x)
-    cols = coeffs.column_sums()
+    v = _powers(x)
     raw = (
         1.0
-        - coeffs.A * np.exp(-params.lambda_sd * arr)
-        + np.exp(-params.derived().lambda_srd * arr) * npoly.polyval(arr, cols)
+        - coeffs.A * np.exp(-params.lambda_sd * v)
+        + np.exp(-params.derived().lambda_srd * v) * _horner(coeffs._poly, v)
     )
-    excursion = max(float(np.max(raw - 1.0, initial=0.0)), float(np.max(-raw, initial=0.0)))
+    if isinstance(v, np.ndarray):
+        excursion = max(
+            float(np.max(raw - 1.0, initial=0.0)), float(np.max(-raw, initial=0.0))
+        )
+        out = np.clip(raw, 0.0, 1.0) if clamp else raw
+    else:
+        raw = float(raw)
+        excursion = max(raw - 1.0, -raw)
+        out = min(max(raw, 0.0), 1.0) if clamp else raw
     if excursion > EXCURSION_TOL:
         warnings.warn(
             f"series CDF leaves [0,1] by {excursion:.3e}; deepen the "
@@ -266,8 +320,7 @@ def combined_cdf(params: ChannelParams, coeffs: SeriesCdfCoeffs, x, clamp: bool 
             RuntimeWarning,
             stacklevel=2,
         )
-    out = np.clip(raw, 0.0, 1.0) if clamp else raw
-    return out if np.ndim(x) else float(out)
+    return out
 
 
 def combined_pdf(params: ChannelParams, coeffs: SeriesCdfCoeffs, x):
@@ -276,14 +329,12 @@ def combined_pdf(params: ChannelParams, coeffs: SeriesCdfCoeffs, x):
     Finite at x = 0: the linear-power terms of the polynomial part
     contribute a constant there.
     """
-    arr = _as_float_array(x)
+    v = _powers(x)
     lam_srd = params.derived().lambda_srd
-    cols = coeffs.column_sums()
-    dcols = cols[1:] * np.arange(1, coeffs.k + 1)  # derivative polynomial
-    out = coeffs.A * params.lambda_sd * np.exp(-params.lambda_sd * arr) + np.exp(
-        -lam_srd * arr
-    ) * (npoly.polyval(arr, dcols) - lam_srd * npoly.polyval(arr, cols))
-    return out if np.ndim(x) else float(out)
+    out = coeffs.A * params.lambda_sd * np.exp(-params.lambda_sd * v) + np.exp(
+        -lam_srd * v
+    ) * (_horner(coeffs._dpoly, v) - lam_srd * _horner(coeffs._poly, v))
+    return _result(out, v)
 
 
 def combined_cdf_exact(
@@ -322,24 +373,24 @@ def minbound_cdf(params: ChannelParams, x):
     Hypoexponential closed form; the equal-rate case degenerates to an
     Erlang(2) and is handled explicitly.
     """
-    arr = _as_float_array(x)
+    v = _powers(x)
     a, b = _minbound_rates(params)
     if abs(a - b) <= 1e-9 * max(a, b):
         m = 0.5 * (a + b)
-        out = 1.0 - np.exp(-m * arr) * (1.0 + m * arr)
+        out = 1.0 - np.exp(-m * v) * (1.0 + m * v)
     else:
-        out = 1.0 - (b * np.exp(-a * arr) - a * np.exp(-b * arr)) / (b - a)
+        out = 1.0 - (b * np.exp(-a * v) - a * np.exp(-b * v)) / (b - a)
     out = np.clip(out, 0.0, 1.0)
-    return out if np.ndim(x) else float(out)
+    return _result(out, v)
 
 
 def minbound_pdf(params: ChannelParams, x):
     """Density of the min-of-hops bound (derivative of minbound_cdf)."""
-    arr = _as_float_array(x)
+    v = _powers(x)
     a, b = _minbound_rates(params)
     if abs(a - b) <= 1e-9 * max(a, b):
         m = 0.5 * (a + b)
-        out = m * m * arr * np.exp(-m * arr)
+        out = m * m * v * np.exp(-m * v)
     else:
-        out = (a * b / (b - a)) * (np.exp(-a * arr) - np.exp(-b * arr))
-    return out if np.ndim(x) else float(out)
+        out = (a * b / (b - a)) * (np.exp(-a * v) - np.exp(-b * v))
+    return _result(out, v)

@@ -24,7 +24,6 @@ transmit SNRs of interest mu = rate/gamma stays well under 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc
@@ -33,7 +32,6 @@ from .channel import ChannelParams, SeriesCdfCoeffs, combined_cdf, combined_pdf
 from .reference import DEFAULT_SPEC, QuadratureError, QuadratureSpec, adaptive_quad
 
 __all__ = [
-    "PerfPoint",
     "e1",
     "e1_scaled",
     "outage",
@@ -105,16 +103,6 @@ def e1_scaled(x: float) -> float:
     if x <= 1.0:
         return math.exp(x) * _e1_series(x)
     return _e1_cf(x)
-
-
-@dataclass(frozen=True)
-class PerfPoint:
-    """One operating point of the closed-form performance sweep."""
-
-    gamma_db: float
-    outage: float
-    bep: float
-    capacity_nats: float
 
 
 def outage(params: ChannelParams, coeffs: SeriesCdfCoeffs, snr_threshold: float) -> float:

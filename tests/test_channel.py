@@ -7,6 +7,7 @@ seconds each; the heavyweight figure-scale comparisons live in the
 acceptance suite.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -63,6 +64,35 @@ class TestChannelParams:
         assert d.lambda_s == pytest.approx(2.5)
         assert d.lambda_srd == pytest.approx((math.sqrt(2.0) + math.sqrt(0.5)) ** 2)
         assert d.lambda_srd > d.lambda_s
+
+    def test_derived_computed_once(self):
+        p = ChannelParams(gamma=10.0, lambda_sd=1.0, lambda_sr=2.0, lambda_rd=0.5)
+        d = p.derived()
+        assert p.derived() is d
+        assert (d.lambda_p, d.lambda_s) == (1.0, 2.5)
+        assert d.lambda_srd == 2.5 + 2.0 * math.sqrt(1.0)
+
+    def test_cache_is_not_part_of_the_value(self):
+        p = ChannelParams(gamma=10.0, lambda_sd=1.0, lambda_sr=2.0, lambda_rd=0.5)
+        twin = ChannelParams(gamma=10.0, lambda_sd=1.0, lambda_sr=2.0, lambda_rd=0.5)
+        p.derived()
+        assert p == twin and hash(p) == hash(twin)
+        assert repr(p) == (
+            "ChannelParams(gamma=10.0, lambda_sd=1.0, lambda_sr=2.0, lambda_rd=0.5)"
+        )
+        assert [f.name for f in dataclasses.fields(p)] == [
+            "gamma", "lambda_sd", "lambda_sr", "lambda_rd",
+        ]
+        assert p != dataclasses.replace(p, gamma=11.0)
+
+    def test_replace_derives_afresh(self):
+        p = ChannelParams(gamma=10.0, lambda_sd=1.0, lambda_sr=0.5, lambda_rd=0.5)
+        q = dataclasses.replace(p, lambda_sr=2.0)
+        assert q.derived() == ChannelParams(
+            gamma=10.0, lambda_sd=1.0, lambda_sr=2.0, lambda_rd=0.5
+        ).derived()
+        assert q.derived().lambda_s == 2.5
+        assert p.derived().lambda_s == 1.0
 
 
 class TestSrdCdf:
@@ -177,6 +207,14 @@ class TestSeriesCdfCoeffs:
         with pytest.raises(ValueError):
             co.B[0, 0] = 99.0
 
+    def test_column_sums_cached_read_only(self):
+        co = unit_coeffs(10)
+        cols = co.column_sums()
+        assert co.column_sums() is cols
+        assert np.array_equal(cols.view(np.uint64), co.B.sum(axis=0).view(np.uint64))
+        with pytest.raises(ValueError):
+            cols[0] = 99.0
+
 
 class TestCombinedCdf:
     def test_zero_at_origin(self):
@@ -211,6 +249,9 @@ class TestCombinedCdf:
         co = combined_cdf_coeffs(p, TABLE10)
         with pytest.warns(RuntimeWarning, match="series CDF leaves"):
             combined_cdf(p, co, np.linspace(0.0, 6.0, 50))
+        # a scalar power takes the same diagnostic
+        with pytest.warns(RuntimeWarning, match="series CDF leaves"):
+            assert combined_cdf(p, co, 1.0) == 0.0
 
     def test_clamp_off_returns_raw(self):
         p = ChannelParams(gamma=1000.0, lambda_sd=4.004, lambda_sr=1.0, lambda_rd=1.0)
@@ -219,6 +260,66 @@ class TestCombinedCdf:
             warnings.simplefilter("ignore")
             raw = combined_cdf(p, co, np.linspace(0.0, 6.0, 50), clamp=False)
             assert float(np.max(raw)) > 1.0 or float(np.min(raw)) < 0.0
+
+
+def scalar_path_draws(seed: int, n: int):
+    """Seeded parameter points over the whole rate box, half of them put
+    right next to the removable singularity lambda_sd = lambda_srd."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        lsd, lsr, lrd = np.exp(rng.uniform(np.log(0.2), np.log(5.0), 3))
+        if i % 2:
+            rel = rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-12.0, -1.0)
+            lsd = (math.sqrt(lsr) + math.sqrt(lrd)) ** 2 * (1.0 + rel)
+        gamma = 10 ** (rng.uniform(0.0, 40.0) / 10)
+        out.append(ChannelParams(gamma=gamma, lambda_sd=lsd, lambda_sr=lsr, lambda_rd=lrd))
+    return out
+
+
+class TestScalarPath:
+    """A scalar power runs the array formula in Python floats: every scalar
+    call equals its element of the array call bit for bit."""
+
+    XS = np.concatenate(([0.0], np.geomspace(1e-5, 50.0, 60)))
+
+    @pytest.mark.parametrize("k", (2, 5, 10, 20, 30))
+    def test_scalar_equals_array_bitwise(self, k):
+        table = series_coeffs(1.0, k)
+        checked = 0
+        for p in scalar_path_draws(k, 16):
+            try:
+                co = combined_cdf_coeffs(p, table)
+            except DegenerateParameterError:
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                for f in (
+                    lambda x: combined_cdf(p, co, x),
+                    lambda x: combined_cdf(p, co, x, clamp=False),
+                    lambda x: combined_pdf(p, co, x),
+                ):
+                    vec = f(self.XS)
+                    one = np.array([f(float(x)) for x in self.XS])
+                    assert np.array_equal(one.view(np.uint64), vec.view(np.uint64)), p
+            checked += 1
+        assert checked >= 12
+
+    def test_scalar_types_return_python_float(self):
+        co = unit_coeffs()
+        for x, same in ((0.5, 0.5), (2, 2.0), (np.float64(0.5), 0.5), (np.array(0.5), 0.5)):
+            for f in (combined_cdf, combined_pdf):
+                out = f(UNIT, co, x)
+                assert type(out) is float, (f, type(x))
+                assert out == f(UNIT, co, same)
+            assert type(combined_cdf(UNIT, co, x, clamp=False)) is float
+
+    def test_negative_scalar_rejected(self):
+        co = unit_coeffs()
+        for x in (-1e-300, -1, np.float64(-0.5), np.array(-0.5)):
+            for f in (combined_cdf, combined_pdf):
+                with pytest.raises(ValueError):
+                    f(UNIT, co, x)
 
 
 class TestCombinedPdf:
@@ -245,6 +346,18 @@ class TestCombinedPdf:
             pdf = combined_pdf(UNIT, co, float(x))
             worst = max(worst, abs(pdf - fd) / max(abs(pdf), 1e-12))
         assert worst < 1e-6
+
+    def test_depth_zero_derivative(self):
+        # the k = 0 series has a constant polynomial part, whose derivative
+        # is the zero polynomial
+        co = unit_coeffs(0)
+        h = 1e-6
+        for x in (0.5, 1.0, 3.0):
+            fd = (
+                combined_cdf(UNIT, co, x + h, clamp=False)
+                - combined_cdf(UNIT, co, x - h, clamp=False)
+            ) / (2 * h)
+            assert combined_pdf(UNIT, co, x) == pytest.approx(fd, rel=1e-6), x
 
     def test_finite_at_origin(self):
         v = combined_pdf(UNIT, unit_coeffs(), 0.0)

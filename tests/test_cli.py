@@ -203,6 +203,16 @@ class TestDist:
         assert out == ""
         assert "seed" in err
 
+    def test_pinned_artifact(self, capsys):
+        # golden: recorded before the closed forms took scalars as Python
+        # floats; covers the array path of the series CDF/PDF
+        code, out, _ = run_cli(capsys, "dist", "--gamma-db", "20")
+        assert code == 0
+        manifest, _, _ = parse_csv(out)
+        assert manifest["artifact_checksum"] == (
+            "be8f311d11e25dbc3c1b35f8532768dad02474a5c8d25786e46d78f612659a0c"
+        )
+
 
 class TestPerf:
     def test_closed_form_sweep_values(self, capsys):
@@ -288,6 +298,16 @@ class TestPerf:
         manifest, _, _ = parse_csv(out)
         assert manifest["artifact_checksum"] == self.PINNED_CHECKSUM
 
+    def test_pinned_closed_form_artifact(self, capsys):
+        # golden: the default sweep, recorded before the closed forms took
+        # scalars as Python floats
+        code, out, _ = run_cli(capsys, "perf")
+        assert code == 0
+        manifest, _, _ = parse_csv(out)
+        assert manifest["artifact_checksum"] == (
+            "e796fa7c6cfb71d787643f5688e4b016eaf4709e4bce8dc973c367067d697631"
+        )
+
 
 class TestValidate:
     def test_report_shape_and_exit(self, capsys, tmp_path):
@@ -308,6 +328,17 @@ class TestValidate:
         )
         assert "[PASS]" in report and "[FAIL]" in report
         assert report.rstrip().splitlines()[-1].startswith("result: ")
+
+    def test_pinned_artifact(self, capsys):
+        # golden: recorded before the closed forms took scalars as Python
+        # floats; the quadrature checks call the series PDF/CDF one scalar
+        # at a time, so this pins the scalar path (6 of 8 checks pass)
+        code, out, _ = run_cli(capsys, "validate", "--samples", "2000000", "--workers", "2")
+        assert code == 1
+        header, _ = out.split("\n", 1)
+        assert json.loads(header[2:])["artifact_checksum"] == (
+            "204af3834ba1b5b428b79ad4644bb438dd471a7f84ee09fd32847988b0069981"
+        )
 
 
 class TestHarness:

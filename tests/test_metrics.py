@@ -15,7 +15,6 @@ import pytest
 from afrelay.bessel_series import series_coeffs
 from afrelay.channel import ChannelParams, combined_cdf, combined_cdf_coeffs
 from afrelay.metrics import (
-    PerfPoint,
     _t_moments,
     bit_error_prob,
     bit_error_prob_quadrature,
@@ -218,9 +217,3 @@ class TestCapacity:
         c2 = capacity(p2, co2)
         assert c1 == pytest.approx(6.666659500014622e-07, rel=1e-10)
         assert c1 / c2 == pytest.approx(2.0, rel=1e-4)
-
-
-def test_perf_point_is_plain_record():
-    pt = PerfPoint(gamma_db=10.0, outage=0.01, bep=0.003, capacity_nats=1.2)
-    assert pt.gamma_db == 10.0
-    assert pt.capacity_nats == 1.2
