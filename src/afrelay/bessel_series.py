@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, gammasgn
 
 __all__ = [
     "K_MAX",
@@ -91,6 +90,10 @@ def term_coeff(nu: float, n: int, i: int) -> float:
     (scipy.special.gammaln) and sign (scipy.special.gammasgn); the sign
     bookkeeping matters because two of the gamma arguments go negative.
     """
+    # imported on first use: importing the package does not load scipy,
+    # and the coefficient cache keeps this off every evaluation path
+    from scipy.special import gammaln, gammasgn
+
     nu = _check_order(nu)
     L = lah(n, i)
     if L == 0:

@@ -14,8 +14,8 @@ so the total receive SNR is gamma * (D + S).
 Closed forms implemented here:
 
 * exact CDF/PDF of S (srd_cdf / srd_pdf), valid at any gamma, with K_0/K_1
-  from scipy.special by default (the quadrature oracle reference.bessel_k
-  audits them in the tests) or from the truncated series;
+  from scipy.special (the quadrature oracle reference.bessel_k audits them
+  in the tests), imported on the first exact-model evaluation;
 * a high-SNR series CDF/PDF of D + S (combined_cdf / combined_pdf) built
   from the truncated Bessel-K series, in the exponential-polynomial form
 
@@ -41,7 +41,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import bessel_series, reference
 from .reference import DEFAULT_SPEC, QuadratureSpec
@@ -70,9 +69,11 @@ EXCURSION_TOL = 1e-6
 DEGENERATE_REL_TOL = 1e-9
 
 
-# K_0 and K_1 of the "reference" backend; srd_cdf and srd_pdf need no
-# other order.
-_SCIPY_K = {0.0: special.k0, 1.0: special.k1}
+# scipy.special.k0 and k1, bound by _bind_bessel on the first exact-model
+# evaluation so that importing the package does not load scipy; srd_cdf
+# and srd_pdf need no other order.  _k1 is stored last, so callers test
+# it alone: once it is set, both are.
+_k0 = _k1 = None
 
 
 class DegenerateParameterError(RuntimeError):
@@ -120,29 +121,20 @@ class DerivedParams:
     lambda_srd: float  # (sqrt(lambda_sr) + sqrt(lambda_rd))**2
 
 
-def _bessel_k(backend: str, nu: float, depth: int):
-    """K_nu of the chosen backend as a function of z alone."""
-    if backend == "reference":
-        return _SCIPY_K[nu]
-    if backend == "series":
-        if depth < 1:
-            raise ValueError("series backend needs depth >= 1")
-        return lambda z: bessel_series.evaluate(nu, depth, z).value
-    raise ValueError(f"unknown bessel backend {backend!r}")
+def _bind_bessel() -> None:
+    global _k0, _k1
+    from scipy.special import k0, k1
+
+    _k0 = k0
+    _k1 = k1
 
 
-def srd_cdf(
-    params: ChannelParams,
-    x: float,
-    backend: str = "reference",
-    depth: int = 10,
-) -> float:
+def srd_cdf(params: ChannelParams, x: float) -> float:
     """Exact CDF of the relayed-path equivalent power S at x >= 0.
 
     F(x) = 1 - 2 zeta exp(-lambda_s x) K_1(2 zeta) with
     zeta = sqrt(lambda_p x (x + 1/gamma)).  The x -> 0 limit is 0 because
-    z K_1(z) -> 1.  K_1 comes from scipy.special.k1 by default; the
-    truncated series can be selected instead.
+    z K_1(z) -> 1.  K_1 is scipy.special.k1.
     """
     x = float(x)
     if x < 0.0:
@@ -156,22 +148,17 @@ def srd_cdf(
         # z*K_1(z) = 1 + O(z^2 log z); below double resolution of the product
         tail = math.exp(-der.lambda_s * x)
     else:
-        k1 = float(_bessel_k(backend, 1.0, depth)(z))
-        tail = z * math.exp(-der.lambda_s * x) * k1
+        if _k1 is None:
+            _bind_bessel()
+        tail = z * math.exp(-der.lambda_s * x) * float(_k1(z))
     return min(max(1.0 - tail, 0.0), 1.0)
 
 
-def srd_pdf(
-    params: ChannelParams,
-    x: float,
-    backend: str = "reference",
-    depth: int = 10,
-) -> float:
+def srd_pdf(params: ChannelParams, x: float) -> float:
     """Exact PDF of the relayed-path equivalent power S at x > 0.
 
     f(x) = 2 exp(-lambda_s x) (lambda_p (2x + 1/gamma) K_0(2 zeta)
-    + lambda_s zeta K_1(2 zeta)), with K_0/K_1 from the same backend as
-    srd_cdf.
+    + lambda_s zeta K_1(2 zeta)), with K_0/K_1 from scipy.special.
     """
     x = float(x)
     if x <= 0.0:
@@ -179,8 +166,10 @@ def srd_pdf(
     der = params.derived()
     inv_g = 1.0 / params.gamma
     zeta = math.sqrt(der.lambda_p * x * (x + inv_g))
-    k0 = float(_bessel_k(backend, 0.0, depth)(2.0 * zeta))
-    k1 = float(_bessel_k(backend, 1.0, depth)(2.0 * zeta))
+    if _k1 is None:
+        _bind_bessel()
+    k0 = float(_k0(2.0 * zeta))
+    k1 = float(_k1(2.0 * zeta))
     return 2.0 * math.exp(-der.lambda_s * x) * (
         der.lambda_p * (2.0 * x + inv_g) * k0 + der.lambda_s * zeta * k1
     )
@@ -338,11 +327,7 @@ def combined_pdf(params: ChannelParams, coeffs: SeriesCdfCoeffs, x):
 
 
 def combined_cdf_exact(
-    params: ChannelParams,
-    x: float,
-    backend: str = "reference",
-    depth: int = 10,
-    spec: QuadratureSpec = DEFAULT_SPEC,
+    params: ChannelParams, x: float, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> float:
     """Exact CDF of D + S by convolving srd_cdf with the direct-path density.
 
@@ -357,7 +342,7 @@ def combined_cdf_exact(
     lam = params.lambda_sd
 
     def integrand(v: float) -> float:
-        return lam * math.exp(-lam * v) * srd_cdf(params, x - v, backend, depth)
+        return lam * math.exp(-lam * v) * srd_cdf(params, x - v)
 
     val = reference.adaptive_quad(integrand, 0.0, x, spec)
     return min(max(val, 0.0), 1.0)

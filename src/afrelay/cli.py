@@ -84,21 +84,29 @@ def _json_cell(v):
     return f if math.isfinite(f) else None
 
 
+def _manifest(command, parameters, seed, out_path, body: str) -> dict:
+    """The run's manifest; its checksum is the sha256 of body."""
+    return {
+        "command": command,
+        "parameters": parameters,
+        "seed": seed,
+        "output_path": out_path if out_path else "-",
+        "artifact_checksum": hashlib.sha256(body.encode()).hexdigest(),
+    }
+
+
+def _with_header(manifest: dict, body: str) -> str:
+    return "# " + json.dumps(manifest, sort_keys=True) + "\n" + body
+
+
 def _render(command, parameters, seed, out_path, columns, rows, fmt):
     """Rows to csv-with-manifest-header or a json object; returns text."""
-    shown_path = out_path if out_path else "-"
     if fmt == "json":
         records = [
             {c: _json_cell(v) for c, v in zip(columns, row)} for row in rows
         ]
         body = json.dumps(records, sort_keys=True, separators=(",", ":"))
-        manifest = {
-            "command": command,
-            "parameters": parameters,
-            "seed": seed,
-            "output_path": shown_path,
-            "artifact_checksum": hashlib.sha256(body.encode()).hexdigest(),
-        }
+        manifest = _manifest(command, parameters, seed, out_path, body)
         return (
             json.dumps({"manifest": manifest, "records": records}, sort_keys=True)
             + "\n"
@@ -106,14 +114,7 @@ def _render(command, parameters, seed, out_path, columns, rows, fmt):
     lines = [",".join(columns)]
     lines.extend(",".join(_fmt_cell(v) for v in row) for row in rows)
     body = "\n".join(lines) + "\n"
-    manifest = {
-        "command": command,
-        "parameters": parameters,
-        "seed": seed,
-        "output_path": shown_path,
-        "artifact_checksum": hashlib.sha256(body.encode()).hexdigest(),
-    }
-    return "# " + json.dumps(manifest, sort_keys=True) + "\n" + body
+    return _with_header(_manifest(command, parameters, seed, out_path, body), body)
 
 
 def _deliver(text: str, out_path: str | None, note: str = "") -> None:
@@ -360,14 +361,8 @@ def _cmd_validate(args) -> int:
         seed=args.seed, samples=args.samples, workers=args.workers
     )
     report = validation.render_report(results, args.seed, args.samples)
-    manifest = {
-        "command": "validate",
-        "parameters": {"samples": args.samples},
-        "seed": args.seed,
-        "output_path": args.out if args.out else "-",
-        "artifact_checksum": hashlib.sha256(report.encode()).hexdigest(),
-    }
-    text = "# " + json.dumps(manifest, sort_keys=True) + "\n" + report
+    manifest = _manifest("validate", {"samples": args.samples}, args.seed, args.out, report)
+    text = _with_header(manifest, report)
     passed = sum(r.passed for r in results)
     _deliver(text, args.out, note=f"{passed}/{len(results)} checks passed")
     if passed < len(results):

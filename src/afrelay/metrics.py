@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfc
 
 from .channel import ChannelParams, SeriesCdfCoeffs, combined_cdf, combined_pdf
 from .reference import DEFAULT_SPEC, QuadratureError, QuadratureSpec, adaptive_quad
@@ -150,6 +149,10 @@ def bit_error_prob_quadrature(
     Substituting x = y*y removes the square-root cusp at the origin, so
     the integrand is smooth and the adaptive rule converges fast.
     """
+    # imported here, once per call and not per integrand evaluation, so
+    # importing the package does not load scipy
+    from scipy.special import erfc
+
     g = params.gamma
     root_g = math.sqrt(g)
 

@@ -29,7 +29,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .channel import ChannelParams
 
@@ -297,6 +296,11 @@ def simulate(
             return _merge_bins(partials, edges, n)
 
     else:
+        if metric == "bep":
+            # imported in the calling thread, so no worker thread runs an
+            # import, and only where it is used: importing the package
+            # does not load scipy
+            from scipy.special import erfc
 
         def reduce(p, s):
             gs = p.gamma * s

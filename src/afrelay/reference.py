@@ -8,6 +8,9 @@ K_nu comes from the exponentially decaying integral representation
 which has no oscillation, so plain adaptive quadrature on a truncated
 interval is reliable.  The series module never calls into this one; the
 two stay independent so each can audit the other.
+
+scipy.integrate is imported by adaptive_quad on its first call, so
+importing this module (and the package) does not load it.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
-
-from scipy import integrate
 
 __all__ = [
     "QuadratureError",
@@ -60,6 +61,8 @@ def adaptive_quad(f: Callable[[float], float], lo: float, hi: float, spec: Quadr
     Raises QuadratureError (with the achieved error estimate attached)
     when the subdivision budget is exhausted before convergence.
     """
+    from scipy import integrate
+
     out = integrate.quad(
         f,
         lo,

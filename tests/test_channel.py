@@ -115,19 +115,9 @@ class TestSrdCdf:
         emp = float(np.mean(s <= 0.5))
         assert abs(emp - srd_cdf(UNIT, 0.5)) < 3e-3
 
-    def test_series_backend_agrees(self):
-        # depth-10 truncation against the quadrature Bessel; measured worst
-        # relative gap 3.3e-4 at x = 0.25 over this range
-        for x in (0.25, 0.5, 1.0, 2.0):
-            a = srd_cdf(UNIT, x)
-            b = srd_cdf(UNIT, x, backend="series", depth=10)
-            assert a == pytest.approx(b, rel=1e-3), x
-
     def test_domain(self):
         with pytest.raises(ValueError):
             srd_cdf(UNIT, -0.1)
-        with pytest.raises(ValueError):
-            srd_cdf(UNIT, 0.5, backend="nope")
 
 
 class TestSrdPdf:

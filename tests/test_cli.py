@@ -7,16 +7,13 @@ subprocess test pins the module entry point.
 
 import hashlib
 import json
-import os
 import shutil
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import afrelay
 from afrelay.cli import _parse_grid, main
 
 
@@ -352,21 +349,12 @@ class TestHarness:
         _, _, err = run_cli(capsys, "dist", "--x", "0:1:2")
         assert "\x1b[" not in err
 
-    def test_module_entry_point(self, tmp_path):
+    def test_module_entry_point(self, tmp_path, child_env):
         exe = shutil.which("afrelay")
         cmd = [exe] if exe else [sys.executable, "-m", "afrelay.cli"]
-        # the child runs in tmp_path, where a relative PYTHONPATH (such as
-        # PYTHONPATH=src) resolves to nothing; put the directory holding the
-        # package this session imported first, as an absolute path
-        pkg_root = str(Path(afrelay.__file__).resolve().parents[1])
-        inherited = os.environ.get("PYTHONPATH")
-        env = {
-            **os.environ,
-            "PYTHONPATH": os.pathsep.join(filter(None, [pkg_root, inherited])),
-        }
         proc = subprocess.run(
             [*cmd, "coeffs", "--nu", "1", "--k", "2"],
-            capture_output=True, text=True, cwd=tmp_path, env=env,
+            capture_output=True, text=True, cwd=tmp_path, env=child_env,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("# ")
