@@ -24,13 +24,13 @@ def unit(g_db):
     return ChannelParams(gamma=10 ** (g_db / 10), lambda_sd=1.0, lambda_sr=1.0, lambda_rd=1.0)
 
 
-# gamma never enters the random draws, so each metric over the whole SNR
-# grid is one simulation pass (one call), not one call per SNR
+# gamma never enters the random draws, so every metric over the whole SNR
+# grid is one simulation pass (one call), not one call per SNR or metric
 grid = [unit(float(g_db)) for g_db in np.linspace(0.0, 30.0, 7)]
 cfg = SimConfig(seed=42, samples=SAMPLES)
-mc_out = simulate(grid, cfg, "outage", threshold=THRESHOLD, workers=4)
-mc_bep = simulate(grid, cfg, "bep", workers=4)
-mc_cap = simulate(grid, cfg, "capacity", workers=4)
+mc_out, mc_bep, mc_cap = simulate(
+    grid, cfg, ("outage", "bep", "capacity"), threshold=THRESHOLD, workers=4
+)
 
 print(" SNR dB    outage        mc outage     bep           mc bep        capacity    mc capacity")
 for i, p in enumerate(grid):
@@ -44,8 +44,10 @@ for i, p in enumerate(grid):
 print()
 print("capacity with a second relay (simulation only, same seed):")
 two_db = (0.0, 10.0, 20.0)
-two_grid = [unit(g_db) for g_db in two_db]
-one = simulate(two_grid, cfg, "capacity", workers=4)
-two = simulate(two_grid, SimConfig(seed=42, samples=SAMPLES, relays=2), "capacity", workers=4)
+# the one-relay total is a prefix of the two-relay total: one pass for both
+one, two = simulate(
+    [unit(g_db) for g_db in two_db], SimConfig(seed=42, samples=SAMPLES, relays=2),
+    "capacity", workers=4, relays=(1, 2),
+)
 for g_db, e1, e2 in zip(two_db, one, two):
     print(f"  {g_db:5.1f} dB   1 relay {e1.value:.6f}   2 relays {e2.value:.6f}")

@@ -302,6 +302,10 @@ def _cmd_perf(args) -> int:
     # the model itself needs gamma > 0; zero-SNR rows get analytic limits
     grid = [_channel_params(args, float(g)) for g in gammas if g != 0.0]
     limits = {"outage": 1.0, "bep": 0.5, "capacity": 0.0}
+    # one pass over the streams for every metric over the whole SNR grid
+    mc = dict(zip(wanted, run_simulation(
+        grid, cfg, tuple(wanted), threshold=snr_threshold, workers=args.workers
+    ))) if args.with_mc and grid else {}
     columns = ["gamma_db"]
     by_gamma = []  # per column after gamma_db, its values over grid
     zero_row = []
@@ -317,10 +321,7 @@ def _cmd_perf(args) -> int:
         by_gamma.append(closed)
         zero_row.append(limits[m])
         if args.with_mc:
-            # one pass over the streams for the whole SNR grid
-            ests = run_simulation(
-                grid, cfg, m, threshold=snr_threshold, workers=args.workers
-            ) if grid else []
+            ests = mc.get(m, [])
             scale = cap_scale if m == "capacity" else 1.0
             columns.extend((f"mc_{base}", f"mc_{base}_se"))
             by_gamma.append([scale * e.value for e in ests])

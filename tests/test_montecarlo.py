@@ -18,7 +18,9 @@ from afrelay.montecarlo import (
     BLOCK,
     Histogram,
     SimConfig,
+    SimEstimate,
     _exponential,
+    _relay_term,
     _uniforms,
     histogram_at_edges,
     relay_power,
@@ -41,6 +43,28 @@ class TestSimConfig:
             SimConfig(seed=1, samples=10, histogram_range=(2.0, 1.0))
         with pytest.raises(ValueError, match="histogram_range"):
             SimConfig(seed=1, samples=10, histogram_range=(-1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("samples", 1500.5),
+            ("relays", 1.5),
+            ("histogram_bins", 10.5),
+            ("samples", True),
+            ("relays", True),
+            ("histogram_bins", True),
+        ],
+    )
+    def test_counts_must_be_integers(self, field, bad):
+        # refused up front, naming the field, rather than failing inside
+        # the block split or mid-simulation (or, for True, running a
+        # one-sample simulation)
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**{"seed": 1, "samples": 10, field: bad})
+
+    def test_numpy_integers_are_counts(self):
+        cfg = SimConfig(seed=1, samples=np.int64(10), relays=np.int32(2), histogram_bins=np.int64(4))
+        assert simulate(UNIT, cfg, "capacity").samples_used == 10
 
     def test_seed_range(self):
         # the seed is one 64-bit Philox key word: both ends of [0, 2**64)
@@ -81,6 +105,16 @@ class TestStreams:
         assert abs(mean - 1 / rate) < 5 / (rate * math.sqrt(n))
         assert abs(var - 1 / rate**2) < 5 * math.sqrt(8.0) / (rate**2 * math.sqrt(n))
 
+    def test_exponential_in_place_is_bit_identical(self):
+        # the in-place transform does -log1p(-u)/rate step for step, also
+        # with one rate per column of an interleaved hop pair
+        u = _uniforms(7, 1, 0, 2000)
+        np.testing.assert_array_equal(_exponential(u.copy(), 1.7), -np.log1p(-u) / 1.7)
+        pair = u.reshape(1000, 2)
+        got = _exponential(pair.copy(), np.array([1.3, 2.0]))
+        assert got[:, 0].tobytes() == (-np.log1p(-pair[:, 0]) / 1.3).tobytes()
+        assert got[:, 1].tobytes() == (-np.log1p(-pair[:, 1]) / 2.0).tobytes()
+
     def test_exponential_sampler_distribution(self):
         s = _exponential(_uniforms(7, 0, 0, 100_000), 1.7)
         p = stats.kstest(s, stats.expon(scale=1 / 1.7).cdf).pvalue
@@ -101,6 +135,20 @@ class TestRelayPower:
     def test_high_snr_limit(self):
         assert relay_power(2.0, 3.0, 0.0) == pytest.approx(1.2, rel=1e-15)
 
+    @pytest.mark.parametrize("inv_gamma", (0.0, 1e-3, 1.0, 7.3))
+    def test_hoisted_term_is_bit_identical(self, inv_gamma):
+        # the kernel computes x*y and x + y once per block and the term per
+        # gamma from them; seeded draws with dead hops mixed in (and, at
+        # inv_gamma = 0, the 0/0 of two dead hops)
+        pair = _exponential(_uniforms(3, 1, 0, 20_000).reshape(10_000, 2), np.array([0.7, 1.9]))
+        pair[::97, 0] = 0.0
+        pair[::89, 1] = 0.0
+        x, y = pair[:, 0], pair[:, 1]
+        with np.errstate(invalid="ignore"):
+            got = _relay_term(x * y, x + y, inv_gamma, np.empty(len(x)))
+            want = relay_power(x, y, inv_gamma)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestSimulate:
     def test_argument_validation(self):
@@ -116,6 +164,18 @@ class TestSimulate:
         for workers in (0, -3):
             with pytest.raises(ValueError, match="workers"):
                 simulate(UNIT, cfg, "capacity", workers=workers)
+        with pytest.raises(ValueError, match="metric sequence is empty"):
+            simulate(UNIT, cfg, ())
+        with pytest.raises(ValueError, match="metric"):
+            simulate(UNIT, cfg, ("bep", "median"))
+        with pytest.raises(ValueError, match="needs x"):
+            simulate(UNIT, cfg, ("bep", "cdf"))
+        two = SimConfig(seed=1, samples=100, relays=2)
+        for relays in (0, 3, 1.5, True, (1, 3)):
+            with pytest.raises(ValueError, match="relays"):
+                simulate(UNIT, two, "bep", relays=relays)
+        with pytest.raises(ValueError, match="relays sequence is empty"):
+            simulate(UNIT, two, "bep", relays=())
 
     def test_infinite_threshold_is_certain(self):
         est = simulate(UNIT, SimConfig(seed=1, samples=1000), "outage", threshold=math.inf)
@@ -202,6 +262,73 @@ class TestGrid:
         other = ChannelParams(gamma=10.0, lambda_sd=0.7, lambda_sr=1.3, lambda_rd=2.5)
         with pytest.raises(ValueError, match="gamma"):
             simulate([GRID[0], other], SimConfig(seed=5, samples=1000), "capacity")
+
+
+# unsorted and duplicate SNRs at non-unit rates
+ONE_PASS_GRID = GRID + [GRID[1]]
+METRICS = tuple(sorted(GRID_KW))
+ONE_PASS_CFG = {r: SimConfig(seed=5, samples=BLOCK + 1000, relays=r) for r in (1, 2)}
+
+
+@pytest.fixture(scope="module")
+def alone():
+    """Each (relay count, metric) over ONE_PASS_GRID, one call per result,
+    simulated with cfg.relays equal to that relay count."""
+    return {
+        (r, m): [simulate(p, ONE_PASS_CFG[r], m, **GRID_KW[m]) for p in ONE_PASS_GRID]
+        for r in (1, 2)
+        for m in METRICS
+    }
+
+
+def _all_same(got, want) -> bool:
+    return len(got) == len(want) and all(_same(g, w) for g, w in zip(got, want))
+
+
+class TestOnePass:
+    """Relay counts and metrics asked of one simulate call come from one
+    pass, each result bit-identical to its own call."""
+
+    @pytest.mark.parametrize("workers", (1, 2, 4))
+    def test_relay_prefix_matches_separate_calls(self, alone, workers):
+        for m in METRICS:
+            one, two = simulate(
+                ONE_PASS_GRID, ONE_PASS_CFG[2], m, workers=workers, relays=(1, 2), **GRID_KW[m]
+            )
+            assert _all_same(one, alone[(1, m)]), (m, workers)
+            assert _all_same(two, alone[(2, m)]), (m, workers)
+            # a scalar relay count below cfg.relays reads the same prefix
+            below = simulate(ONE_PASS_GRID, ONE_PASS_CFG[2], m, workers=workers, relays=1, **GRID_KW[m])
+            assert _all_same(below, alone[(1, m)]), (m, workers)
+
+    @pytest.mark.parametrize("workers", (1, 2, 4))
+    def test_metric_tuple_matches_one_metric_calls(self, alone, workers):
+        for r in (1, 2):
+            fused = simulate(
+                ONE_PASS_GRID, ONE_PASS_CFG[r], METRICS, x=1.0, threshold=1.0, workers=workers
+            )
+            assert len(fused) == len(METRICS)
+            for m, got in zip(METRICS, fused):
+                assert _all_same(got, alone[(r, m)]), (r, m, workers)
+
+    def test_relays_and_metrics_in_one_call(self, alone):
+        fused = simulate(
+            ONE_PASS_GRID, ONE_PASS_CFG[2], METRICS, x=1.0, threshold=1.0, workers=2,
+            relays=(2, 1),
+        )
+        for r, by_metric in zip((2, 1), fused):
+            for m, got in zip(METRICS, by_metric):
+                assert _all_same(got, alone[(r, m)]), (r, m)
+
+    def test_nesting_follows_the_sequence_arguments(self):
+        cfg = SimConfig(seed=5, samples=1000, relays=2)
+        est = simulate(UNIT, cfg, "capacity", relays=1)
+        assert isinstance(est, SimEstimate)
+        by_relays = simulate(UNIT, cfg, "capacity", relays=(1, 2))
+        assert by_relays == [est, simulate(UNIT, cfg, "capacity")]
+        by_metric = simulate(UNIT, cfg, ("capacity", "bep"))
+        assert by_metric == [simulate(UNIT, cfg, "capacity"), simulate(UNIT, cfg, "bep")]
+        assert simulate([UNIT], cfg, ("capacity",), relays=(1,)) == [[[est]]]
 
 
 @pytest.fixture(scope="module")
