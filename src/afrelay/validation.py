@@ -9,6 +9,10 @@ for a fixed (seed, samples, depth): no timestamps, no machine info, fixed
 float formatting, and Monte Carlo results that do not depend on the worker
 count.
 
+Each gate is implemented here and only here: the acceptance tests call
+these checks and assert on their verdicts, so every grid, seed, stencil and
+tolerance of the gates is pinned in this module.
+
 Two checks are expected to fail on this build; the section comments on
 `check_series_accuracy_grid` and `check_capacity_vs_mc` state the measured
 behavior.  A failing check is reported, never silently relaxed.
@@ -79,22 +83,22 @@ def _matches_printed(got: float, printed: float, digits: int) -> bool:
 
 
 def check_coefficient_table() -> CheckResult:
-    """Depth-2/5/10 coefficient rows against their printed reference values,
-    plus the exact closed form a[1] = 2k/(2k+1) up to the depth cap."""
+    """Depth-2/5/10 coefficient rows against their printed reference values
+    (the exact entries a[0] = 1 and a[1] to 1e-12 relative), plus the exact
+    closed form a[1] = 2k/(2k+1) up to the depth cap."""
     mismatches = []
     for k, q, printed, digits in _PRINTED:
         got = float(series_coeffs(1.0, k).a[q])
         if not _matches_printed(got, printed, digits):
             mismatches.append(f"k={k} q={q}: computed {_f(got)} vs printed {_f(printed)}")
-    worst_exact = 0.0
-    for k in (2, 5, 10):
-        a = series_coeffs(1.0, k).a
-        worst_exact = max(worst_exact, abs(a[0] - 1.0))
-        worst_exact = max(worst_exact, abs(a[1] - 2 * k / (2 * k + 1)) / (2 * k / (2 * k + 1)))
-    worst_a1 = max(
-        abs(series_coeffs(1.0, k).a[1] - 2 * k / (2 * k + 1)) / (2 * k / (2 * k + 1))
+    rel_a1 = {
+        k: abs(series_coeffs(1.0, k).a[1] - 2 * k / (2 * k + 1)) / (2 * k / (2 * k + 1))
         for k in range(1, 31)
+    }
+    worst_exact = max(
+        max(abs(series_coeffs(1.0, k).a[0] - 1.0), rel_a1[k]) for k in (2, 5, 10)
     )
+    worst_a1 = max(rel_a1.values())
     lines = [
         f"printed-value mismatches: {len(mismatches)} of {len(_PRINTED)}",
         *mismatches,
@@ -102,7 +106,9 @@ def check_coefficient_table() -> CheckResult:
         f"a[1] = 2k/(2k+1) worst rel over k=1..30: {_f(worst_a1)} (tol 1e-12)",
     ]
     return CheckResult(
-        "coefficient-table", not mismatches and worst_a1 <= 1e-12, tuple(lines)
+        "coefficient-table",
+        not mismatches and worst_exact <= 1e-12 and worst_a1 <= 1e-12,
+        tuple(lines),
     )
 
 
@@ -137,6 +143,16 @@ def check_series_accuracy_grid() -> CheckResult:
     return CheckResult("series-accuracy-grid", not bad5 and not badstrict, tuple(lines))
 
 
+def _exp_reciprocal_fd(n: int, beta: float, x: float, h: float) -> float:
+    """Central finite difference of order n = 1, 2 or 3 of exp(-beta/u) at x."""
+    f = lambda u: math.exp(-beta / u)
+    if n == 1:
+        return (f(x + h) - f(x - h)) / (2 * h)
+    if n == 2:
+        return (f(x + h) - 2 * f(x) + f(x - h)) / h**2
+    return (f(x + 2 * h) - 2 * f(x + h) + 2 * f(x - h) - f(x - 2 * h)) / (2 * h**3)
+
+
 def check_proof_identities() -> CheckResult:
     """Fractional-integral identity on the (s, beta, x) grid and the
     reciprocal-exponential derivative formula vs finite differences."""
@@ -155,27 +171,26 @@ def check_proof_identities() -> CheckResult:
                 )
                 worst_frac = max(worst_frac, abs(lhs - rhs) / abs(rhs))
 
-    def fd(n, beta, x, h):
-        f = lambda u: math.exp(-beta / u)
-        if n == 1:
-            return (f(x + h) - f(x - h)) / (2 * h)
-        if n == 2:
-            return (f(x + h) - 2 * f(x) + f(x - h)) / h**2
-        return (f(x + 2 * h) - 2 * f(x + h) + 2 * f(x - h) - f(x - 2 * h)) / (2 * h**3)
-
     # beta chosen per order so no derivative root falls near the x grid
     worst_fd = 0.0
     for n, beta in ((1, 1.0), (2, 1.6), (3, 1.6)):
         for x in (0.5, 1.0, 2.0):
             h = (1e-4 if n < 3 else 4e-4) * x
             a = exp_reciprocal_deriv(n, beta, x)
-            worst_fd = max(worst_fd, abs(a - fd(n, beta, x, h)) / abs(a))
+            worst_fd = max(worst_fd, abs(a - _exp_reciprocal_fd(n, beta, x, h)) / abs(a))
     lines = [
         f"fractional-integral identity worst rel over 27-point grid: {_f(worst_frac)} (tol 1e-6)",
         f"derivative formula vs finite differences worst rel: {_f(worst_fd)} (tol 1e-5)",
     ]
     return CheckResult(
         "proof-identities", worst_frac <= 1e-6 and worst_fd <= 1e-5, tuple(lines)
+    )
+
+
+def _unit(gamma_db: float) -> ChannelParams:
+    """The reference scenario: unit fading parameters at gamma_db."""
+    return ChannelParams(
+        gamma=10 ** (gamma_db / 10), lambda_sd=1.0, lambda_sr=1.0, lambda_rd=1.0
     )
 
 
@@ -186,14 +201,11 @@ def _draws(seed: int, n: int = 10):
     while len(out) < n:
         lsd, lsr, lrd = np.exp(rng.uniform(np.log(0.2), np.log(5.0), 3))
         gdb = rng.uniform(10.0, 40.0)
-        lsrd = (math.sqrt(lsr) + math.sqrt(lrd)) ** 2
-        if abs(lsrd - lsd) < 0.5:
-            continue
-        out.append(
-            ChannelParams(
-                gamma=10 ** (gdb / 10), lambda_sd=lsd, lambda_sr=lsr, lambda_rd=lrd
-            )
+        p = ChannelParams(
+            gamma=10 ** (gdb / 10), lambda_sd=lsd, lambda_sr=lsr, lambda_rd=lrd
         )
+        if abs(p.derived().lambda_srd - lsd) >= 0.5:
+            out.append(p)
     return out
 
 
@@ -218,7 +230,7 @@ def check_density_vs_histogram(seed: int, samples: int, workers: int) -> CheckRe
     """Series density against the Monte Carlo histogram of the exact model,
     and the min-bound baseline's larger deviation, at the reference scenario
     (unit fading parameters, 30 dB)."""
-    p = ChannelParams(gamma=1000.0, lambda_sd=1.0, lambda_sr=1.0, lambda_rd=1.0)
+    p = _unit(30.0)
     co = combined_cdf_coeffs(p, series_coeffs(1.0, 10))
     cfg = SimConfig(
         seed=seed, samples=samples, histogram_bins=60, histogram_range=(0.0, 6.0)
@@ -256,11 +268,9 @@ def check_bep_closed_form(seed: int) -> CheckResult:
         worst = max(worst, abs(b - bq) / bq)
     beps = []
     for gdb in np.arange(-5.0, 35.01, 2.5):
-        p = ChannelParams(
-            gamma=10 ** (gdb / 10), lambda_sd=1.0, lambda_sr=1.0, lambda_rd=1.0
-        )
+        p = _unit(gdb)
         beps.append(metrics.bit_error_prob(p, combined_cdf_coeffs(p, tab)))
-    mono = bool(np.all(np.diff(beps) <= 1e-15))
+    mono = bool(np.all(np.diff(beps) <= 0.0))
     lines = [
         f"closed vs quadrature worst rel over 10 draws: {_f(worst)} (tol 1e-6)",
         f"monotone nonincreasing on -5..35 dB: {mono}",
@@ -280,12 +290,6 @@ def check_capacity_vs_mc(seed: int, samples: int, workers: int) -> CheckResult:
     within ~1 SE.  Reported honestly.
     """
     tab = series_coeffs(1.0, 10)
-
-    def unit(gdb):
-        return ChannelParams(
-            gamma=10 ** (gdb / 10), lambda_sd=1.0, lambda_sr=1.0, lambda_rd=1.0
-        )
-
     # one simulation pass: the one-relay total is a prefix of the
     # two-relay total on the same streams
     single_db = (0.0, 5.0, 10.0, 15.0, 20.0)
@@ -293,7 +297,7 @@ def check_capacity_vs_mc(seed: int, samples: int, workers: int) -> CheckResult:
     one, two = (
         dict(zip(single_db, ests))
         for ests in run_simulation(
-            [unit(gdb) for gdb in single_db], SimConfig(seed=seed, samples=samples, relays=2),
+            [_unit(gdb) for gdb in single_db], SimConfig(seed=seed, samples=samples, relays=2),
             "capacity", workers=workers, relays=(1, 2),
         )
     )
@@ -301,7 +305,7 @@ def check_capacity_vs_mc(seed: int, samples: int, workers: int) -> CheckResult:
     ok = True
     worst_z = 0.0
     for gdb, est in one.items():
-        p = unit(gdb)
+        p = _unit(gdb)
         closed = metrics.capacity(p, combined_cdf_coeffs(p, tab))
         z = (closed - est.value) / est.std_error
         worst_z = max(worst_z, abs(z))
@@ -327,9 +331,7 @@ def check_high_snr_audit() -> CheckResult:
     xs = np.linspace(0.0, 10.0, 101)
     sups = {}
     for gdb in (60.0, 0.0):
-        p = ChannelParams(
-            gamma=10 ** (gdb / 10), lambda_sd=1.0, lambda_sr=1.0, lambda_rd=1.0
-        )
+        p = _unit(gdb)
         co = combined_cdf_coeffs(p, series_coeffs(1.0, 10))
         sups[gdb] = max(
             abs(combined_cdf(p, co, float(x)) - combined_cdf_exact(p, float(x)))

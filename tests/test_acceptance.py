@@ -1,8 +1,12 @@
 """Acceptance gate: one test per shipped guarantee, each emitting a single
 pass/fail line under pytest -v.
 
-Tolerances and runtime budgets are pinned in the assertions.  Two tests
-fail by design of the suite, not by accident, and stay red on purpose:
+Criteria 01-08 run the matching `afrelay.validation` check, the one
+implementation of each gate, and assert its verdict with the check's
+report lines as the failure message.  Grids, seeds, stencils and
+tolerances are pinned in `src/afrelay/validation.py`; the runtime
+budgets are pinned here.  Two tests fail by design of the suite, not by
+accident, and stay red on purpose:
 
 * test_criterion_02...: the depth-2 series is nowhere near a 5% envelope
   on the upper half of the argument range (measured up to 131% relative at
@@ -14,274 +18,65 @@ fail by design of the suite, not by accident, and stay red on purpose:
   agreement band cannot hold on this SNR range.
 
 Both are documented measurement outcomes of the implemented formulas; the
-assertions state the advertised property honestly and report the measured
+checks state the advertised property honestly and report the measured
 violation when it fires.
 """
 
-import math
+import json
 import time
-import warnings
 
-import numpy as np
-import pytest
-
-from afrelay import reference
-from afrelay.bessel_series import (
-    evaluate,
-    exp_reciprocal_deriv,
-    series_coeffs,
-)
-from afrelay.channel import (
-    ChannelParams,
-    combined_cdf,
-    combined_cdf_coeffs,
-    combined_cdf_exact,
-    combined_pdf,
-    minbound_pdf,
-)
+from afrelay import validation
 from afrelay.cli import main as cli_main
-from afrelay.metrics import bit_error_prob, bit_error_prob_quadrature, capacity
-from afrelay.montecarlo import SimConfig, simulate, simulate_minbound
-from afrelay.reference import QuadratureSpec, adaptive_quad, fractional_integral
-
-UNIT_RATES = dict(lambda_sd=1.0, lambda_sr=1.0, lambda_rd=1.0)
-
-# four-digit reference table for order 1: (value, quoted significant
-# digits); digits None marks an exact rational entry
-PRINTED_TABLE = {
-    2: [(1.0, 4), (4 / 5, None), (-0.1333, 4)],
-    5: [
-        (1.0, 4), (10 / 11, None), (-0.4237, 4), (0.1824, 4),
-        (-0.0375, 3), (2.693e-3, 4),
-    ],
-    10: [
-        (1.0, 4), (20 / 21, None), (-0.7047, 4), (0.7239, 4),
-        (-0.5000, 4), (0.2111, 4), (-5.415e-2, 4), (8.375e-3, 4),
-        (-7.55e-4, 3), (3.619e-5, 4), (-7.0724e-7, 5),
-    ],
-}
 
 
-def last_digit_unit(value: float, digits: int) -> float:
-    # printed entries are truncated, not rounded: accept any computed value
-    # within one unit of the last printed digit
-    return 10.0 ** (math.floor(math.log10(abs(value))) - digits + 1)
-
-
-def parameter_draws(seed: int, n: int = 10):
-    rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < n:
-        lsd, lsr, lrd = np.exp(rng.uniform(np.log(0.2), np.log(5.0), 3))
-        g = 10.0 ** rng.uniform(1.0, 4.0)
-        p = ChannelParams(gamma=g, lambda_sd=lsd, lambda_sr=lsr, lambda_rd=lrd)
-        if abs(p.derived().lambda_srd - lsd) < 0.5:
-            continue
-        out.append(p)
-    return out
+def assert_passes(check, *args, budget: float) -> None:
+    t0 = time.perf_counter()
+    result = check(*args)
+    elapsed = time.perf_counter() - t0
+    assert result.passed, "\n".join(result.lines)
+    assert elapsed < budget
 
 
 def test_criterion_01_coefficient_table():
-    t0 = time.perf_counter()
-    total = 0
-    for k, printed in PRINTED_TABLE.items():
-        table = series_coeffs(1.0, k)
-        assert len(table.a) == len(printed)
-        for q, (value, digits) in enumerate(printed):
-            computed = float(table.a[q])
-            if digits is None:
-                assert abs(computed - value) <= 1e-12 * abs(value), (k, q)
-            else:
-                assert abs(computed - value) < last_digit_unit(value, digits), (
-                    k, q, computed, value,
-                )
-            total += 1
-        # the linear coefficient is an exact rational for every depth
-        assert float(table.a[1]) == pytest.approx(
-            2 * k / (2 * k + 1), rel=1e-12
-        )
-    assert total == 20
-    assert time.perf_counter() - t0 < 1.0
+    assert_passes(validation.check_coefficient_table, budget=1.0)
 
 
 def test_criterion_02_series_accuracy_envelope():
-    # advertised: depth 2 within 5% of the quadrature oracle for
-    # beta*x in [0.5, 8], and depth 10 strictly better at every point.
-    # Fails honestly; see the module docstring for the measured numbers.
-    t0 = time.perf_counter()
-    t2 = series_coeffs(1.0, 2)
-    t10 = series_coeffs(1.0, 10)
-    failures = []
-    for beta in (0.5, 1.0, 2.0):
-        for z in np.linspace(0.5, 8.0, 16):
-            z = float(z)
-            oracle = reference.bessel_k(1.0, z)
-            r2 = abs(evaluate(1.0, 2, z, table=t2).value - oracle) / oracle
-            r10 = abs(evaluate(1.0, 10, z, table=t10).value - oracle) / oracle
-            if r2 > 0.05 or r10 >= r2:
-                failures.append((beta, z, r2, r10))
-    elapsed = time.perf_counter() - t0
-    assert not failures, (
-        f"{len(failures)} grid points violate the envelope "
-        f"(beta, beta*x, rel_k2, rel_k10): {failures[:4]} ..."
-    )
-    assert elapsed < 10.0
+    assert_passes(validation.check_series_accuracy_grid, budget=10.0)
 
 
 def test_criterion_03_proof_identities():
-    t0 = time.perf_counter()
-    # fractional integral of t**(-2s) exp(-beta/t) against the closed
-    # Bessel right side
-    for s in (0.2, 0.25, 0.4):
-        for beta in (0.5, 1.0, 2.0):
-            for x in (0.5, 1.0, 2.0):
-                lhs = fractional_integral(
-                    lambda t: t ** (-2 * s) * math.exp(-beta / t), s, x
-                )
-                rhs = (
-                    beta ** (0.5 - s)
-                    / math.sqrt(math.pi * x)
-                    * math.exp(-beta / (2 * x))
-                    * reference.bessel_k(abs(s - 0.5), beta / (2 * x))
-                )
-                assert abs(lhs - rhs) <= 1e-6 * abs(rhs), (s, beta, x)
-
-    # closed-form reciprocal-exponential derivatives against central
-    # finite differences; step sizes balance truncation and roundoff
-    steps = {1: 1e-4, 2: 1e-4, 3: 4e-4}
-    for n, h in steps.items():
-        for beta in (1.0, 1.6):
-            for x in (0.5, 1.0, 2.0):
-                f = lambda v: math.exp(-beta / v)
-                if n == 1:
-                    fd = (f(x + h) - f(x - h)) / (2 * h)
-                elif n == 2:
-                    fd = (f(x + h) - 2 * f(x) + f(x - h)) / h**2
-                else:
-                    fd = (
-                        f(x + 2 * h) - 2 * f(x + h) + 2 * f(x - h) - f(x - 2 * h)
-                    ) / (2 * h**3)
-                closed = exp_reciprocal_deriv(n, beta, x)
-                if closed == 0.0:
-                    # analytic zero (x = beta/2 is the inflection point of
-                    # the n = 2 case); the stencil can only confirm it to
-                    # its own noise floor
-                    assert abs(fd) < 1e-6, (n, beta, x)
-                else:
-                    assert abs(closed - fd) <= 1e-5 * abs(closed), (n, beta, x)
-    assert time.perf_counter() - t0 < 30.0
+    assert_passes(validation.check_proof_identities, budget=30.0)
 
 
 def test_criterion_04_density_normalization():
-    t0 = time.perf_counter()
-    for p in parameter_draws(17):
-        hi = 60.0 / min(p.lambda_sd, p.derived().lambda_srd)
-        for k in (2, 5, 10):
-            co = combined_cdf_coeffs(p, series_coeffs(1.0, k))
-            total = adaptive_quad(
-                lambda v: combined_pdf(p, co, v), 0.0, hi,
-                QuadratureSpec(1e-12, 1e-11, 300),
-            )
-            assert abs(total - 1.0) < 1e-9, (p, k)
-    assert time.perf_counter() - t0 < 5.0
+    assert_passes(validation.check_pdf_normalization, 17, budget=5.0)
 
 
 def test_criterion_05_density_matches_simulation():
-    t0 = time.perf_counter()
-    p = ChannelParams(gamma=1000.0, **UNIT_RATES)
-    co = combined_cdf_coeffs(p, series_coeffs(1.0, 10))
-    hist = simulate(p, SimConfig(seed=42, samples=10**7), "pdf", workers=4)
-    closed = np.array([combined_pdf(p, co, float(c)) for c in hist.centers])
-    peak = float(closed.max())
-    assert float(np.max(np.abs(closed - hist.density))) < 0.02 * peak
-
-    bound = np.array([minbound_pdf(p, float(c)) for c in hist.centers])
-    mad_closed = float(np.mean(np.abs(closed - hist.density)))
-    mad_bound = float(np.mean(np.abs(bound - hist.density)))
-    assert mad_bound > mad_closed
-    assert time.perf_counter() - t0 < 120.0
+    assert_passes(validation.check_density_vs_histogram, 42, 10**7, 2, budget=120.0)
 
 
 def test_criterion_06_bep_closed_form():
-    t0 = time.perf_counter()
-    for p in parameter_draws(23):
-        co = combined_cdf_coeffs(p, series_coeffs(1.0, 10))
-        a = bit_error_prob(p, co)
-        b = bit_error_prob_quadrature(p, co)
-        assert abs(a - b) <= 1e-6 * abs(b), p
-
-    prev = 0.51
-    for g_db in np.linspace(-5.0, 35.0, 9):
-        p = ChannelParams(gamma=10 ** (g_db / 10), **UNIT_RATES)
-        co = combined_cdf_coeffs(p, series_coeffs(1.0, 10))
-        val = bit_error_prob(p, co)
-        assert val <= prev, g_db
-        prev = val
-    assert time.perf_counter() - t0 < 30.0
+    assert_passes(validation.check_bep_closed_form, 23, budget=30.0)
 
 
 def test_criterion_07_capacity_agreement():
-    # advertised: closed form within 3 standard errors of a 1e7-sample
-    # run at 0..20 dB.  Fails honestly; the series bias dominates the
-    # Monte Carlo noise at every point (see the module docstring).
-    t0 = time.perf_counter()
-    zs = []
-    for g_db in (0.0, 5.0, 10.0, 15.0, 20.0):
-        p = ChannelParams(gamma=10 ** (g_db / 10), **UNIT_RATES)
-        co = combined_cdf_coeffs(p, series_coeffs(1.0, 10))
-        one = simulate(p, SimConfig(seed=42, samples=10**7), "capacity", workers=4)
-        two = simulate(
-            p, SimConfig(seed=42, samples=10**7, relays=2), "capacity", workers=4
-        )
-        assert two.value >= one.value, g_db  # second relay never hurts
-        zs.append((g_db, (capacity(p, co) - one.value) / one.std_error))
-    elapsed = time.perf_counter() - t0
-    worst = max(abs(z) for _, z in zs)
-    assert worst <= 3.0, f"closed form vs simulation, (dB, z): {zs}"
-    assert elapsed < 300.0
+    assert_passes(validation.check_capacity_vs_mc, 42, 10**7, 2, budget=300.0)
 
 
 def test_criterion_08_high_snr_audit():
-    t0 = time.perf_counter()
-    p60 = ChannelParams(gamma=1e6, **UNIT_RATES)
-    co60 = combined_cdf_coeffs(p60, series_coeffs(1.0, 10))
-    sup60 = max(
-        abs(combined_cdf(p60, co60, float(x)) - combined_cdf_exact(p60, float(x)))
-        for x in np.linspace(0.0, 10.0, 41)
-    )
-    assert sup60 < 1e-3  # measured 2.35e-5
-
-    # the low-SNR edge is reported, not asserted: the approximation is
-    # honest there but visibly biased
-    p0 = ChannelParams(gamma=1.0, **UNIT_RATES)
-    co0 = combined_cdf_coeffs(p0, series_coeffs(1.0, 10))
-    sup0 = max(
-        abs(combined_cdf(p0, co0, float(x)) - combined_cdf_exact(p0, float(x)))
-        for x in np.linspace(0.0, 10.0, 21)
-    )
-    assert math.isfinite(sup0)
-    warnings.warn(
-        f"criterion 8: 0 dB sup deviation = {sup0:.4e} (reported, not asserted)"
-    )
-    assert time.perf_counter() - t0 < 60.0
+    assert_passes(validation.check_high_snr_audit, budget=60.0)
 
 
-def test_criterion_09_deterministic_validation(tmp_path, monkeypatch):
-    # byte-identical reports for repeated runs and for any worker count;
-    # 2.5e6 samples spans multiple scheduling blocks plus a ragged tail
-    def run(tag: str, workers: int) -> bytes:
-        d = tmp_path / tag
-        d.mkdir()
-        monkeypatch.chdir(d)
-        code = cli_main([
-            "validate", "--seed", "42", "--samples", "2500000",
-            "--workers", str(workers), "--out", "report.txt",
-        ])
-        assert code in (0, 1)
-        return (d / "report.txt").read_bytes()
-
-    first = run("a", 1)
-    again = run("b", 1)
-    parallel = run("c", 4)
-    assert first == again
-    assert first == parallel
+def test_criterion_09_deterministic_validation(capsys):
+    # byte-identical reports for any worker count; 2.5e6 samples spans
+    # multiple scheduling blocks plus a ragged tail.  The quadrature checks
+    # call the series PDF/CDF one scalar at a time, so the golden also pins
+    # the scalar path of the closed forms
+    for workers in ("1", "2", "4"):
+        assert cli_main(["validate", "--samples", "2500000", "--workers", workers]) == 1
+        header = capsys.readouterr().out.split("\n", 1)[0]
+        assert json.loads(header[2:])["artifact_checksum"] == (
+            "f535a5031dede530ad5b51973097bddd9c37c660a62e9c409c1fd1ffd2089fb0"
+        ), workers

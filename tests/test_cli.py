@@ -326,21 +326,6 @@ class TestValidate:
         assert "[PASS]" in report and "[FAIL]" in report
         assert report.rstrip().splitlines()[-1].startswith("result: ")
 
-    def test_pinned_artifact(self, capsys):
-        # golden: recorded before the closed forms took scalars as Python
-        # floats; the quadrature checks call the series PDF/CDF one scalar
-        # at a time, so this pins the scalar path (6 of 8 checks pass); the
-        # one- and two-relay capacity estimates come from one pass
-        for workers in ("1", "2", "4"):
-            code, out, _ = run_cli(
-                capsys, "validate", "--samples", "2000000", "--workers", workers
-            )
-            assert code == 1
-            header, _ = out.split("\n", 1)
-            assert json.loads(header[2:])["artifact_checksum"] == (
-                "204af3834ba1b5b428b79ad4644bb438dd471a7f84ee09fd32847988b0069981"
-            ), workers
-
 
 class TestHarness:
     def test_missing_subcommand_is_usage_error(self, capsys):

@@ -25,6 +25,7 @@ from afrelay.metrics import (
     outage,
 )
 from afrelay.montecarlo import SimConfig, simulate
+from afrelay.validation import _draws
 
 TABLE10 = series_coeffs(1.0, 10)
 
@@ -36,20 +37,6 @@ def unit_params(gamma: float) -> ChannelParams:
 def unit_coeffs(gamma: float):
     p = unit_params(gamma)
     return p, combined_cdf_coeffs(p, TABLE10)
-
-
-def rate_draws(n: int = 10):
-    # log-uniform rates, skipping near-degenerate lambda_srd ~ lambda_sd
-    rng = np.random.default_rng(11)
-    out = []
-    while len(out) < n:
-        lsd, lsr, lrd = np.exp(rng.uniform(np.log(0.2), np.log(5.0), 3))
-        g = 10.0 ** rng.uniform(1.0, 4.0)
-        p = ChannelParams(gamma=g, lambda_sd=lsd, lambda_sr=lsr, lambda_rd=lrd)
-        if abs(p.derived().lambda_srd - lsd) < 0.5:
-            continue
-        out.append(p)
-    return out
 
 
 class TestE1:
@@ -161,20 +148,12 @@ class TestBitErrorProb:
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_quadrature_twin_across_draws(self):
-        # measured worst relative gap 2.3e-8, dominated by the quadrature
-        for p in rate_draws(10):
+        # measured worst relative gap 9.9e-10, dominated by the quadrature
+        for p in _draws(11):
             co = combined_cdf_coeffs(p, TABLE10)
             a = bit_error_prob(p, co)
             b = bit_error_prob_quadrature(p, co)
             assert a == pytest.approx(b, rel=1e-6), p
-
-    def test_nonincreasing_in_snr(self):
-        prev = 0.51
-        for g_db in np.linspace(-5.0, 35.0, 9):
-            p, co = unit_coeffs(10 ** (g_db / 10))
-            val = bit_error_prob(p, co)
-            assert val <= prev + 1e-15, g_db
-            prev = val
 
     def test_matches_monte_carlo(self):
         # erfc averaged over 1e7 exact-model draws; frozen run gives
@@ -194,8 +173,8 @@ class TestCapacity:
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_quadrature_twin_across_draws(self):
-        # measured worst relative gap 5.5e-16
-        for p in rate_draws(10):
+        # measured worst relative gap 3.8e-13
+        for p in _draws(11):
             co = combined_cdf_coeffs(p, TABLE10)
             a = capacity(p, co)
             b = capacity_quadrature(p, co)

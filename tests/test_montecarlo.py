@@ -297,6 +297,8 @@ class TestOnePass:
             )
             assert _all_same(one, alone[(1, m)]), (m, workers)
             assert _all_same(two, alone[(2, m)]), (m, workers)
+            if m == "capacity":  # a second relay never lowers a sample's capacity
+                assert all(t.value >= o.value for o, t in zip(one, two)), workers
             # a scalar relay count below cfg.relays reads the same prefix
             below = simulate(ONE_PASS_GRID, ONE_PASS_CFG[2], m, workers=workers, relays=1, **GRID_KW[m])
             assert _all_same(below, alone[(1, m)]), (m, workers)

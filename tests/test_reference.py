@@ -99,26 +99,6 @@ class TestFractionalIntegral:
         got = fractional_integral(math.cos, 1.0, 1.5)
         assert got == pytest.approx(math.sin(1.5), rel=1e-10)
 
-    def test_bessel_identity(self):
-        # applying the order-s integral to t**(-2s) exp(-beta/t) lands on
-        # beta**(1/2-s)/sqrt(pi x) exp(-beta/(2x)) K_{|s-1/2|}(beta/(2x));
-        # this identity is the bridge the series construction rests on
-        worst = 0.0
-        for s in (0.2, 0.25, 0.4):
-            for beta in (0.5, 1.0, 2.0):
-                for x in (0.5, 1.0, 2.0):
-                    f = lambda t: t ** (-2.0 * s) * math.exp(-beta / t) if t > 0 else 0.0
-                    lhs = fractional_integral(f, s, x)
-                    z = beta / (2.0 * x)
-                    rhs = (
-                        beta ** (0.5 - s)
-                        / math.sqrt(math.pi * x)
-                        * math.exp(-z)
-                        * bessel_k(abs(s - 0.5), z)
-                    )
-                    worst = max(worst, abs(lhs - rhs) / abs(rhs))
-        assert worst < 1e-6
-
     def test_domain(self):
         with pytest.raises(ValueError):
             fractional_integral(math.exp, 0.0, 1.0)
