@@ -24,7 +24,6 @@ from .bessel_series import (
 from .channel import (
     ChannelParams,
     DegenerateParameterError,
-    DerivedParams,
     SeriesCdfCoeffs,
     combined_cdf,
     combined_cdf_coeffs,
@@ -40,7 +39,6 @@ from .metrics import (
     bit_error_prob_quadrature,
     capacity,
     capacity_quadrature,
-    e1,
     e1_scaled,
     outage,
 )
@@ -73,7 +71,6 @@ __all__ = [
     "CoefficientTable",
     "TruncatedValue",
     "ChannelParams",
-    "DerivedParams",
     "SeriesCdfCoeffs",
     "DegenerateParameterError",
     "QuadratureSpec",
@@ -104,7 +101,6 @@ __all__ = [
     "bit_error_prob_quadrature",
     "capacity",
     "capacity_quadrature",
-    "e1",
     "e1_scaled",
     "relay_power",
     "simulate",

@@ -160,34 +160,31 @@ def series_coeffs(nu: float, k: int) -> CoefficientTable:
     return CoefficientTable(nu=nu, k=k, a=np.array(_coeff_tuple(nu, k)))
 
 
+def _horner(c, x):
+    """sum_i c[i] x**i with numpy.polynomial.polyval's operations, bit for
+    bit, for a Python float or an ndarray x."""
+    p = c[-1] + x * 0.0
+    for ci in c[-2::-1]:
+        p = ci + p * x
+    return p
+
+
 def _eval_poly_form(a, nu: float, z: float) -> float:
-    p = 0.0
-    for c in reversed(a):
-        p = p * z + c
-    return math.exp(-z) * z ** (-nu) * p
+    return math.exp(-z) * z ** (-nu) * _horner(a, z)
 
 
-def evaluate(nu: float, k: int, z: float, table: CoefficientTable | None = None) -> TruncatedValue:
-    """Depth-k truncated series value of K_nu(z).
+def evaluate(nu: float, k: int, z: float) -> TruncatedValue:
+    """Depth-k truncated series value of K_nu(z) for z > 0.
 
     The error estimate is the difference against the depth-(k+1)
-    evaluation; it is a heuristic, not a bound.  A caller-supplied table
-    overrides the internally generated coefficients (the value is linear
-    in the table), while the error estimate always differences against
-    the internal depth-(k+1) coefficients.
+    evaluation; it is a heuristic, not a bound.
     """
     nu = _check_order(nu)
     k = _check_depth(k)
     z = float(z)
     if not z > 0.0:
         raise ValueError(f"series argument must be positive, got {z!r}")
-    if table is None:
-        a = _coeff_tuple(nu, k)
-    else:
-        if table.k != k or table.nu != nu:
-            raise ValueError("supplied table does not match requested (nu, k)")
-        a = table.a
-    value = _eval_poly_form(a, nu, z)
+    value = _eval_poly_form(_coeff_tuple(nu, k), nu, z)
     value_next = _eval_poly_form(_coeff_tuple(nu, k + 1), nu, z)
     return TruncatedValue(value=value, epsilon_estimate=abs(value - value_next))
 

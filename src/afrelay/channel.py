@@ -19,7 +19,7 @@ Closed forms implemented here:
 * a high-SNR series CDF/PDF of D + S (combined_cdf / combined_pdf) built
   from the truncated Bessel-K series, in the exponential-polynomial form
 
-      F(x) = 1 - A exp(-lambda_sd x) + sum_{q,c} B[q,c] x^c exp(-lambda_srd x);
+      F(x) = 1 - A exp(-lambda_sd x) + exp(-lambda_srd x) sum_c cols[c] x^c;
 
 * the exact convolution CDF of D + S by quadrature (combined_cdf_exact),
   used to audit the high-SNR form;
@@ -31,7 +31,7 @@ formula.  A scalar stays a Python float end to end and comes back as one,
 so a quadrature integrand pays for a few float operations and np.exp
 calls, not for array set-up.  Facts that depend only on the parameters are
 computed once: ChannelParams derives its rate combinations on
-construction, and SeriesCdfCoeffs its column sums and derivative columns.
+construction, and SeriesCdfCoeffs its A and its derivative polynomial.
 """
 
 from __future__ import annotations
@@ -43,11 +43,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bessel_series, reference
+from .bessel_series import _horner
 from .reference import DEFAULT_SPEC, QuadratureSpec
 
 __all__ = [
     "ChannelParams",
-    "DerivedParams",
     "SeriesCdfCoeffs",
     "DegenerateParameterError",
     "srd_cdf",
@@ -82,7 +82,15 @@ class DegenerateParameterError(RuntimeError):
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Transmit SNR (linear) and the three exponential fading rates."""
+    """Transmit SNR (linear) and the three exponential fading rates.
+
+    The rate combinations that recur in every closed form are attributes
+    computed once on construction, not fields, so equality, hash, repr and
+    dataclasses.replace ignore them:
+
+        lambda_p = lambda_sr lambda_rd,  lambda_s = lambda_sr + lambda_rd,
+        lambda_srd = lambda_s + 2 sqrt(lambda_p) = (sqrt(lambda_sr) + sqrt(lambda_rd))**2.
+    """
 
     gamma: float
     lambda_sd: float
@@ -94,31 +102,11 @@ class ChannelParams:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
-        # not a field: equality, hash, repr and dataclasses.replace ignore it
         lam_p = self.lambda_sr * self.lambda_rd
         lam_s = self.lambda_sr + self.lambda_rd
-        object.__setattr__(
-            self,
-            "_derived",
-            DerivedParams(
-                lambda_p=lam_p,
-                lambda_s=lam_s,
-                lambda_srd=lam_s + 2.0 * math.sqrt(lam_p),
-            ),
-        )
-
-    def derived(self) -> "DerivedParams":
-        """The rate combinations, computed once on construction."""
-        return self._derived
-
-
-@dataclass(frozen=True)
-class DerivedParams:
-    """Rate combinations that recur in every closed form."""
-
-    lambda_p: float  # lambda_sr * lambda_rd
-    lambda_s: float  # lambda_sr + lambda_rd
-    lambda_srd: float  # (sqrt(lambda_sr) + sqrt(lambda_rd))**2
+        object.__setattr__(self, "lambda_p", lam_p)
+        object.__setattr__(self, "lambda_s", lam_s)
+        object.__setattr__(self, "lambda_srd", lam_s + 2.0 * math.sqrt(lam_p))
 
 
 def _bind_bessel() -> None:
@@ -141,16 +129,15 @@ def srd_cdf(params: ChannelParams, x: float) -> float:
         raise ValueError(f"power must be >= 0, got {x!r}")
     if x == 0.0:
         return 0.0
-    der = params.derived()
-    zeta = math.sqrt(der.lambda_p * x * (x + 1.0 / params.gamma))
+    zeta = math.sqrt(params.lambda_p * x * (x + 1.0 / params.gamma))
     z = 2.0 * zeta
     if z < 1e-8:
         # z*K_1(z) = 1 + O(z^2 log z); below double resolution of the product
-        tail = math.exp(-der.lambda_s * x)
+        tail = math.exp(-params.lambda_s * x)
     else:
         if _k1 is None:
             _bind_bessel()
-        tail = z * math.exp(-der.lambda_s * x) * float(_k1(z))
+        tail = z * math.exp(-params.lambda_s * x) * float(_k1(z))
     return min(max(1.0 - tail, 0.0), 1.0)
 
 
@@ -163,53 +150,38 @@ def srd_pdf(params: ChannelParams, x: float) -> float:
     x = float(x)
     if x <= 0.0:
         raise ValueError(f"density is defined for x > 0, got {x!r}")
-    der = params.derived()
     inv_g = 1.0 / params.gamma
-    zeta = math.sqrt(der.lambda_p * x * (x + inv_g))
+    zeta = math.sqrt(params.lambda_p * x * (x + inv_g))
     if _k1 is None:
         _bind_bessel()
     k0 = float(_k0(2.0 * zeta))
     k1 = float(_k1(2.0 * zeta))
-    return 2.0 * math.exp(-der.lambda_s * x) * (
-        der.lambda_p * (2.0 * x + inv_g) * k0 + der.lambda_s * zeta * k1
+    return 2.0 * math.exp(-params.lambda_s * x) * (
+        params.lambda_p * (2.0 * x + inv_g) * k0 + params.lambda_s * zeta * k1
     )
 
 
 @dataclass(frozen=True, eq=False)
 class SeriesCdfCoeffs:
-    """Coefficients of the high-SNR exponential-polynomial CDF of D + S.
+    """The polynomial of the high-SNR exponential-polynomial CDF of D + S.
 
-    F(x) = 1 - A exp(-lambda_sd x) + sum_{q=0..k} sum_{c=0..q} B[q, c] x^c
-    exp(-lambda_srd x).  Rows of B beyond c > q are zero.  The identity
-    A - 1 = sum_q B[q, 0] pins F(0) = 0 regardless of truncation depth.
-    The column sums and the derivative columns are computed once, here.
+    F(x) = 1 - A exp(-lambda_sd x) + exp(-lambda_srd x) sum_{c=0..k} cols[c] x^c,
+    with cols a tuple of Python floats, so a scalar power stays a Python
+    float.  A = 1 + cols[0] pins F(0) = 0 at every truncation depth.  The
+    depth k, A and the derivative polynomial are derived from cols once,
+    on construction, and are not fields.
     """
 
-    k: int
-    A: float
-    B: np.ndarray
+    cols: tuple[float, ...]
 
     def __post_init__(self):
-        B = np.asarray(self.B, dtype=float)
-        if B.shape != (self.k + 1, self.k + 1):
-            raise ValueError(f"B must be ({self.k + 1}, {self.k + 1}), got {B.shape}")
-        B.flags.writeable = False
-        cols = B.sum(axis=0)
-        cols.flags.writeable = False
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "_cols", cols)
-        # Python floats, so a scalar power stays a Python float in _horner;
+        cols = tuple(map(float, self.cols))
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "k", len(cols) - 1)
+        object.__setattr__(self, "A", 1.0 + cols[0])
         # at k = 0 the derivative polynomial is the zero constant
-        dcols = cols[1:] * np.arange(1, self.k + 1)
-        object.__setattr__(self, "_poly", tuple(cols.tolist()))
-        object.__setattr__(self, "_dpoly", tuple(dcols.tolist()) or (0.0,))
-
-    def column_sums(self) -> np.ndarray:
-        """sum_q B[q, c] for each power c; the polynomial actually evaluated.
-
-        Read-only and shared: computed once on construction.
-        """
-        return self._cols
+        dcols = tuple(c * cols[c] for c in range(1, len(cols)))
+        object.__setattr__(self, "_dpoly", dcols or (0.0,))
 
 
 def combined_cdf_coeffs(
@@ -217,38 +189,37 @@ def combined_cdf_coeffs(
 ) -> SeriesCdfCoeffs:
     """Build the high-SNR series CDF coefficients from a depth-k table.
 
-    The table must be for order nu = 1 (the CDF of S involves K_1 only).
-    Raises DegenerateParameterError when lambda_srd is within relative
-    1e-9 of lambda_sd, where the coefficients blow up; perturbing
+    With d = lambda_srd - lambda_sd, term q of the series adds
+    base_q / (c! d^(q-c+1)) to cols[c] for c = 0..q, where
+    base_q = lambda_sd (2 sqrt(lambda_p))^q q! a_q; each column is summed
+    in q order.  The table must be for order nu = 1 (the CDF of S involves
+    K_1 only).  Raises DegenerateParameterError when lambda_srd is within
+    relative 1e-9 of lambda_sd, where the coefficients blow up; perturbing
     lambda_sd by one part in 1e6 moves off the singularity.
     """
     if table.nu != 1.0:
         raise ValueError(f"coefficients need the order-1 table, got nu={table.nu}")
-    der = params.derived()
-    d = der.lambda_srd - params.lambda_sd
-    if abs(d) < DEGENERATE_REL_TOL * der.lambda_srd:
+    d = params.lambda_srd - params.lambda_sd
+    if abs(d) < DEGENERATE_REL_TOL * params.lambda_srd:
         raise DegenerateParameterError(
-            f"lambda_srd={der.lambda_srd!r} and lambda_sd={params.lambda_sd!r} "
+            f"lambda_srd={params.lambda_srd!r} and lambda_sd={params.lambda_sd!r} "
             f"coincide to within {DEGENERATE_REL_TOL:g} relative; the series "
             f"CDF has a removable singularity there. Perturb lambda_sd by "
             f"~1e-6 relative to evaluate nearby."
         )
-    k = table.k
-    two_root_p = 2.0 * math.sqrt(der.lambda_p)
-    B = np.zeros((k + 1, k + 1))
-    a_sum = 0.0
+    two_root_p = 2.0 * math.sqrt(params.lambda_p)
+    cols = [0.0] * (table.k + 1)
     q_fact = 1.0
-    for q in range(k + 1):
+    for q, a_q in enumerate(table.a.tolist()):
         if q > 0:
             q_fact *= q
-        base = params.lambda_sd * two_root_p**q * q_fact * table.a[q]
-        a_sum += base / d ** (q + 1)
+        base = params.lambda_sd * two_root_p**q * q_fact * a_q
         c_fact = 1.0
         for c in range(q + 1):
             if c > 0:
                 c_fact *= c
-            B[q, c] = base / (c_fact * d ** (q - c + 1))
-    return SeriesCdfCoeffs(k=k, A=1.0 + a_sum, B=B)
+            cols[c] += base / (c_fact * d ** (q - c + 1))
+    return SeriesCdfCoeffs(tuple(cols))
 
 
 def _powers(x):
@@ -271,15 +242,6 @@ def _result(out, v):
     return out if isinstance(v, np.ndarray) else float(out)
 
 
-def _horner(c, x):
-    """sum_i c[i] x**i with numpy.polynomial.polyval's operations, bit for
-    bit, for a Python float or an ndarray x."""
-    p = c[-1] + x * 0.0
-    for ci in c[-2::-1]:
-        p = ci + p * x
-    return p
-
-
 def combined_cdf(params: ChannelParams, coeffs: SeriesCdfCoeffs, x, clamp: bool = True):
     """High-SNR series CDF of the combined power D + S, vectorized over x.
 
@@ -291,7 +253,7 @@ def combined_cdf(params: ChannelParams, coeffs: SeriesCdfCoeffs, x, clamp: bool 
     raw = (
         1.0
         - coeffs.A * np.exp(-params.lambda_sd * v)
-        + np.exp(-params.derived().lambda_srd * v) * _horner(coeffs._poly, v)
+        + np.exp(-params.lambda_srd * v) * _horner(coeffs.cols, v)
     )
     if isinstance(v, np.ndarray):
         excursion = max(
@@ -319,10 +281,10 @@ def combined_pdf(params: ChannelParams, coeffs: SeriesCdfCoeffs, x):
     contribute a constant there.
     """
     v = _powers(x)
-    lam_srd = params.derived().lambda_srd
+    lam_srd = params.lambda_srd
     out = coeffs.A * params.lambda_sd * np.exp(-params.lambda_sd * v) + np.exp(
         -lam_srd * v
-    ) * (_horner(coeffs._dpoly, v) - lam_srd * _horner(coeffs._poly, v))
+    ) * (_horner(coeffs._dpoly, v) - lam_srd * _horner(coeffs.cols, v))
     return _result(out, v)
 
 

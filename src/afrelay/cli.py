@@ -214,6 +214,8 @@ def _cmd_dist(args) -> int:
     xs = _parse_grid(args.x_grid)
     if np.any(np.diff(xs) <= 0) or xs[0] < 0:
         raise ValueError("x grid must be ascending and nonnegative")
+    if (args.with_mc or args.with_minbound) and len(xs) < 2:
+        raise ValueError("sampled densities need an x grid of at least two points")
     gamma, gamma_param = _resolve_gamma(args)
     params = _channel_params(args, gamma)
     # built before any work so a bad seed or sample count is refused
@@ -229,7 +231,7 @@ def _cmd_dist(args) -> int:
     if args.with_mc or args.with_minbound:
         # bins centered on the grid; the first edge is clamped at zero
         inner = 0.5 * (xs[:-1] + xs[1:])
-        first = max(xs[0] - (inner[0] - xs[0]), 0.0) if len(xs) > 1 else 0.0
+        first = max(xs[0] - (inner[0] - xs[0]), 0.0)
         edges = np.concatenate([[first], inner, [xs[-1] + (xs[-1] - inner[-1])]])
         if args.with_mc:
             mc = histogram_at_edges(
@@ -295,7 +297,7 @@ def _cmd_perf(args) -> int:
     # refused whether or not Monte Carlo is asked for
     cfg = SimConfig(seed=args.seed, samples=args.samples, relays=args.relays)
 
-    # A/B coefficients depend only on the fading parameters, not on gamma
+    # the series CDF coefficients depend only on the fading rates, not on gamma
     co = combined_cdf_coeffs(
         _channel_params(args, 1.0), series_coeffs(1.0, args.k)
     )

@@ -31,7 +31,6 @@ from .channel import ChannelParams, SeriesCdfCoeffs, combined_cdf, combined_pdf
 from .reference import DEFAULT_SPEC, QuadratureError, QuadratureSpec, adaptive_quad
 
 __all__ = [
-    "e1",
     "e1_scaled",
     "outage",
     "bit_error_prob",
@@ -80,22 +79,13 @@ def _e1_cf(x: float) -> float:
     raise QuadratureError("E1 continued fraction did not converge")  # pragma: no cover
 
 
-def e1(x: float) -> float:
-    """Exponential integral E_1(x) for x > 0.
+def e1_scaled(x: float) -> float:
+    """exp(x) * E_1(x) for x > 0, stable for large x where E_1 alone
+    underflows.
 
     Alternating series below 1, continued fraction above; relative
     accuracy around 1e-14 over the tested range (target 1e-12).
     """
-    x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"E1 needs x > 0, got {x!r}")
-    if x <= 1.0:
-        return _e1_series(x)
-    return math.exp(-x) * _e1_cf(x)
-
-
-def e1_scaled(x: float) -> float:
-    """exp(x) * E_1(x), stable for large x where E_1 alone underflows."""
     x = float(x)
     if not x > 0.0:
         raise ValueError(f"E1 needs x > 0, got {x!r}")
@@ -126,11 +116,10 @@ def bit_error_prob(params: ChannelParams, coeffs: SeriesCdfCoeffs) -> float:
                   + sqrt(g/pi) sum_c col_c Gamma(c+1/2)/(g+l2)^(c+1/2) ].
     """
     g = params.gamma
-    lam_srd = params.derived().lambda_srd
-    cols = coeffs.column_sums()
+    lam_srd = params.lambda_srd
     s = math.fsum(
-        cols[c] * math.gamma(c + 0.5) / (g + lam_srd) ** (c + 0.5)
-        for c in range(coeffs.k + 1)
+        col * math.gamma(c + 0.5) / (g + lam_srd) ** (c + 0.5)
+        for c, col in enumerate(coeffs.cols)
     )
     return 0.5 * (
         1.0
@@ -204,11 +193,10 @@ def capacity(params: ChannelParams, coeffs: SeriesCdfCoeffs) -> float:
     bits.
     """
     g = params.gamma
-    cols = coeffs.column_sums()
     t_direct = e1_scaled(params.lambda_sd / g)
-    t_relay = _t_moments(params.derived().lambda_srd / g, coeffs.k)
+    t_relay = _t_moments(params.lambda_srd / g, coeffs.k)
     relay_part = math.fsum(
-        cols[c] * t_relay[c] / g**c for c in range(coeffs.k + 1)
+        col * t_relay[c] / g**c for c, col in enumerate(coeffs.cols)
     )
     return 0.5 * (coeffs.A * t_direct - relay_part)
 
@@ -224,5 +212,5 @@ def capacity_quadrature(
     def integrand(x: float) -> float:
         return g * (1.0 - combined_cdf(params, coeffs, x, clamp=False)) / (1.0 + g * x)
 
-    hi = 60.0 / min(params.lambda_sd, params.derived().lambda_srd)
+    hi = 60.0 / min(params.lambda_sd, params.lambda_srd)
     return 0.5 * adaptive_quad(integrand, 0.0, hi, spec)

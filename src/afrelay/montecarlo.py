@@ -46,8 +46,10 @@ __all__ = [
     "SimConfig",
     "SimEstimate",
     "Histogram",
+    "relay_power",
     "simulate",
     "simulate_minbound",
+    "histogram_at_edges",
 ]
 
 BLOCK = 1_000_000  # samples per block; multiple of 4 (Philox counter step)

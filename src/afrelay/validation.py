@@ -204,7 +204,7 @@ def _draws(seed: int, n: int = 10):
         p = ChannelParams(
             gamma=10 ** (gdb / 10), lambda_sd=lsd, lambda_sr=lsr, lambda_rd=lrd
         )
-        if abs(p.derived().lambda_srd - lsd) >= 0.5:
+        if abs(p.lambda_srd - lsd) >= 0.5:
             out.append(p)
     return out
 
@@ -216,7 +216,7 @@ def check_pdf_normalization(seed: int) -> CheckResult:
     for p in _draws(seed):
         for k in (2, 5, 10):
             co = combined_cdf_coeffs(p, series_coeffs(1.0, k))
-            hi = 200.0 / min(p.lambda_sd, p.derived().lambda_srd)
+            hi = 200.0 / min(p.lambda_sd, p.lambda_srd)
             total = reference.adaptive_quad(
                 lambda v: combined_pdf(p, co, v), 0.0, hi,
                 reference.QuadratureSpec(1e-13, 1e-12, 300),

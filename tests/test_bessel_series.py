@@ -149,21 +149,6 @@ class TestEvaluate:
         assert oracle == pytest.approx(0.13986588181652246, rel=1e-10)
         assert abs(tv.value - oracle) / oracle < 1.2e-3
 
-    def test_zero_table_gives_zero(self):
-        table = CoefficientTable(nu=1.0, k=4, a=np.zeros(5))
-        assert evaluate(1.0, 4, 1.3, table=table).value == 0.0
-
-    def test_linear_in_table(self):
-        base = series_coeffs(1.0, 6)
-        scaled = CoefficientTable(nu=1.0, k=6, a=3.5 * base.a)
-        v1 = evaluate(1.0, 6, 0.7, table=base).value
-        v2 = evaluate(1.0, 6, 0.7, table=scaled).value
-        assert v2 == pytest.approx(3.5 * v1, rel=1e-14)
-
-    def test_table_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            evaluate(1.0, 5, 1.0, table=series_coeffs(1.0, 4))
-
     def test_domain(self):
         with pytest.raises(ValueError):
             evaluate(1.0, 2, 0.0)
@@ -219,14 +204,13 @@ def test_rowwise_equals_collapsed():
     """Summing the term triangle row-wise must agree with evaluating the
     collapsed polynomial (same algebra, different association order)."""
     for k in (2, 5, 10):
-        table = series_coeffs(1.0, k)
         for z in (0.5, 1.0, 3.0):
             rowwise = math.exp(-z) / z * math.fsum(
                 term_coeff(1.0, n, i) * z**i
                 for n in range(k + 1)
                 for i in range(n + 1)
             )
-            collapsed = evaluate(1.0, k, z, table=table).value
+            collapsed = evaluate(1.0, k, z).value
             assert abs(rowwise - collapsed) <= 1e-12 * abs(collapsed), (k, z)
 
 

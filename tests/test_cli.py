@@ -188,6 +188,18 @@ class TestDist:
         code, _, _ = run_cli(capsys, "dist", "--x", "2,1,3")
         assert code == 2
 
+    def test_one_point_grid_with_sampling_is_usage_error(self, capsys):
+        # one grid point gives no bin width; refused before any work
+        for flag in ("--with-mc", "--with-minbound"):
+            code, out, err = run_cli(capsys, "dist", "--x", "2", flag)
+            assert code == 2
+            assert out == ""
+            assert "two points" in err
+        code, out, _ = run_cli(capsys, "dist", "--x", "2")
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        assert len(rows) == 1
+
     def test_workers_do_not_change_bytes(self, capsys):
         argv = ["dist", "--x", "0:4:5", "--with-mc", "--samples", "2500000"]
         _, out1, _ = run_cli(capsys, *argv, "--workers", "1")
