@@ -58,7 +58,6 @@ from .montecarlo import (
     histogram_at_edges,
     relay_power,
     simulate,
-    simulate_minbound,
 )
 from .validation import CheckResult, render_report, run_all
 
@@ -104,7 +103,6 @@ __all__ = [
     "e1_scaled",
     "relay_power",
     "simulate",
-    "simulate_minbound",
     "histogram_at_edges",
     "run_all",
     "render_report",

@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import numpy as np
-
 __all__ = [
     "K_MAX",
     "CoefficientTable",
@@ -59,10 +57,10 @@ def _check_order(nu: float) -> float:
     return nu
 
 
-def _check_depth(k: int, cap: int = K_MAX) -> int:
+def _check_depth(k: int) -> int:
     k = int(k)
-    if k < 0 or k > cap:
-        raise ValueError(f"truncation depth must be in [0, {cap}], got {k}")
+    if k < 0 or k > K_MAX:
+        raise ValueError(f"truncation depth must be in [0, {K_MAX}], got {k}")
     return k
 
 
@@ -124,21 +122,15 @@ def _coeff_tuple(nu: float, k: int) -> tuple[float, ...]:
 
 @dataclass(frozen=True, eq=False)
 class CoefficientTable:
-    """Polynomial coefficients of the depth-k truncation for one order nu."""
+    """Polynomial coefficients a_0..a_k of the depth-k truncation for one
+    order nu, a tuple of Python floats.  The depth k = len(a) - 1 is
+    derived on construction and is not a field."""
 
     nu: float
-    k: int
-    a: np.ndarray = field(repr=False)
+    a: tuple[float, ...] = field(repr=False)
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        if a.shape != (self.k + 1,):
-            raise ValueError(
-                f"coefficient table must have k+1={self.k + 1} entries, "
-                f"got shape {a.shape}"
-            )
-        a.flags.writeable = False
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "k", len(self.a) - 1)
 
 
 @dataclass(frozen=True)
@@ -157,7 +149,7 @@ def series_coeffs(nu: float, k: int) -> CoefficientTable:
     """
     nu = _check_order(nu)
     k = _check_depth(k)
-    return CoefficientTable(nu=nu, k=k, a=np.array(_coeff_tuple(nu, k)))
+    return CoefficientTable(nu=nu, a=_coeff_tuple(nu, k))
 
 
 def _horner(c, x):

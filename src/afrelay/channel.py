@@ -44,7 +44,6 @@ import numpy as np
 
 from . import bessel_series, reference
 from .bessel_series import _horner
-from .reference import DEFAULT_SPEC, QuadratureSpec
 
 __all__ = [
     "ChannelParams",
@@ -210,7 +209,7 @@ def combined_cdf_coeffs(
     two_root_p = 2.0 * math.sqrt(params.lambda_p)
     cols = [0.0] * (table.k + 1)
     q_fact = 1.0
-    for q, a_q in enumerate(table.a.tolist()):
+    for q, a_q in enumerate(table.a):
         if q > 0:
             q_fact *= q
         base = params.lambda_sd * two_root_p**q * q_fact * a_q
@@ -288,9 +287,7 @@ def combined_pdf(params: ChannelParams, coeffs: SeriesCdfCoeffs, x):
     return _result(out, v)
 
 
-def combined_cdf_exact(
-    params: ChannelParams, x: float, spec: QuadratureSpec = DEFAULT_SPEC
-) -> float:
+def combined_cdf_exact(params: ChannelParams, x: float) -> float:
     """Exact CDF of D + S by convolving srd_cdf with the direct-path density.
 
     F(x) = integral_0^x lambda_sd exp(-lambda_sd v) F_S(x - v) dv.  No
@@ -306,7 +303,7 @@ def combined_cdf_exact(
     def integrand(v: float) -> float:
         return lam * math.exp(-lam * v) * srd_cdf(params, x - v)
 
-    val = reference.adaptive_quad(integrand, 0.0, x, spec)
+    val = reference.adaptive_quad(integrand, 0.0, x)
     return min(max(val, 0.0), 1.0)
 
 

@@ -43,8 +43,16 @@ __all__ = ["main"]
 _LN2 = math.log(2.0)
 
 
+def _grid_value(text: str) -> float:
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"grid values must be finite, got {text.strip()!r}")
+    return v
+
+
 def _parse_grid(text: str) -> np.ndarray:
-    """Parse 'start:stop:count' (inclusive linspace) or 'v1,v2,...'."""
+    """Parse 'start:stop:count' (inclusive linspace) or 'v1,v2,...' of
+    finite values."""
     s = text.strip()
     if not s:
         raise ValueError("empty grid")
@@ -52,11 +60,11 @@ def _parse_grid(text: str) -> np.ndarray:
         parts = s.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid must be start:stop:count, got {text!r}")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop, count = _grid_value(parts[0]), _grid_value(parts[1]), int(parts[2])
         if count < 1:
             raise ValueError("grid count must be >= 1")
         return np.linspace(start, stop, count)
-    vals = [float(v) for v in s.split(",") if v.strip()]
+    vals = [_grid_value(v) for v in s.split(",") if v.strip()]
     if not vals:
         raise ValueError("empty grid")
     return np.asarray(vals)

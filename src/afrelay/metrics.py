@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .channel import ChannelParams, SeriesCdfCoeffs, combined_cdf, combined_pdf
-from .reference import DEFAULT_SPEC, QuadratureError, QuadratureSpec, adaptive_quad
+from .reference import QuadratureError, QuadratureSpec, adaptive_quad
 
 __all__ = [
     "e1_scaled",
@@ -94,6 +94,15 @@ def e1_scaled(x: float) -> float:
     return _e1_cf(x)
 
 
+def _out_of_range(metric: str, params: ChannelParams, coeffs: SeriesCdfCoeffs) -> ValueError:
+    # the c-th term of a closed form scales like gamma**c, so at high SNR
+    # the deepest terms leave the double range before the sum does
+    return ValueError(
+        f"closed-form {metric} leaves the double range at gamma={params.gamma!r} "
+        f"with series depth {coeffs.k}; use a shallower depth at this SNR"
+    )
+
+
 def outage(params: ChannelParams, coeffs: SeriesCdfCoeffs, snr_threshold: float) -> float:
     """Probability that the total receive SNR falls below snr_threshold.
 
@@ -117,10 +126,13 @@ def bit_error_prob(params: ChannelParams, coeffs: SeriesCdfCoeffs) -> float:
     """
     g = params.gamma
     lam_srd = params.lambda_srd
-    s = math.fsum(
-        col * math.gamma(c + 0.5) / (g + lam_srd) ** (c + 0.5)
-        for c, col in enumerate(coeffs.cols)
-    )
+    try:
+        s = math.fsum(
+            col * math.gamma(c + 0.5) / (g + lam_srd) ** (c + 0.5)
+            for c, col in enumerate(coeffs.cols)
+        )
+    except OverflowError:
+        raise _out_of_range("bit error probability", params, coeffs) from None
     return 0.5 * (
         1.0
         - coeffs.A * math.sqrt(g / (g + params.lambda_sd))
@@ -128,11 +140,7 @@ def bit_error_prob(params: ChannelParams, coeffs: SeriesCdfCoeffs) -> float:
     )
 
 
-def bit_error_prob_quadrature(
-    params: ChannelParams,
-    coeffs: SeriesCdfCoeffs,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> float:
+def bit_error_prob_quadrature(params: ChannelParams, coeffs: SeriesCdfCoeffs) -> float:
     """BEP by direct quadrature of (1/2) erfc(sqrt(gamma x)) * pdf(x).
 
     Substituting x = y*y removes the square-root cusp at the origin, so
@@ -149,7 +157,7 @@ def bit_error_prob_quadrature(
         return erfc(root_g * y) * combined_pdf(params, coeffs, y * y) * y
 
     # erfc(sqrt(g) y) caps the support at a few 1/sqrt(g); 40x is margin
-    return adaptive_quad(integrand, 0.0, 40.0 / root_g, spec)
+    return adaptive_quad(integrand, 0.0, 40.0 / root_g)
 
 
 def _t_single(mu: float, c: int) -> float:
@@ -174,10 +182,13 @@ def _t_moments(mu: float, count: int) -> np.ndarray:
     # larger mu falls back to direct quadrature per moment.
     out = np.empty(count + 1)
     if mu <= 12.0:
-        out[0] = e1_scaled(mu)
+        # prev carries T_{c-1} as a Python float: the same bits as reading
+        # it back from out, and an overflow to inf - inf gives nan without
+        # a numpy warning
+        prev = out[0] = e1_scaled(mu)
         fact = 1.0
         for c in range(1, count + 1):
-            out[c] = fact / mu**c - out[c - 1]
+            prev = out[c] = fact / mu**c - prev
             fact *= c
         return out
     for c in range(count + 1):
@@ -194,18 +205,20 @@ def capacity(params: ChannelParams, coeffs: SeriesCdfCoeffs) -> float:
     """
     g = params.gamma
     t_direct = e1_scaled(params.lambda_sd / g)
-    t_relay = _t_moments(params.lambda_srd / g, coeffs.k)
-    relay_part = math.fsum(
-        col * t_relay[c] / g**c for c, col in enumerate(coeffs.cols)
-    )
+    try:
+        t_relay = _t_moments(params.lambda_srd / g, coeffs.k)
+        relay_part = math.fsum(
+            col * t_relay[c] / g**c for c, col in enumerate(coeffs.cols)
+        )
+    except (OverflowError, ZeroDivisionError, ValueError):
+        # g**c overflows, mu**c underflows to 0, or fsum meets inf and -inf
+        relay_part = math.nan
+    if not math.isfinite(relay_part):
+        raise _out_of_range("capacity", params, coeffs)
     return 0.5 * (coeffs.A * t_direct - relay_part)
 
 
-def capacity_quadrature(
-    params: ChannelParams,
-    coeffs: SeriesCdfCoeffs,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> float:
+def capacity_quadrature(params: ChannelParams, coeffs: SeriesCdfCoeffs) -> float:
     """Ergodic capacity by quadrature of the complementary-CDF integral."""
     g = params.gamma
 
@@ -213,4 +226,4 @@ def capacity_quadrature(
         return g * (1.0 - combined_cdf(params, coeffs, x, clamp=False)) / (1.0 + g * x)
 
     hi = 60.0 / min(params.lambda_sd, params.lambda_srd)
-    return 0.5 * adaptive_quad(integrand, 0.0, hi, spec)
+    return 0.5 * adaptive_quad(integrand, 0.0, hi)

@@ -48,13 +48,15 @@ __all__ = [
     "Histogram",
     "relay_power",
     "simulate",
-    "simulate_minbound",
     "histogram_at_edges",
 ]
 
 BLOCK = 1_000_000  # samples per block; multiple of 4 (Philox counter step)
 
 _METRICS = ("cdf", "pdf", "outage", "bep", "capacity")
+
+# np.linspace arguments of the 'pdf' metric's bin edges: 80 bins on [0, 8]
+_PDF_EDGES = (0.0, 8.0, 81)
 
 
 def _require_count(name: str, value, lo: int, hi: int | None = None) -> None:
@@ -71,7 +73,7 @@ def _require_count(name: str, value, lo: int, hi: int | None = None) -> None:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Sample budget, stream seed, relay count and histogram geometry.
+    """Stream seed, sample budget and relay count.
 
     relays is the number of relayed paths simulated; one simulate call may
     also read the totals over fewer (its relays argument).
@@ -80,8 +82,6 @@ class SimConfig:
     seed: int
     samples: int
     relays: int = 1
-    histogram_bins: int = 80
-    histogram_range: tuple[float, float] = (0.0, 8.0)
 
     def __post_init__(self):
         # the seed is one 64-bit Philox key word; masking it instead would
@@ -90,10 +90,6 @@ class SimConfig:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         _require_count("samples", self.samples, 1)
         _require_count("relays", self.relays, 1)
-        _require_count("histogram_bins", self.histogram_bins, 2)
-        lo, hi = self.histogram_range
-        if not (0.0 <= lo < hi):
-            raise ValueError("histogram_range must satisfy 0 <= lo < hi")
 
 
 @dataclass(frozen=True)
@@ -109,8 +105,8 @@ class SimEstimate:
 class Histogram:
     """Counted histogram with out-of-range mass tracked, not dropped silently.
 
-    density integrates to exactly 1 over the binned range; range_warning
-    flags runs where more than 1% of the mass fell outside the range.
+    below and above count the samples left of the first edge and right of
+    the last; density integrates to exactly 1 over the binned range.
     """
 
     edges: np.ndarray
@@ -140,10 +136,6 @@ class Histogram:
         fell outside.
         """
         return self.counts / (self.samples_used * np.diff(self.edges))
-
-    @property
-    def range_warning(self) -> bool:
-        return (self.below + self.above) > 0.01 * self.samples_used
 
     def cdf_at_edges(self) -> np.ndarray:
         """Empirical CDF at every bin edge (exact counts, no binning loss)."""
@@ -272,11 +264,6 @@ def _count_estimate(hits: int, n: int) -> SimEstimate:
     )
 
 
-def _config_edges(cfg: SimConfig) -> np.ndarray:
-    lo, hi = cfg.histogram_range
-    return np.linspace(lo, hi, cfg.histogram_bins + 1)
-
-
 def _bin(powers: np.ndarray, edges: np.ndarray):
     counts, _ = np.histogram(powers, bins=edges)
     below = int(np.count_nonzero(powers < edges[0]))
@@ -306,7 +293,7 @@ def _reducer(metric: str, cfg: SimConfig, x, threshold):
 
         return reduce, lambda partials: _count_estimate(sum(partials), n)
     if metric == "pdf":
-        edges = _config_edges(cfg)
+        edges = np.linspace(*_PDF_EDGES)
         return (
             lambda s, gamma: _bin(s, edges),
             lambda partials: _merge_bins(partials, edges, n),
@@ -351,7 +338,8 @@ def simulate(
     """Monte Carlo estimate over the exact model.
 
     metric is one of 'cdf' (P[D + sum S_r <= x], needs x), 'pdf'
-    (Histogram of the combined power), 'outage' (needs threshold, linear
+    (Histogram of the combined power, 80 bins on [0, 8]; histogram_at_edges
+    takes any other edges), 'outage' (needs threshold, linear
     SNR), 'bep' (mean conditional BPSK error rate) or 'capacity' (mean
     half-duplex rate, nats).  Returns a Histogram for 'pdf' and a
     SimEstimate otherwise.  relays is the number of relayed paths summed,
@@ -409,24 +397,6 @@ def simulate(
     )
 
 
-def _histogram(
-    params: ChannelParams, cfg: SimConfig, edges: np.ndarray, workers: int, minbound: bool
-) -> Histogram:
-    # minbound: D + min(X_1, Y_1) of the first relay, on the same streams
-    # as the model, so bound and model are compared on common randomness
-    def reduce(s, gamma):
-        return _bin(s, edges)
-
-    request = (1, None, reduce) if minbound else (cfg.relays, params.gamma, reduce)
-    [partials] = _run(params, cfg, [request], workers)
-    return _merge_bins(partials, edges, cfg.samples)
-
-
-def simulate_minbound(params: ChannelParams, cfg: SimConfig, workers: int = 1) -> Histogram:
-    """Histogram of the min-of-hops bound, on common random numbers."""
-    return _histogram(params, cfg, _config_edges(cfg), workers, minbound=True)
-
-
 def histogram_at_edges(
     params: ChannelParams,
     cfg: SimConfig,
@@ -435,10 +405,21 @@ def histogram_at_edges(
     minbound: bool = False,
 ) -> Histogram:
     """Histogram of the combined power on an explicit (possibly non-uniform)
-    ascending edge array, e.g. bins centered on a caller's x grid."""
+    ascending edge array, e.g. bins centered on a caller's x grid.
+
+    With minbound it is the histogram of the min-of-hops bound
+    D + min(X_1, Y_1) of the first relay instead, drawn from the model's
+    own streams, so bound and model are compared on common randomness.
+    """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or len(edges) < 3 or np.any(np.diff(edges) <= 0):
         raise ValueError("edges must be a 1-D ascending array with >= 2 bins")
     if edges[0] < 0:
         raise ValueError("edges must be nonnegative (powers are nonnegative)")
-    return _histogram(params, cfg, edges, workers, minbound)
+
+    def reduce(s, gamma):
+        return _bin(s, edges)
+
+    request = (1, None, reduce) if minbound else (cfg.relays, params.gamma, reduce)
+    [partials] = _run(params, cfg, [request], workers)
+    return _merge_bins(partials, edges, cfg.samples)

@@ -109,12 +109,7 @@ def bessel_k(nu: float, z: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     return adaptive_quad(integrand, 0.0, t_max, spec)
 
 
-def fractional_integral(
-    f: Callable[[float], float],
-    s: float,
-    x: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> float:
+def fractional_integral(f: Callable[[float], float], s: float, x: float) -> float:
     """Riemann-Liouville fractional integral of order s of f, at x.
 
     Computes (1/Gamma(s)) * integral_0^x (x-t)**(s-1) f(t) dt for s > 0,
@@ -139,7 +134,7 @@ def fractional_integral(
                 t = 0.0
             return f(t)
 
-        val = adaptive_quad(g, 0.0, x**s, spec)
+        val = adaptive_quad(g, 0.0, x**s)
         return val / (s * math.gamma(s))
-    val = adaptive_quad(lambda t: (x - t) ** (s - 1.0) * f(t), 0.0, x, spec)
+    val = adaptive_quad(lambda t: (x - t) ** (s - 1.0) * f(t), 0.0, x)
     return val / math.gamma(s)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics, reference
-from .montecarlo import SimConfig, simulate_minbound
+from .montecarlo import SimConfig, histogram_at_edges
 from .montecarlo import simulate as run_simulation
 from .bessel_series import evaluate, exp_reciprocal_deriv, series_coeffs
 from .channel import (
@@ -232,11 +232,10 @@ def check_density_vs_histogram(seed: int, samples: int, workers: int) -> CheckRe
     (unit fading parameters, 30 dB)."""
     p = _unit(30.0)
     co = combined_cdf_coeffs(p, series_coeffs(1.0, 10))
-    cfg = SimConfig(
-        seed=seed, samples=samples, histogram_bins=60, histogram_range=(0.0, 6.0)
-    )
-    h = run_simulation(p, cfg, "pdf", workers=workers)
-    hb = simulate_minbound(p, cfg, workers=workers)
+    cfg = SimConfig(seed=seed, samples=samples)
+    edges = np.linspace(0.0, 6.0, 61)
+    h = histogram_at_edges(p, cfg, edges, workers=workers)
+    hb = histogram_at_edges(p, cfg, edges, workers=workers, minbound=True)
     centers = h.centers
     model = combined_pdf(p, co, centers)
     mc = h.sample_density

@@ -4,7 +4,6 @@ truncated evaluation and the reciprocal-exponential derivative."""
 import math
 
 import mpmath as mp
-import numpy as np
 import pytest
 
 from afrelay.bessel_series import (
@@ -124,9 +123,14 @@ class TestSeriesCoeffs:
         with pytest.raises(ValueError):
             series_coeffs(0.0, 2)
 
-    def test_table_shape_guard(self):
-        with pytest.raises(ValueError):
-            CoefficientTable(nu=1.0, k=3, a=np.ones(3))
+    def test_table_is_the_cached_tuple(self):
+        # the coefficients are a tuple of Python floats and the depth is
+        # read off their count
+        t = series_coeffs(1.0, 7)
+        assert isinstance(t.a, tuple) and all(type(v) is float for v in t.a)
+        assert t.k == len(t.a) - 1 == 7
+        assert series_coeffs(1.0, 7).a is t.a
+        assert CoefficientTable(nu=2.0, a=(1.0, 0.5)).k == 1
 
 
 class TestEvaluate:

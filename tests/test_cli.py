@@ -51,9 +51,26 @@ class TestParseGrid:
         np.testing.assert_allclose(_parse_grid("1,2.5, 4,"), [1.0, 2.5, 4.0])
 
     def test_rejects_malformed(self):
-        for bad in ("", "  ", "1:2", "1:2:3:4", "0:1:0", "a,b"):
+        for bad in (
+            "", "  ", "1:2", "1:2:3:4", "0:1:0", "a,b",
+            "0,nan,2", "0:inf:3", "-inf:0:3", "1, -inf", "nan",
+        ):
             with pytest.raises(ValueError):
                 _parse_grid(bad)
+
+    def test_non_finite_grid_is_usage_error(self, capsys):
+        # every grid flag, refused before any quadrature runs
+        for argv in (
+            ("dist", "--x-grid", "0,nan,2"),
+            ("dist", "--x-grid", "0:inf:3"),
+            ("bessel", "--beta-list", "1,inf"),
+            ("bessel", "--x-grid", "nan:2:3"),
+            ("perf", "--gamma-db-grid", "0,inf"),
+            ("perf", "--gamma-linear-grid", "nan,1"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert "grid values must be finite" in err, argv
 
 
 class TestManifest:
@@ -281,6 +298,13 @@ class TestPerf:
             assert code == 2
             assert out == ""
             assert "seed" in err
+
+    def test_double_range_overflow_is_usage_error(self, capsys):
+        # the depth-k closed forms leave the double range at these SNRs
+        for grid, k in (("110", "30"), ("160", "20")):
+            code, out, err = run_cli(capsys, "perf", "--gamma-db-grid", grid, "--k", k)
+            assert (code, out) == (2, ""), grid
+            assert f"with series depth {k}" in err, grid
 
     def test_nonpositive_workers_is_usage_error(self, capsys):
         code, out, err = run_cli(

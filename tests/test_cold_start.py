@@ -54,7 +54,7 @@ from afrelay import (
 )
 
 P = ChannelParams(gamma=100.0, lambda_sd=1.0, lambda_sr=1.0, lambda_rd=2.0)
-CO = combined_cdf_coeffs(P, CoefficientTable(1.0, 10, {series_coeffs(1.0, 10).a.tolist()!r}))
+CO = combined_cdf_coeffs(P, CoefficientTable(1.0, {series_coeffs(1.0, 10).a!r}))
 
 
 def bits(v):

@@ -8,6 +8,7 @@ higher precision.
 
 import hashlib
 import math
+import re
 import warnings
 
 import mpmath as mp
@@ -187,6 +188,29 @@ class TestCapacity:
         c2 = capacity(p2, co2)
         assert c1 == pytest.approx(6.666659500014622e-07, rel=1e-10)
         assert c1 / c2 == pytest.approx(2.0, rel=1e-4)
+
+
+@pytest.mark.parametrize(
+    "metric, k, gamma_db",
+    (
+        (bit_error_prob, 30, 110.0),
+        (capacity, 30, 110.0),
+        (bit_error_prob, 20, 160.0),
+        (capacity, 20, 160.0),
+        # no exception here, but the moment recurrence overflows to inf
+        (capacity, 30, 100.0),
+    ),
+    ids=("bep-30-110dB", "capacity-30-110dB", "bep-20-160dB", "capacity-20-160dB",
+         "capacity-30-100dB"),
+)
+def test_double_range_overflow_names_gamma_and_depth(metric, k, gamma_db):
+    # the depth-k terms scale like gamma**k; once they leave the double
+    # range the closed form refuses, naming the point, where it raised
+    # OverflowError or ZeroDivisionError or returned inf
+    p = unit_params(10 ** (gamma_db / 10))
+    co = combined_cdf_coeffs(p, series_coeffs(1.0, k))
+    with pytest.raises(ValueError, match=re.escape(f"gamma={p.gamma!r} with series depth {k}")):
+        metric(p, co)
 
 
 def test_closed_forms_pinned_at_non_unit_rates():

@@ -25,7 +25,6 @@ from afrelay.montecarlo import (
     histogram_at_edges,
     relay_power,
     simulate,
-    simulate_minbound,
 )
 
 UNIT = ChannelParams(gamma=1000.0, lambda_sd=1.0, lambda_sr=1.0, lambda_rd=1.0)
@@ -37,22 +36,14 @@ class TestSimConfig:
             SimConfig(seed=1, samples=0)
         with pytest.raises(ValueError, match="relays"):
             SimConfig(seed=1, samples=10, relays=0)
-        with pytest.raises(ValueError, match="histogram_bins"):
-            SimConfig(seed=1, samples=10, histogram_bins=1)
-        with pytest.raises(ValueError, match="histogram_range"):
-            SimConfig(seed=1, samples=10, histogram_range=(2.0, 1.0))
-        with pytest.raises(ValueError, match="histogram_range"):
-            SimConfig(seed=1, samples=10, histogram_range=(-1.0, 1.0))
 
     @pytest.mark.parametrize(
         "field, bad",
         [
             ("samples", 1500.5),
             ("relays", 1.5),
-            ("histogram_bins", 10.5),
             ("samples", True),
             ("relays", True),
-            ("histogram_bins", True),
         ],
     )
     def test_counts_must_be_integers(self, field, bad):
@@ -63,7 +54,7 @@ class TestSimConfig:
             SimConfig(**{"seed": 1, "samples": 10, field: bad})
 
     def test_numpy_integers_are_counts(self):
-        cfg = SimConfig(seed=1, samples=np.int64(10), relays=np.int32(2), histogram_bins=np.int64(4))
+        cfg = SimConfig(seed=1, samples=np.int64(10), relays=np.int32(2))
         assert simulate(UNIT, cfg, "capacity").samples_used == 10
 
     def test_seed_range(self):
@@ -366,11 +357,18 @@ class TestHistogram:
         assert hist.edges[i] == 2.0
         assert abs(hist.cdf_at_edges()[i] - est.value) <= 2 / hist.samples_used
 
-    def test_range_warning_flags_clipped_coverage(self):
-        narrow = SimConfig(seed=1, samples=50_000, histogram_range=(0.0, 0.5))
-        assert simulate(UNIT, narrow, "pdf").range_warning
-        wide = SimConfig(seed=1, samples=50_000, histogram_range=(0.0, 30.0))
-        assert not simulate(UNIT, wide, "pdf").range_warning
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_pdf_metric_is_histogram_at_its_edges(self, workers):
+        # the 'pdf' metric bins on 80 bins over [0, 8]; asking
+        # histogram_at_edges for those edges gives the same histogram
+        cfg = SimConfig(seed=42, samples=BLOCK + 1000)
+        edges = np.linspace(0, 8, 81)
+        pdf = simulate(UNIT, cfg, "pdf", workers=workers)
+        at = histogram_at_edges(UNIT, cfg, edges, workers=workers)
+        assert pdf.edges.tobytes() == edges.tobytes()
+        assert np.array_equal(pdf.counts, at.counts)
+        assert (pdf.below, pdf.above) == (at.below, at.above)
+        assert pdf.above > 0
 
 
 class TestHistogramAtEdges:
@@ -395,8 +393,8 @@ class TestHistogramAtEdges:
 
 class TestMinbound:
     def test_histogram_matches_closed_cdf(self):
-        cfg = SimConfig(seed=42, samples=10**6, histogram_range=(0.0, 10.0))
-        h = simulate_minbound(UNIT, cfg, workers=2)
+        cfg = SimConfig(seed=42, samples=10**6)
+        h = histogram_at_edges(UNIT, cfg, np.linspace(0.0, 10.0, 81), workers=2, minbound=True)
         emp = h.cdf_at_edges()
         worst = max(
             abs(emp[i] - minbound_cdf(UNIT, float(e)))
