@@ -307,10 +307,6 @@ def combined_cdf_exact(params: ChannelParams, x: float) -> float:
     return min(max(val, 0.0), 1.0)
 
 
-def _minbound_rates(params: ChannelParams) -> tuple[float, float]:
-    return params.lambda_sd, params.lambda_sr + params.lambda_rd
-
-
 def minbound_cdf(params: ChannelParams, x):
     """CDF of the classical min-of-hops bound: Exp(lambda_sd) + Exp(lambda_s).
 
@@ -318,7 +314,7 @@ def minbound_cdf(params: ChannelParams, x):
     Erlang(2) and is handled explicitly.
     """
     v = _powers(x)
-    a, b = _minbound_rates(params)
+    a, b = params.lambda_sd, params.lambda_s
     if abs(a - b) <= 1e-9 * max(a, b):
         m = 0.5 * (a + b)
         out = 1.0 - np.exp(-m * v) * (1.0 + m * v)
@@ -331,7 +327,7 @@ def minbound_cdf(params: ChannelParams, x):
 def minbound_pdf(params: ChannelParams, x):
     """Density of the min-of-hops bound (derivative of minbound_cdf)."""
     v = _powers(x)
-    a, b = _minbound_rates(params)
+    a, b = params.lambda_sd, params.lambda_s
     if abs(a - b) <= 1e-9 * max(a, b):
         m = 0.5 * (a + b)
         out = m * m * v * np.exp(-m * v)

@@ -25,10 +25,8 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .channel import ChannelParams, SeriesCdfCoeffs, combined_cdf, combined_pdf
-from .reference import QuadratureError, QuadratureSpec, adaptive_quad
+from .reference import QuadratureSpec, adaptive_quad
 
 __all__ = [
     "e1_scaled",
@@ -39,59 +37,30 @@ __all__ = [
     "capacity_quadrature",
 ]
 
-_EULER = 0.5772156649015329
-
-
-def _e1_series(x: float) -> float:
-    # E_1(x) = -euler - ln x + sum_{n>=1} (-1)^{n+1} x^n / (n n!), x <= 1
-    total = -_EULER - math.log(x)
-    t = 1.0
-    s = 0.0
-    for n in range(1, 80):
-        t *= -x / n
-        s -= t / n
-        if abs(t) / n < 1e-18 * (abs(total + s) + 1e-300):
-            return total + s
-    raise QuadratureError("E1 series did not converge")  # pragma: no cover
-
-
-def _e1_cf(x: float) -> float:
-    # exp(x) E_1(x) = 1/(x+1- 1^2/(x+3- 2^2/(x+5- ...))), modified Lentz
-    tiny = 1e-300
-    b = x + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 300):
-        a = -float(i * i)
-        b += 2.0
-        d = a * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + a / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return h
-    raise QuadratureError("E1 continued fraction did not converge")  # pragma: no cover
-
 
 def e1_scaled(x: float) -> float:
     """exp(x) * E_1(x) for x > 0, stable for large x where E_1 alone
     underflows.
 
-    Alternating series below 1, continued fraction above; relative
-    accuracy around 1e-14 over the tested range (target 1e-12).
+    scipy.special.exp1 scaled by exp(x) below 700; from 700 on, where
+    exp(x) nears overflow, 8 terms of the asymptotic series
+    (1/x) sum_n (-1)^n n!/x^n, whose truncation error there is below
+    1e-18 relative.  Within 2e-15 relative of 40-digit mpmath on
+    [1e-10, 1e6].
     """
     x = float(x)
     if not x > 0.0:
         raise ValueError(f"E1 needs x > 0, got {x!r}")
-    if x <= 1.0:
-        return math.exp(x) * _e1_series(x)
-    return _e1_cf(x)
+    if x < 700.0:
+        # imported here so that importing the package does not load scipy
+        from scipy.special import exp1
+
+        return math.exp(x) * float(exp1(x))
+    term = total = 1.0 / x
+    for n in range(1, 8):
+        term *= -n / x
+        total += term
+    return total
 
 
 def _out_of_range(metric: str, params: ChannelParams, coeffs: SeriesCdfCoeffs) -> ValueError:
@@ -175,24 +144,18 @@ def _t_single(mu: float, c: int) -> float:
     return math.exp(lgf - (c + 1) * math.log(mu)) * q
 
 
-def _t_moments(mu: float, count: int) -> np.ndarray:
+def _t_moments(mu: float, count: int) -> list[float]:
     # T_c(mu) = integral_0^inf y^c exp(-mu y)/(1+y) dy.  The forward
     # recurrence T_c = (c-1)!/mu^c - T_{c-1} amplifies rounding by mu/c
     # per step, so it is reserved for small mu (worst case ~ eps * e**mu);
     # larger mu falls back to direct quadrature per moment.
-    out = np.empty(count + 1)
-    if mu <= 12.0:
-        # prev carries T_{c-1} as a Python float: the same bits as reading
-        # it back from out, and an overflow to inf - inf gives nan without
-        # a numpy warning
-        prev = out[0] = e1_scaled(mu)
-        fact = 1.0
-        for c in range(1, count + 1):
-            prev = out[c] = fact / mu**c - prev
-            fact *= c
-        return out
-    for c in range(count + 1):
-        out[c] = _t_single(mu, c)
+    if mu > 12.0:
+        return [_t_single(mu, c) for c in range(count + 1)]
+    out = [e1_scaled(mu)]
+    fact = 1.0
+    for c in range(1, count + 1):
+        out.append(fact / mu**c - out[-1])
+        fact *= c
     return out
 
 

@@ -50,7 +50,7 @@ def test_command_does_not_load_scipy_integrate(argv, child_env):
 PRELUDE = f"""
 from afrelay import (
     BLOCK, ChannelParams, CoefficientTable, SimConfig, bit_error_prob_quadrature,
-    combined_cdf_coeffs, combined_cdf_exact, simulate, srd_cdf, srd_pdf, term_coeff,
+    combined_cdf_coeffs, combined_cdf_exact, e1_scaled, simulate, srd_cdf, srd_pdf, term_coeff,
 )
 
 P = ChannelParams(gamma=100.0, lambda_sd=1.0, lambda_sr=1.0, lambda_rd=2.0)
@@ -71,6 +71,7 @@ FIRST_USES = {
     # two blocks on two worker threads
     "simulate_bep": "simulate(P, SimConfig(seed=7, samples=BLOCK + 1000), 'bep', workers=2)",
     "term_coeff": "term_coeff(1.0, 3, 2)",
+    "e1_scaled": "e1_scaled(0.5)",
 }
 
 
