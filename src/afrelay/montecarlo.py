@@ -19,7 +19,7 @@ draws each link once per block and reduces the block at every requested
 
 - gamma never enters the draws: it appears only in the relayed-path power
   x*y/(x + y + 1/gamma), whose gamma-free parts x*y and x + y are
-  computed once per block, and in the metric reductions;
+  computed once per sample, and in the metric reductions;
 - the combined power is built in relay order, D, then D + S_1, then
   D + S_1 + S_2, ..., so the total for r relays is a prefix of the total
   for more relays, on the same streams.
@@ -27,10 +27,24 @@ draws each link once per block and reduces the block at every requested
 So `simulate` over an SNR grid, a tuple of metrics and a tuple of relay
 counts is one pass, and each of its results is bit-identical to the call
 that asks for that one result alone.
+
+Chunks: a block runs in chunks of at most _CHUNK samples, so every
+per-sample array is chunk-sized and stays in cache; no array is as long
+as a block.  Each link's stream is opened once per block and read on
+from chunk to chunk, so the chunks see the draws of the whole block.
+Every per-sample operation is elementwise, so chunking changes no
+sample's value.  Of the reductions, counts and histograms add exactly.
+Sums of doubles do not: numpy sums an array pairwise, splitting it at
+half its length rounded down to a multiple of 8.  The chunks are the
+parts of that same split, and their sums are joined up the same tree, so
+each block's sum has the bits of one np.sum over the whole block (Higham,
+"The accuracy of floating point summation", SIAM J. Sci. Comput. 14(4),
+1993, describes pairwise summation).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from collections.abc import Sequence
@@ -52,6 +66,10 @@ __all__ = [
 ]
 
 BLOCK = 1_000_000  # samples per block; multiple of 4 (Philox counter step)
+
+# samples per chunk at most: a block runs in chunks whose per-sample
+# arrays stay in cache
+_CHUNK = 2**15
 
 _METRICS = ("cdf", "pdf", "outage", "bep", "capacity")
 
@@ -143,23 +161,28 @@ class Histogram:
         return (self.below + cum) / self.samples_used
 
 
-def _uniforms(seed: int, link: int, start: int, n: int) -> np.ndarray:
-    # start is in draw units and must sit on a Philox counter boundary
-    # (4 x 64-bit words per counter step, one word per double)
+def _stream(seed: int, link: int, start: int) -> np.random.Generator:
+    # the link's stream from draw start on; start must sit on a Philox
+    # counter boundary (4 x 64-bit words per counter step, one word per
+    # double).  Draws continue where the last one stopped, so buffers
+    # filled one after another hold the values of one long draw.
     bg = np.random.Philox(key=np.array([seed, link], dtype=np.uint64))
     bg.advance(start // 4)
-    return np.random.Generator(bg).random(n)
+    return np.random.Generator(bg)
 
 
-def _exponential(u: np.ndarray, rate) -> np.ndarray:
-    # -log1p(-u)/rate computed in u's own storage: the same operations in
-    # the same order, so the same bits, without the temporaries; rate may
-    # be one rate per column of u
+def _exponentials(stream: np.random.Generator, u: np.ndarray, rates, outs) -> None:
+    # fills u with the stream's next uniforms and outs[j] with the draws
+    # j, j + k, j + 2k, ... of them (k = len(rates)) as exponentials of
+    # rate rates[j]: t = log1p(-u) in u's own storage, then t / (-rate),
+    # which has the bits of -log1p(-u)/rate (division is sign-symmetric
+    # under round-to-nearest); with one rate, outs may be (u,)
+    stream.random(out=u)
     np.negative(u, out=u)
     np.log1p(u, out=u)
-    np.negative(u, out=u)
-    u /= rate
-    return u
+    k = len(rates)
+    for j, (rate, out) in enumerate(zip(rates, outs)):
+        np.divide(u[j::k], -rate, out=out)
 
 
 def relay_power(x, y, inv_gamma: float):
@@ -178,16 +201,27 @@ def _relay_term(xy: np.ndarray, xpy: np.ndarray, inv_gamma: float, out: np.ndarr
     return np.divide(xy, out, out=out)
 
 
-def _block_draws(params: ChannelParams, seed: int, relays: int, b: int, m: int):
-    # direct-path power and each relay's (source-relay, relay-destination)
-    # hop powers for samples [b*BLOCK, b*BLOCK + m); gamma plays no part
-    direct = _exponential(_uniforms(seed, 0, b * BLOCK, m), params.lambda_sd)
-    hops = []
-    rates = np.array([params.lambda_sr, params.lambda_rd])
-    for r in range(1, relays + 1):
-        pair = _exponential(_uniforms(seed, r, 2 * b * BLOCK, 2 * m).reshape(m, 2), rates)
-        hops.append((pair[:, 0], pair[:, 1]))
-    return direct, hops
+def _pairwise(lo: int, hi: int, leaf, join):
+    """leaf over the sample range [lo, hi), one chunk at a time.
+
+    The range splits where numpy's pairwise summation splits an array of
+    hi - lo doubles, at half its length rounded down to a multiple of 8,
+    until no part is longer than _CHUNK; leaf(lo, hi) reduces one part
+    and join joins the results of two adjacent parts.  So the np.sum of
+    each chunk, joined by +, has the bits of np.sum over the whole range.
+    Chunks are visited in ascending order.
+    """
+    n = hi - lo
+    if n <= _CHUNK:
+        return leaf(lo, hi)
+    h = n // 2 - n // 2 % 8
+    return join(_pairwise(lo, lo + h, leaf, join), _pairwise(lo + h, hi, leaf, join))
+
+
+def _join(a: list, b: list) -> list:
+    # per request, the partials of two adjacent sample ranges added: every
+    # partial is a tuple of sums or of counts
+    return [tuple(x + y for x, y in zip(p, q)) for p, q in zip(a, b)]
 
 
 def _blocks(samples: int):
@@ -205,53 +239,66 @@ def _map_blocks(fn, blocks, workers: int):
         return list(pool.map(lambda bm: fn(*bm), blocks))
 
 
-def _run(params: ChannelParams, cfg: SimConfig, requests, workers: int) -> list[list]:
+def _run(params: ChannelParams, cfg: SimConfig, requests, workers: int) -> list[tuple]:
     """The block kernel: one pass over the streams for every request.
 
     requests holds (r, gamma, reduce) triples with 1 <= r <= cfg.relays.
-    Per block, links 0..max r are drawn once.  For each distinct gamma the
+    Per chunk, links 0..max r are drawn once.  For each distinct gamma the
     running total D + S_1 + ... + S_r is built in relay order, and every
     request with that gamma is reduced, reduce(total, gamma), when the
     total reaches its relay count.  gamma None stands for the min-of-hops
-    bound, S_r = min(X_r, Y_r).  Returns each request's partials, in block
-    order.
+    bound, S_r = min(X_r, Y_r); a call asks for the bound or for the
+    model, not both.  Returns each request's partial over all samples:
+    the chunks' partials joined in _pairwise's tree within a block, then
+    the blocks' in block order.
     """
     plan: dict = {}  # gamma -> {relay count -> [(request index, reduce)]}
     for i, (r, gamma, reduce) in enumerate(requests):
         plan.setdefault(gamma, {}).setdefault(r, []).append((i, reduce))
     depth = max(r for r, _, _ in requests)
-    model = any(gamma is not None for gamma in plan)
+    minbound = None in plan
+    if minbound and len(plan) > 1:
+        raise ValueError("the min-of-hops bound and the model are separate calls")
+    hop_rates = (params.lambda_sr, params.lambda_rd)
 
     def block(b, m):
-        direct, hops = _block_draws(params, cfg.seed, depth, b, m)
-        if model:
-            parts = [(x * y, x + y) for x, y in hops]
-        total, term = np.empty(m), np.empty(m)
-        out = [None] * len(requests)
-        for gamma, at in plan.items():
-            np.copyto(total, direct)
-            for r in range(1, max(at) + 1):
-                if gamma is None:
-                    np.minimum(*hops[r - 1], out=term)
+        streams = [_stream(cfg.seed, 0, b * BLOCK)]
+        streams += [_stream(cfg.seed, r, 2 * b * BLOCK) for r in range(1, depth + 1)]
+        k = min(m, _CHUNK)
+        direct, total, term, x, y = (np.empty(k) for _ in range(5))
+        # per relay, its hop pair's uniforms, then (x*y, x + y) or min(x, y)
+        hops = [np.empty(2 * k) for _ in range(depth)]
+
+        def chunk(lo, hi):
+            n = hi - lo
+            d, s, t, xn, yn = direct[:n], total[:n], term[:n], x[:n], y[:n]
+            _exponentials(streams[0], d, (params.lambda_sd,), (d,))
+            for stream, h in zip(streams[1:], hops):
+                _exponentials(stream, h[: 2 * n], hop_rates, (xn, yn))
+                if minbound:
+                    np.minimum(xn, yn, out=h[:n])
                 else:
-                    _relay_term(*parts[r - 1], 1.0 / gamma, term)
-                total += term
-                for i, reduce in at.get(r, ()):
-                    out[i] = reduce(total, gamma)
-        return out
+                    np.multiply(xn, yn, out=h[:n])
+                    np.add(xn, yn, out=h[n : 2 * n])
+            out = [None] * len(requests)
+            for gamma, at in plan.items():
+                for r in range(1, max(at) + 1):
+                    h = hops[r - 1]
+                    if minbound:
+                        s_r = h[:n]
+                    else:
+                        s_r = _relay_term(h[:n], h[n : 2 * n], 1.0 / gamma, t)
+                    np.add(d if r == 1 else s, s_r, out=s)
+                    for i, reduce in at.get(r, ()):
+                        out[i] = reduce(s, gamma)
+            return out
 
-    per_block = _map_blocks(block, _blocks(cfg.samples), workers)
-    return [[blk[i] for blk in per_block] for i in range(len(requests))]
+        return _pairwise(0, m, chunk, _join)
+
+    return functools.reduce(_join, _map_blocks(block, _blocks(cfg.samples), workers))
 
 
-def _mean_estimate(partials, n: int) -> SimEstimate:
-    # partials arrive in block order; reduce left to right so the result
-    # does not depend on how many workers produced them
-    total = 0.0
-    total_sq = 0.0
-    for s, s2 in partials:
-        total += s
-        total_sq += s2
+def _mean_estimate(total: float, total_sq: float, n: int) -> SimEstimate:
     mean = total / n
     var = max(total_sq - n * mean * mean, 0.0) / max(n - 1, 1)
     return SimEstimate(value=mean, std_error=math.sqrt(var / n), samples_used=n)
@@ -271,32 +318,22 @@ def _bin(powers: np.ndarray, edges: np.ndarray):
     return counts.astype(np.int64), below, above
 
 
-def _merge_bins(partials, edges: np.ndarray, n: int) -> Histogram:
-    counts = np.zeros(len(edges) - 1, dtype=np.int64)
-    below = above = 0
-    for c, b_, a_ in partials:
-        counts += c
-        below += b_
-        above += a_
-    return Histogram(edges=edges, counts=counts, below=below, above=above, samples_used=n)
-
-
 def _reducer(metric: str, cfg: SimConfig, x, threshold):
-    """(reduce, merge) of one metric: reduce(total, gamma) takes one block's
-    combined power to a partial, merge takes the partials of every block,
-    in block order, to the result."""
+    """(reduce, finish) of one metric: reduce(total, gamma) takes one
+    chunk's combined power to a partial, a tuple of sums or counts, and
+    finish takes the partial over all samples to the result."""
     n = cfg.samples
     if metric in ("cdf", "outage"):
 
         def reduce(s, gamma):
-            return int(np.count_nonzero(s <= (x if metric == "cdf" else threshold / gamma)))
+            return (int(np.count_nonzero(s <= (x if metric == "cdf" else threshold / gamma))),)
 
-        return reduce, lambda partials: _count_estimate(sum(partials), n)
+        return reduce, lambda hits: _count_estimate(hits, n)
     if metric == "pdf":
         edges = np.linspace(*_PDF_EDGES)
         return (
             lambda s, gamma: _bin(s, edges),
-            lambda partials: _merge_bins(partials, edges, n),
+            lambda counts, below, above: Histogram(edges, counts, below, above, n),
         )
     if metric == "bep":
         # imported in the calling thread, so no worker thread runs an
@@ -315,7 +352,7 @@ def _reducer(metric: str, cfg: SimConfig, x, threshold):
         total = float(v.sum())
         return total, float(np.square(v, out=v).sum())
 
-    return reduce, lambda partials: _mean_estimate(partials, n)
+    return reduce, lambda total, total_sq: _mean_estimate(total, total_sq, n)
 
 
 def _nest(flat: list, axes):
@@ -374,10 +411,11 @@ def simulate(
     for m in metrics:
         if m not in _METRICS:
             raise ValueError(f"metric must be one of {_METRICS}, got {m!r}")
-    if "cdf" in metrics and x is None:
-        raise ValueError("metric 'cdf' needs x")
-    if "outage" in metrics and (threshold is None or threshold <= 0.0):
-        raise ValueError("metric 'outage' needs a positive threshold")
+    # nan compares False, so it is refused by name rather than counted
+    if "cdf" in metrics and (x is None or math.isnan(x)):
+        raise ValueError(f"metric 'cdf' needs x, got {x!r}")
+    if "outage" in metrics and (threshold is None or not threshold > 0.0):
+        raise ValueError(f"metric 'outage' needs a positive threshold, got {threshold!r}")
     if relays is None:
         relays = cfg.relays
     many_relays = not isinstance(relays, numbers.Number)
@@ -390,7 +428,7 @@ def simulate(
     reducers = [_reducer(m, cfg, x, threshold) for m in metrics]
     jobs = [(r, p.gamma, red) for r in counts for red in reducers for p in grid]
     partials = _run(grid[0], cfg, [(r, g, reduce) for r, g, (reduce, _) in jobs], workers)
-    flat = [merge(parts) for (_, _, (_, merge)), parts in zip(jobs, partials)]
+    flat = [finish(*part) for (_, _, (_, finish)), part in zip(jobs, partials)]
     return _nest(
         flat,
         ((len(counts), many_relays), (len(metrics), many_metrics), (len(grid), many_params)),
@@ -412,6 +450,8 @@ def histogram_at_edges(
     own streams, so bound and model are compared on common randomness.
     """
     edges = np.asarray(edges, dtype=float)
+    if not np.all(np.isfinite(edges)):
+        raise ValueError("edges must be finite")
     if edges.ndim != 1 or len(edges) < 3 or np.any(np.diff(edges) <= 0):
         raise ValueError("edges must be a 1-D ascending array with >= 2 bins")
     if edges[0] < 0:
@@ -421,5 +461,5 @@ def histogram_at_edges(
         return _bin(s, edges)
 
     request = (1, None, reduce) if minbound else (cfg.relays, params.gamma, reduce)
-    [partials] = _run(params, cfg, [request], workers)
-    return _merge_bins(partials, edges, cfg.samples)
+    [(counts, below, above)] = _run(params, cfg, [request], workers)
+    return Histogram(edges, counts, below, above, cfg.samples)

@@ -7,6 +7,8 @@ workers execute it or whether the sample count fills the last block.
 """
 
 import math
+import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,19 +17,28 @@ from scipy import stats
 from afrelay.channel import ChannelParams, combined_cdf, combined_cdf_coeffs, minbound_cdf
 from afrelay.bessel_series import series_coeffs
 from afrelay.montecarlo import (
+    _CHUNK,
     BLOCK,
     Histogram,
     SimConfig,
     SimEstimate,
-    _exponential,
+    _exponentials,
+    _pairwise,
     _relay_term,
-    _uniforms,
+    _stream,
     histogram_at_edges,
     relay_power,
     simulate,
 )
 
 UNIT = ChannelParams(gamma=1000.0, lambda_sd=1.0, lambda_sr=1.0, lambda_rd=1.0)
+
+
+def _draw(seed: int, link: int, n: int, rate: float) -> np.ndarray:
+    # n exponentials of the given rate from the start of a link's stream
+    u = np.empty(n)
+    _exponentials(_stream(seed, link, 0), u, (rate,), (u,))
+    return u
 
 
 class TestSimConfig:
@@ -72,24 +83,36 @@ class TestStreams:
     def test_slices_are_consistent(self):
         # drawing [1000, 5000) directly equals slicing a longer run: the
         # stream is addressed by absolute draw index, not by call history
-        full = _uniforms(123, 0, 0, 5000)
-        part = _uniforms(123, 0, 1000, 4000)
+        full = _stream(123, 0, 0).random(5000)
+        part = _stream(123, 0, 1000).random(4000)
         np.testing.assert_array_equal(full[1000:], part)
 
+    def test_successive_fills_continue_the_stream(self):
+        # the kernel fills one chunk buffer after another from one stream
+        # per block; ragged fills read exactly the values of one long draw
+        full = _stream(123, 2, 4000).random(5000)
+        stream = _stream(123, 2, 4000)
+        parts = []
+        for n in (1, 6, 1000, 3, 3990):
+            buf = np.empty(n)
+            stream.random(out=buf)
+            parts.append(buf)
+        assert np.concatenate(parts).tobytes() == full.tobytes()
+
     def test_links_are_distinct(self):
-        a = _uniforms(123, 0, 0, 100)
-        b = _uniforms(123, 1, 0, 100)
+        a = _stream(123, 0, 0).random(100)
+        b = _stream(123, 1, 0).random(100)
         assert not np.any(a == b)
 
     def test_matches_manual_philox(self):
         bg = np.random.Philox(key=np.array([99, 2], dtype=np.uint64))
         expected = np.random.Generator(bg).random(64)
-        np.testing.assert_array_equal(_uniforms(99, 2, 0, 64), expected)
+        np.testing.assert_array_equal(_stream(99, 2, 0).random(64), expected)
 
     def test_exponential_sampler_moments(self):
         rate = 1.7
         n = 100_000
-        s = _exponential(_uniforms(7, 0, 0, n), rate)
+        s = _draw(7, 0, n, rate)
         mean, var = float(s.mean()), float(s.var(ddof=1))
         # exact variance of the sample mean and (via mu_4 = 9/rate**4) of
         # the sample variance; both measured well inside one sigma
@@ -97,17 +120,19 @@ class TestStreams:
         assert abs(var - 1 / rate**2) < 5 * math.sqrt(8.0) / (rate**2 * math.sqrt(n))
 
     def test_exponential_in_place_is_bit_identical(self):
-        # the in-place transform does -log1p(-u)/rate step for step, also
-        # with one rate per column of an interleaved hop pair
-        u = _uniforms(7, 1, 0, 2000)
-        np.testing.assert_array_equal(_exponential(u.copy(), 1.7), -np.log1p(-u) / 1.7)
-        pair = u.reshape(1000, 2)
-        got = _exponential(pair.copy(), np.array([1.3, 2.0]))
-        assert got[:, 0].tobytes() == (-np.log1p(-pair[:, 0]) / 1.3).tobytes()
-        assert got[:, 1].tobytes() == (-np.log1p(-pair[:, 1]) / 2.0).tobytes()
+        # the in-place transform, log1p(-u) divided by the negated rate,
+        # has the bits of -log1p(-u)/rate: in the uniforms' own buffer
+        # (direct path), and deinterleaved into one array per hop at that
+        # hop's rate (relay pair)
+        u = _stream(7, 1, 0).random(2000)
+        assert _draw(7, 1, 2000, 1.7).tobytes() == (-np.log1p(-u) / 1.7).tobytes()
+        x, y = np.empty(1000), np.empty(1000)
+        _exponentials(_stream(7, 1, 0), np.empty(2000), (1.3, 2.0), (x, y))
+        assert x.tobytes() == (-np.log1p(-u[0::2]) / 1.3).tobytes()
+        assert y.tobytes() == (-np.log1p(-u[1::2]) / 2.0).tobytes()
 
     def test_exponential_sampler_distribution(self):
-        s = _exponential(_uniforms(7, 0, 0, 100_000), 1.7)
+        s = _draw(7, 0, 100_000, 1.7)
         p = stats.kstest(s, stats.expon(scale=1 / 1.7).cdf).pvalue
         assert p > 1e-3  # frozen run gives p = 0.465
 
@@ -128,13 +153,13 @@ class TestRelayPower:
 
     @pytest.mark.parametrize("inv_gamma", (0.0, 1e-3, 1.0, 7.3))
     def test_hoisted_term_is_bit_identical(self, inv_gamma):
-        # the kernel computes x*y and x + y once per block and the term per
+        # the kernel computes x*y and x + y once per sample and the term per
         # gamma from them; seeded draws with dead hops mixed in (and, at
         # inv_gamma = 0, the 0/0 of two dead hops)
-        pair = _exponential(_uniforms(3, 1, 0, 20_000).reshape(10_000, 2), np.array([0.7, 1.9]))
-        pair[::97, 0] = 0.0
-        pair[::89, 1] = 0.0
-        x, y = pair[:, 0], pair[:, 1]
+        x, y = np.empty(10_000), np.empty(10_000)
+        _exponentials(_stream(3, 1, 0), np.empty(20_000), (0.7, 1.9), (x, y))
+        x[::97] = 0.0
+        y[::89] = 0.0
         with np.errstate(invalid="ignore"):
             got = _relay_term(x * y, x + y, inv_gamma, np.empty(len(x)))
             want = relay_power(x, y, inv_gamma)
@@ -167,6 +192,18 @@ class TestSimulate:
                 simulate(UNIT, two, "bep", relays=relays)
         with pytest.raises(ValueError, match="relays sequence is empty"):
             simulate(UNIT, two, "bep", relays=())
+
+    def test_nan_x_and_threshold_are_refused(self):
+        # nan compares False: counted, it would read 0.0 +- 0.0
+        cfg = SimConfig(seed=1, samples=100)
+        with pytest.raises(ValueError, match="needs x"):
+            simulate(UNIT, cfg, "cdf", x=math.nan)
+        with pytest.raises(ValueError, match="needs x"):
+            simulate(UNIT, cfg, ("bep", "cdf"), x=math.nan)
+        with pytest.raises(ValueError, match="positive threshold"):
+            simulate(UNIT, cfg, "outage", threshold=math.nan)
+        with pytest.raises(ValueError, match="positive threshold"):
+            simulate([UNIT, UNIT], cfg, ("outage",), threshold=np.float64("nan"))
 
     def test_infinite_threshold_is_certain(self):
         est = simulate(UNIT, SimConfig(seed=1, samples=1000), "outage", threshold=math.inf)
@@ -381,6 +418,17 @@ class TestHistogramAtEdges:
         with pytest.raises(ValueError, match="nonnegative"):
             histogram_at_edges(UNIT, cfg, [-1.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "edges",
+        ([0.0, 1.0, math.nan, 3.0], [math.nan, 1.0, 2.0], [0.0, 1.0, 2.0, math.inf], [0.0, math.inf, 1.0]),
+    )
+    @pytest.mark.parametrize("minbound", (False, True))
+    def test_non_finite_edges_are_refused(self, edges, minbound):
+        # a nan edge passes the ascending check (nan compares False) and
+        # would bin into negative counts
+        with pytest.raises(ValueError, match="finite"):
+            histogram_at_edges(UNIT, SimConfig(seed=1, samples=1000), edges, minbound=minbound)
+
     def test_nonuniform_edges_agree_with_closed_form(self):
         cfg = SimConfig(seed=42, samples=10**6)
         edges = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
@@ -411,3 +459,117 @@ class TestMinbound:
         bound = histogram_at_edges(UNIT, cfg, edges, minbound=True)
         model = histogram_at_edges(UNIT, cfg, edges, minbound=False)
         assert np.all(bound.cdf_at_edges() <= model.cdf_at_edges())
+
+
+class TestChunks:
+    """A block runs in chunks of at most _CHUNK samples, and every estimate
+    keeps the bits of the whole-block arithmetic."""
+
+    @pytest.mark.parametrize("n", (BLOCK, BLOCK // 2 + 3, 999_999, _CHUNK, _CHUNK + 1, 12_345))
+    def test_chunk_sums_join_to_one_sum(self, n):
+        # the summation contract the mean metrics rest on: np.sum per
+        # chunk, joined up the kernel's split tree, is np.sum of the whole
+        # array bit for bit.  If numpy changes its pairwise rule, this
+        # names the cause before a golden fails.
+        v = np.random.default_rng(n).exponential(size=n)
+        chunks = _pairwise(0, n, lambda lo, hi: [(lo, hi)], operator.add)
+        assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
+        assert chunks[-1][1] == n
+        assert max(hi - lo for lo, hi in chunks) <= _CHUNK
+        for a in (v, np.square(v)):
+            got = _pairwise(0, n, lambda lo, hi: float(a[lo:hi].sum()), operator.add)
+            assert got.hex() == float(a.sum()).hex()
+
+    def test_peak_memory_is_chunk_sized(self):
+        # one block at 2 relays, 9 SNRs and three metrics: whole-block
+        # arrays would peak near 100 MB
+        grid = [ChannelParams(gamma=10 ** (db / 10), lambda_sd=1.0, lambda_sr=1.0, lambda_rd=1.0)
+                for db in range(0, 45, 5)]
+        metrics = ("outage", "bep", "capacity")
+        simulate(grid, SimConfig(seed=3, samples=100, relays=2), metrics, threshold=1.0)  # imports
+        tracemalloc.start()
+        try:
+            simulate(grid, SimConfig(seed=3, samples=BLOCK, relays=2), metrics, threshold=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
+
+
+def _oracle_uniforms(seed: int, link: int, start: int, n: int) -> np.ndarray:
+    bg = np.random.Philox(key=np.array([seed, link], dtype=np.uint64))
+    bg.advance(start // 4)
+    return np.random.Generator(bg).random(n)
+
+
+def _oracle(params: ChannelParams, cfg: SimConfig, metric: str, relays: int, edges=None,
+            minbound=False, x=1.0, threshold=1.0):
+    """The whole-block arithmetic, one block-length array per step: the
+    estimate the chunked kernel must reproduce bit for bit."""
+    from scipy.special import erfc
+
+    g = params.gamma
+    partials = []
+    for b in range(-(-cfg.samples // BLOCK)):
+        m = min(BLOCK, cfg.samples - b * BLOCK)
+        total = -np.log1p(-_oracle_uniforms(cfg.seed, 0, b * BLOCK, m)) / params.lambda_sd
+        for r in range(1, relays + 1):
+            u = _oracle_uniforms(cfg.seed, r, 2 * b * BLOCK, 2 * m)
+            hx = -np.log1p(-u[0::2]) / params.lambda_sr
+            hy = -np.log1p(-u[1::2]) / params.lambda_rd
+            total = total + (np.minimum(hx, hy) if minbound else relay_power(hx, hy, 1.0 / g))
+        if edges is not None:
+            counts, _ = np.histogram(total, bins=edges)
+            partials.append((counts, np.count_nonzero(total < edges[0]),
+                             np.count_nonzero(total > edges[-1])))
+        elif metric in ("cdf", "outage"):
+            partials.append(np.count_nonzero(total <= (x if metric == "cdf" else threshold / g)))
+        else:
+            v = 0.5 * (erfc(np.sqrt(g * total)) if metric == "bep" else np.log1p(g * total))
+            partials.append((float(v.sum()), float(np.square(v).sum())))
+    n = cfg.samples
+    if edges is not None:
+        return (sum(c for c, _, _ in partials), sum(b for _, b, _ in partials),
+                sum(a for _, _, a in partials))
+    if metric in ("cdf", "outage"):
+        p = sum(partials) / n
+        return SimEstimate(p, math.sqrt(p * (1.0 - p) / n), n)
+    total = total_sq = 0.0
+    for s, s2 in partials:
+        total += s
+        total_sq += s2
+    mean = total / n
+    var = max(total_sq - n * mean * mean, 0.0) / max(n - 1, 1)
+    return SimEstimate(mean, math.sqrt(var / n), n)
+
+
+# the last block (3 * _CHUNK + 7 samples) and its last chunk are ragged
+ORACLE_CFG = SimConfig(seed=8, samples=BLOCK + 3 * _CHUNK + 7, relays=2)
+ORACLE_GRID = GRID[:2]
+
+
+class TestKernelOracle:
+    @pytest.mark.parametrize("workers", (1, 3))
+    def test_simulate_matches_whole_block_arithmetic(self, workers):
+        got = simulate(ORACLE_GRID, ORACLE_CFG, METRICS, x=1.0, threshold=1.0,
+                       workers=workers, relays=(1, 2))
+        for r, by_metric in zip((1, 2), got):
+            for metric, by_gamma in zip(METRICS, by_metric):
+                for p, est in zip(ORACLE_GRID, by_gamma):
+                    if metric == "pdf":
+                        want = _oracle(p, ORACLE_CFG, metric, r, edges=np.linspace(0.0, 8.0, 81))
+                        assert np.array_equal(est.counts, want[0]), (r, p.gamma)
+                        assert (est.below, est.above) == want[1:], (r, p.gamma)
+                    else:
+                        assert est == _oracle(p, ORACLE_CFG, metric, r), (r, metric, p.gamma)
+
+    @pytest.mark.parametrize("workers", (1, 3))
+    @pytest.mark.parametrize("minbound", (False, True))
+    def test_histogram_matches_whole_block_arithmetic(self, workers, minbound):
+        edges = np.linspace(0.0, 5.0, 41)
+        p = ORACLE_GRID[0]
+        h = histogram_at_edges(p, ORACLE_CFG, edges, workers=workers, minbound=minbound)
+        counts, below, above = _oracle(p, ORACLE_CFG, "pdf", 1 if minbound else 2, edges=edges,
+                                       minbound=minbound)
+        assert np.array_equal(h.counts, counts)
+        assert (h.below, h.above, h.samples_used) == (below, above, ORACLE_CFG.samples)
