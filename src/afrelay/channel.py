@@ -63,6 +63,9 @@ __all__ = [
 # as truncation artifacts before clamping.
 EXCURSION_TOL = 1e-6
 
+# exp(-_MASS_CUTOFF) is below the smallest subnormal double.
+_MASS_CUTOFF = 745.0
+
 # Relative spacing of lambda_srd and lambda_sd below which the series
 # coefficients hit their removable singularity.
 DEGENERATE_REL_TOL = 1e-9
@@ -227,7 +230,7 @@ def _powers(x):
     if not isinstance(x, (float, int)):
         x = np.asarray(x, dtype=float)
         if x.ndim:
-            if np.any(x < 0.0):
+            if (x < 0.0).any():  # the method skips np.any's dispatch
                 raise ValueError("power must be >= 0")
             return x
     v = float(x)
@@ -241,26 +244,35 @@ def _result(out, v):
     return out if isinstance(v, np.ndarray) else float(out)
 
 
+def _excursion(raw: np.ndarray) -> float:
+    """How far an array leaves [0, 1]; nan exactly when a value is nan."""
+    return max(float(np.max(raw - 1.0, initial=0.0)), float(np.max(-raw, initial=0.0)))
+
+
 def combined_cdf(params: ChannelParams, coeffs: SeriesCdfCoeffs, x, clamp: bool = True):
     """High-SNR series CDF of the combined power D + S, vectorized over x.
 
     Values are clamped to [0, 1]; pre-clamp excursions beyond 1e-6 raise a
     RuntimeWarning as a truncation diagnostic.  Pass clamp=False for the
-    raw values.
+    raw values.  Where exp(-lambda_srd x) underflows to 0 the relay term is
+    0, so no x, however large, gives nan.
     """
     v = _powers(x)
-    raw = (
-        1.0
-        - coeffs.A * np.exp(-params.lambda_sd * v)
-        + np.exp(-params.lambda_srd * v) * _horner(coeffs.cols, v)
-    )
+    direct = 1.0 - coeffs.A * np.exp(-params.lambda_sd * v)
+    relay = np.exp(-params.lambda_srd * v)
+    raw = direct + relay * _horner(coeffs.cols, v)
+    # a nan marks where the relay factor underflowed to 0 while the
+    # polynomial overflowed; the relay term there is 0
     if isinstance(v, np.ndarray):
-        excursion = max(
-            float(np.max(raw - 1.0, initial=0.0)), float(np.max(-raw, initial=0.0))
-        )
+        excursion = _excursion(raw)
+        if excursion != excursion:
+            raw = np.where(relay == 0.0, direct, raw)
+            excursion = _excursion(raw)
         out = np.clip(raw, 0.0, 1.0) if clamp else raw
     else:
         raw = float(raw)
+        if raw != raw and relay == 0.0:
+            raw = float(direct)
         excursion = max(raw - 1.0, -raw)
         out = min(max(raw, 0.0), 1.0) if clamp else raw
     if excursion > EXCURSION_TOL:
@@ -277,21 +289,31 @@ def combined_pdf(params: ChannelParams, coeffs: SeriesCdfCoeffs, x):
     """High-SNR series PDF of D + S (derivative of combined_cdf), vectorized.
 
     Finite at x = 0: the linear-power terms of the polynomial part
-    contribute a constant there.
+    contribute a constant there.  Like combined_cdf, it takes the relay
+    term as 0 where exp(-lambda_srd x) underflows to 0.
     """
     v = _powers(x)
     lam_srd = params.lambda_srd
-    out = coeffs.A * params.lambda_sd * np.exp(-params.lambda_sd * v) + np.exp(
-        -lam_srd * v
-    ) * (_horner(coeffs._dpoly, v) - lam_srd * _horner(coeffs.cols, v))
-    return _result(out, v)
+    direct = coeffs.A * params.lambda_sd * np.exp(-params.lambda_sd * v)
+    relay = np.exp(-lam_srd * v)
+    out = _result(
+        direct + relay * (_horner(coeffs._dpoly, v) - lam_srd * _horner(coeffs.cols, v)), v
+    )
+    # as in combined_cdf, a nan marks where the relay factor underflowed
+    # to 0, and the relay term there is 0
+    nan = np.isnan(out).any() if isinstance(v, np.ndarray) else out != out
+    if nan:
+        out = _result(np.where(relay == 0.0, direct, out), v)
+    return out
 
 
 def combined_cdf_exact(params: ChannelParams, x: float) -> float:
     """Exact CDF of D + S by convolving srd_cdf with the direct-path density.
 
-    F(x) = integral_0^x lambda_sd exp(-lambda_sd v) F_S(x - v) dv.  No
-    high-SNR assumption; this is the audit target for combined_cdf.
+    F(x) = integral_0^x lambda_sd exp(-lambda_sd v) F_S(x - v) dv, taken
+    over v <= 745 / lambda_sd, past which the direct-path density carries
+    no mass a double can hold.  No high-SNR assumption; this is the audit
+    target for combined_cdf.
     """
     x = float(x)
     if x < 0.0:
@@ -303,7 +325,8 @@ def combined_cdf_exact(params: ChannelParams, x: float) -> float:
     def integrand(v: float) -> float:
         return lam * math.exp(-lam * v) * srd_cdf(params, x - v)
 
-    val = reference.adaptive_quad(integrand, 0.0, x)
+    # over all of a far larger [0, x] the quadrature misses the mass near 0
+    val = reference.adaptive_quad(integrand, 0.0, min(x, _MASS_CUTOFF / lam))
     return min(max(val, 0.0), 1.0)
 
 

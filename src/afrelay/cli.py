@@ -1,12 +1,12 @@
 """Command-line surface: coefficient tables, series-vs-oracle sweeps,
 distribution curves, performance sweeps and the validation suite.
 
-Every run emits a manifest describing it — command, semantic parameters,
-seed, output path and a sha256 checksum of the payload — either as a
-`# {json}` header line (csv / text) or embedded in the JSON object.  The
-worker count is deliberately not part of the manifest: results are
-bit-identical for any degree of parallelism, and the manifest records only
-what determines the bytes.
+Every run emits a manifest describing it — command, parameters, seed,
+output path and a sha256 checksum of the payload — either as a `# {json}`
+header line (csv / text) or embedded in the JSON object.  Its parameters
+are every flag the parser gave a value except the seed and the output
+path, which have fields of their own, and the worker count, which cannot
+change the bytes.
 
 Exit codes: 0 success, 1 validation checks failed, 2 usage or domain
 error, 3 numerical failure (quadrature non-convergence or degenerate
@@ -71,58 +71,53 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def _fmt_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return str(v).lower()
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    f = float(v)
-    if math.isinf(f):
-        return "inf" if f > 0 else "-inf"
-    return f"{f:.12g}"
+    return "" if v is None else f"{v:.12g}"
 
 
 def _json_cell(v):
-    if v is None or isinstance(v, (bool, int, str)):
+    if v is None or isinstance(v, int):
         return v
-    if isinstance(v, np.integer):
-        return int(v)
-    f = float(v)
-    return f if math.isfinite(f) else None
+    return float(v) if math.isfinite(v) else None
 
 
-def _manifest(command, parameters, seed, out_path, body: str) -> dict:
+# flags that never reach a manifest's parameters: the subcommand and its
+# handler, the seed and output path (fields of their own) and the worker
+# count (it cannot change the bytes)
+_UNRECORDED = frozenset(("cmd", "func", "out", "seed", "workers"))
+
+
+def _manifest(args, body: str) -> dict:
     """The run's manifest; its checksum is the sha256 of body."""
     return {
-        "command": command,
-        "parameters": parameters,
-        "seed": seed,
-        "output_path": out_path if out_path else "-",
+        "command": args.cmd,
+        "parameters": {
+            k: v for k, v in vars(args).items() if v is not None and k not in _UNRECORDED
+        },
+        "seed": getattr(args, "seed", None),
+        "output_path": args.out or "-",
         "artifact_checksum": hashlib.sha256(body.encode()).hexdigest(),
     }
 
 
-def _with_header(manifest: dict, body: str) -> str:
-    return "# " + json.dumps(manifest, sort_keys=True) + "\n" + body
+def _with_header(args, body: str) -> str:
+    return "# " + json.dumps(_manifest(args, body), sort_keys=True) + "\n" + body
 
 
-def _render(command, parameters, seed, out_path, columns, rows, fmt):
-    """Rows to csv-with-manifest-header or a json object; returns text."""
-    if fmt == "json":
+def _render(args, columns, rows) -> str:
+    """Rows to a json object, or for any other format to csv under a
+    manifest header; returns text."""
+    if args.format == "json":
         records = [
             {c: _json_cell(v) for c, v in zip(columns, row)} for row in rows
         ]
         body = json.dumps(records, sort_keys=True, separators=(",", ":"))
-        manifest = _manifest(command, parameters, seed, out_path, body)
         return (
-            json.dumps({"manifest": manifest, "records": records}, sort_keys=True)
+            json.dumps({"manifest": _manifest(args, body), "records": records}, sort_keys=True)
             + "\n"
         )
     lines = [",".join(columns)]
     lines.extend(",".join(_fmt_cell(v) for v in row) for row in rows)
-    body = "\n".join(lines) + "\n"
-    return _with_header(_manifest(command, parameters, seed, out_path, body), body)
+    return _with_header(args, "\n".join(lines) + "\n")
 
 
 def _deliver(text: str, out_path: str | None, note: str = "") -> None:
@@ -150,32 +145,13 @@ def _channel_params(args, gamma: float) -> ChannelParams:
     )
 
 
-def _lambda_parameters(args) -> dict:
-    return {
-        "lambda_sd": args.lambda_sd,
-        "lambda_sr": args.lambda_sr,
-        "lambda_rd": args.lambda_rd,
-    }
-
-
 def _cmd_coeffs(args) -> int:
     table = series_coeffs(args.nu, args.k)
-    fmt = args.format
-    if fmt == "table1":
+    if args.format == "table1":
         rows = [(q, float(f"{a:.4g}")) for q, a in enumerate(table.a)]
-        fmt = "csv"
     else:
         rows = [(q, float(a)) for q, a in enumerate(table.a)]
-    text = _render(
-        "coeffs",
-        {"format": args.format, "k": args.k, "nu": args.nu},
-        None,
-        args.out,
-        ("q", "a"),
-        rows,
-        fmt,
-    )
-    _deliver(text, args.out)
+    _deliver(_render(args, ("q", "a"), rows), args.out)
     return 0
 
 
@@ -190,32 +166,16 @@ def _cmd_bessel(args) -> int:
             z = float(beta * x)
             tv = evaluate_k0(args.k, z) if args.nu == 0 else evaluate(args.nu, args.k, z)
             oracle = reference.bessel_k(args.nu, z)
+            if oracle == 0.0:
+                raise ValueError(
+                    f"the oracle K_nu(z) underflows to 0 at z = beta*x = {z!r}, "
+                    f"where the relative error has no value"
+                )
             rows.append(
                 (float(beta), float(x), tv.value, oracle, abs(tv.value - oracle) / abs(oracle))
             )
-    text = _render(
-        "bessel",
-        {
-            "beta_list": args.beta_list,
-            "format": args.format,
-            "k": args.k,
-            "nu": args.nu,
-            "x_grid": args.x_grid,
-        },
-        None,
-        args.out,
-        ("beta", "x", "series", "oracle", "rel_error"),
-        rows,
-        args.format,
-    )
-    _deliver(text, args.out)
+    _deliver(_render(args, ("beta", "x", "series", "oracle", "rel_error"), rows), args.out)
     return 0
-
-
-def _resolve_gamma(args) -> tuple[float, dict]:
-    if args.gamma_linear is not None:
-        return args.gamma_linear, {"gamma_linear": args.gamma_linear}
-    return 10 ** (args.gamma_db / 10), {"gamma_db": args.gamma_db}
 
 
 def _cmd_dist(args) -> int:
@@ -224,8 +184,10 @@ def _cmd_dist(args) -> int:
         raise ValueError("x grid must be ascending and nonnegative")
     if (args.with_mc or args.with_minbound) and len(xs) < 2:
         raise ValueError("sampled densities need an x grid of at least two points")
-    gamma, gamma_param = _resolve_gamma(args)
-    params = _channel_params(args, gamma)
+    if args.gamma_linear is not None:
+        params = _channel_params(args, args.gamma_linear)
+    else:
+        params = _channel_params(args, 10 ** (args.gamma_db / 10))
     # built before any work so a bad seed or sample count is refused
     # whether or not Monte Carlo is asked for
     cfg = SimConfig(seed=args.seed, samples=args.samples)
@@ -262,42 +224,30 @@ def _cmd_dist(args) -> int:
                 None if mb is None else float(mb[i]),
             )
         )
-    parameters = {
-        "format": args.format,
-        "k": args.k,
-        "samples": args.samples,
-        "with_mc": args.with_mc,
-        "with_minbound": args.with_minbound,
-        "x_grid": args.x_grid,
-        **gamma_param,
-        **_lambda_parameters(args),
-    }
-    text = _render(
-        "dist",
-        parameters,
-        args.seed,
-        args.out,
-        ("x", "cdf_eq", "pdf_eq", "cdf_quadrature", "mc_density", "minbound_density"),
-        rows,
-        args.format,
-    )
-    _deliver(text, args.out)
+    columns = ("x", "cdf_eq", "pdf_eq", "cdf_quadrature", "mc_density", "minbound_density")
+    _deliver(_render(args, columns, rows), args.out)
     return 0
+
+
+# each metric's analytic limit at zero SNR, where the model needs gamma > 0
+_LIMITS = {"outage": 1.0, "bep": 0.5, "capacity": 0.0}
 
 
 def _cmd_perf(args) -> int:
     wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    valid = ("outage", "bep", "capacity")
-    if not wanted or any(m not in valid for m in wanted):
-        raise ValueError(f"metrics must be a comma list from {valid}, got {args.metrics!r}")
+    if not wanted or any(m not in _LIMITS for m in wanted):
+        raise ValueError(
+            f"metrics must be a comma list from {tuple(_LIMITS)}, got {args.metrics!r}"
+        )
+    for i, m in enumerate(wanted):
+        if m in wanted[:i]:
+            raise ValueError(f"metric {m!r} is repeated in {args.metrics!r}")
     if args.gamma_linear_grid is not None:
         gammas = _parse_grid(args.gamma_linear_grid)
         if np.any(gammas < 0):
             raise ValueError("linear SNR values must be >= 0")
-        grid_param = {"gamma_linear_grid": args.gamma_linear_grid}
     else:
         gammas = 10 ** (_parse_grid(args.gamma_db_grid) / 10)
-        grid_param = {"gamma_db_grid": args.gamma_db_grid}
     snr_threshold = 10 ** (args.snr_threshold_db / 10)
     cap_scale = 1.0 / _LN2 if args.bits else 1.0
     cap_name = "capacity_bits" if args.bits else "capacity_nats"
@@ -309,61 +259,36 @@ def _cmd_perf(args) -> int:
     co = combined_cdf_coeffs(
         _channel_params(args, 1.0), series_coeffs(1.0, args.k)
     )
-    # the model itself needs gamma > 0; zero-SNR rows get analytic limits
-    grid = [_channel_params(args, float(g)) for g in gammas if g != 0.0]
-    limits = {"outage": 1.0, "bep": 0.5, "capacity": 0.0}
+    # one point per SNR, None at zero SNR; the rest form the model's grid
+    points = [None if g == 0.0 else _channel_params(args, float(g)) for g in gammas]
+    grid = [p for p in points if p is not None]
     # one pass over the streams for every metric over the whole SNR grid
     mc = dict(zip(wanted, run_simulation(
         grid, cfg, tuple(wanted), threshold=snr_threshold, workers=args.workers
     ))) if args.with_mc and grid else {}
-    columns = ["gamma_db"]
-    by_gamma = []  # per column after gamma_db, its values over grid
-    zero_row = []
-    for m in wanted:
-        if m == "outage":
-            closed = [metrics.outage(p, co, snr_threshold) for p in grid]
-        elif m == "bep":
-            closed = [metrics.bit_error_prob(p, co) for p in grid]
-        else:
-            closed = [cap_scale * metrics.capacity(p, co) for p in grid]
-        base = cap_name if m == "capacity" else m
-        columns.append(base)
-        by_gamma.append(closed)
-        zero_row.append(limits[m])
-        if args.with_mc:
-            ests = mc.get(m, [])
-            scale = cap_scale if m == "capacity" else 1.0
-            columns.extend((f"mc_{base}", f"mc_{base}_se"))
-            by_gamma.append([scale * e.value for e in ests])
-            by_gamma.append([scale * e.std_error for e in ests])
-            zero_row.extend((limits[m], 0.0))
-
-    rows = []
-    j = 0
-    for g in gammas:
-        g = float(g)
-        if g == 0.0:
-            rows.append((-math.inf, *zero_row))
-        else:
-            rows.append((10 * math.log10(g), *(col[j] for col in by_gamma)))
-            j += 1
-
-    parameters = {
-        "bits": args.bits,
-        "format": args.format,
-        "k": args.k,
-        "metrics": args.metrics,
-        "relays": args.relays,
-        "samples": args.samples,
-        "snr_threshold_db": args.snr_threshold_db,
-        "with_mc": args.with_mc,
-        **grid_param,
-        **_lambda_parameters(args),
+    closed = {
+        "outage": lambda p: metrics.outage(p, co, snr_threshold),
+        "bep": lambda p: metrics.bit_error_prob(p, co),
+        "capacity": lambda p: cap_scale * metrics.capacity(p, co),
     }
-    text = _render(
-        "perf", parameters, args.seed, args.out, tuple(columns), rows, args.format
-    )
-    _deliver(text, args.out)
+    columns = {
+        "gamma_db": [-math.inf if p is None else 10 * math.log10(p.gamma) for p in points]
+    }
+    for m in wanted:
+        name = cap_name if m == "capacity" else m
+        columns[name] = [_LIMITS[m] if p is None else closed[m](p) for p in points]
+        if args.with_mc:
+            scale = cap_scale if m == "capacity" else 1.0
+            ests = iter(mc.get(m, ()))
+            per_point = [None if p is None else next(ests) for p in points]
+            columns[f"mc_{name}"] = [
+                _LIMITS[m] if e is None else scale * e.value for e in per_point
+            ]
+            columns[f"mc_{name}_se"] = [
+                0.0 if e is None else scale * e.std_error for e in per_point
+            ]
+
+    _deliver(_render(args, tuple(columns), zip(*columns.values())), args.out)
     return 0
 
 
@@ -372,14 +297,24 @@ def _cmd_validate(args) -> int:
         seed=args.seed, samples=args.samples, workers=args.workers
     )
     report = validation.render_report(results, args.seed, args.samples)
-    manifest = _manifest("validate", {"samples": args.samples}, args.seed, args.out, report)
-    text = _with_header(manifest, report)
     passed = sum(r.passed for r in results)
-    _deliver(text, args.out, note=f"{passed}/{len(results)} checks passed")
+    _deliver(
+        _with_header(args, report), args.out, note=f"{passed}/{len(results)} checks passed"
+    )
     if passed < len(results):
         _log(f"{len(results) - passed} check(s) failed", bad=True)
         return 1
     return 0
+
+
+class _Replaces(argparse.Action):
+    """Store the value and drop the default of the flag whose dest is
+    const, this flag's mutually exclusive twin, so that the manifest
+    records only the one that set the SNR."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        setattr(namespace, self.const, None)
 
 
 def _add_lambda_flags(sp) -> None:
@@ -417,7 +352,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("dist", help="combined-power CDF/PDF curves with optional Monte Carlo")
     g = sp.add_mutually_exclusive_group()
     g.add_argument("--gamma-db", type=float, default=30.0, help="transmit SNR in dB")
-    g.add_argument("--gamma-linear", type=float, help="transmit SNR, linear scale")
+    g.add_argument("--gamma-linear", type=float, action=_Replaces, const="gamma_db",
+                   help="transmit SNR, linear scale")
     _add_lambda_flags(sp)
     sp.add_argument("--k", type=int, default=10)
     sp.add_argument("--x-grid", default="0:6:61")
@@ -434,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("perf", help="outage / bit error probability / capacity over an SNR grid")
     g = sp.add_mutually_exclusive_group()
     g.add_argument("--gamma-db-grid", default="-5:35:9")
-    g.add_argument("--gamma-linear-grid",
+    g.add_argument("--gamma-linear-grid", action=_Replaces, const="gamma_db_grid",
                    help="linear SNR grid; a 0 entry emits the analytic zero-SNR limits")
     _add_lambda_flags(sp)
     sp.add_argument("--k", type=int, default=10)
@@ -467,6 +403,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse reports usage errors with code 2
         return int(exc.code or 0)
     try:
+        # refused before any work, as SimConfig refuses a bad seed
+        if getattr(args, "workers", 1) < 1:
+            raise ValueError(f"workers must be >= 1, got {args.workers!r}")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

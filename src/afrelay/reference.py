@@ -113,9 +113,9 @@ def fractional_integral(f: Callable[[float], float], s: float, x: float) -> floa
     """Riemann-Liouville fractional integral of order s of f, at x.
 
     Computes (1/Gamma(s)) * integral_0^x (x-t)**(s-1) f(t) dt for s > 0,
-    x > 0 and f integrable on [0, x].  For s < 1 the endpoint singularity
-    at t = x is removed by the substitution u = (x-t)**s, under which the
-    weight becomes constant:
+    x > 0 and f integrable on [0, x].  The substitution u = (x-t)**s makes
+    the weight constant for every order, and for s < 1 removes the
+    endpoint singularity at t = x:
 
         integral = (1/s) * integral_0^{x**s} f(x - u**(1/s)) du.
     """
@@ -125,16 +125,13 @@ def fractional_integral(f: Callable[[float], float], s: float, x: float) -> floa
         raise ValueError(f"fractional order must be positive, got {s!r}")
     if not x > 0.0:
         raise ValueError(f"evaluation point must be positive, got {x!r}")
-    if s < 1.0:
-        inv_s = 1.0 / s
+    inv_s = 1.0 / s
 
-        def g(u: float) -> float:
-            t = x - u**inv_s
-            if t < 0.0:  # rounding can push u**(1/s) a hair past x
-                t = 0.0
-            return f(t)
+    def g(u: float) -> float:
+        t = x - u**inv_s
+        if t < 0.0:  # rounding can push u**(1/s) a hair past x
+            t = 0.0
+        return f(t)
 
-        val = adaptive_quad(g, 0.0, x**s)
-        return val / (s * math.gamma(s))
-    val = adaptive_quad(lambda t: (x - t) ** (s - 1.0) * f(t), 0.0, x)
-    return val / math.gamma(s)
+    val = adaptive_quad(g, 0.0, x**s)
+    return val / (s * math.gamma(s))

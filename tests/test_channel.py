@@ -266,6 +266,22 @@ class TestCombinedCdf:
             raw = combined_cdf(p, co, np.linspace(0.0, 6.0, 50), clamp=False)
             assert float(np.max(raw)) > 1.0 or float(np.min(raw)) < 0.0
 
+    @pytest.mark.parametrize("x", (1e40, math.inf))
+    def test_finite_past_the_double_range(self, x):
+        # exp(-lambda_srd x) underflows to 0 while the polynomial overflows;
+        # the relay term is 0 there, so the CDF is 1 and the PDF 0, not nan
+        co = unit_coeffs()
+        xs = np.array([1.0, x])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # no excursion diagnostic
+            warnings.filterwarnings("ignore", "(overflow|invalid value) encountered")
+            cdf, pdf = combined_cdf(UNIT, co, x), combined_pdf(UNIT, co, x)
+            cdfs, pdfs = combined_cdf(UNIT, co, xs), combined_pdf(UNIT, co, xs)
+        assert (cdf, pdf) == (1.0, 0.0)
+        assert type(cdf) is float and type(pdf) is float
+        assert cdfs.tolist() == [combined_cdf(UNIT, co, 1.0), 1.0]
+        assert pdfs.tolist() == [combined_pdf(UNIT, co, 1.0), 0.0]
+
 
 def scalar_path_draws(seed: int, n: int):
     """Seeded parameter points over the whole rate box, half of them put
@@ -382,6 +398,12 @@ class TestCombinedCdfExact:
             for x in np.linspace(0.0, 10.0, 41)
         )
         assert sup < 1e-2
+
+    @pytest.mark.parametrize("x", (1e5, 1e40))
+    def test_one_far_past_the_direct_path_mass(self, x):
+        # quadrature over all of [0, x] missed the mass near 0 and read
+        # 2e-45 at 1e5 and 0 from 1e6 on
+        assert combined_cdf_exact(UNIT, x) == 1.0
 
     def test_low_snr_deviation_is_bounded(self):
         # at 0 dB the high-SNR form is visibly biased; the measured sup

@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+from afrelay import validation
 from afrelay.cli import _parse_grid, main
 
 
@@ -109,6 +110,50 @@ class TestManifest:
         assert code == 0
         manifest, _, _ = parse_csv(target.read_text())
         assert manifest["output_path"] == str(target)
+        assert manifest["parameters"] == {"format": "csv", "k": 2, "nu": 1.0}
+
+    UNIT_RATES = {"lambda_rd": 1.0, "lambda_sd": 1.0, "lambda_sr": 1.0}
+    DIST = {
+        "format": "csv", "k": 10, "samples": 10**7, "with_mc": False,
+        "with_minbound": False, **UNIT_RATES,
+    }
+    PERF = {
+        "bits": False, "format": "csv", "k": 10, "metrics": "outage,bep,capacity",
+        "relays": 1, "samples": 10**7, "snr_threshold_db": 0.0, "with_mc": False,
+        **UNIT_RATES,
+    }
+
+    @pytest.mark.parametrize("argv, parameters, seed", [
+        (("coeffs", "--nu", "1", "--k", "4"), {"format": "csv", "k": 4, "nu": 1.0}, None),
+        (
+            ("coeffs", "--nu", "1", "--k", "4", "--format", "table1"),
+            {"format": "table1", "k": 4, "nu": 1.0}, None,
+        ),
+        (
+            ("bessel", "--k", "5", "--beta-list", "1", "--x-grid", "1:2:2"),
+            {"beta_list": "1", "format": "csv", "k": 5, "nu": 1.0, "x_grid": "1:2:2"},
+            None,
+        ),
+        (("dist",), {**DIST, "gamma_db": 30.0, "x_grid": "0:6:61"}, 42),
+        (
+            ("dist", "--gamma-linear", "50", "--x-grid", "0:2:3", "--seed", "7",
+             "--workers", "2"),
+            {**DIST, "gamma_linear": 50.0, "x_grid": "0:2:3"}, 7,
+        ),
+        (("perf",), {**PERF, "gamma_db_grid": "-5:35:9"}, 42),
+        (
+            ("perf", "--gamma-linear-grid", "0,10", "--workers", "2"),
+            {**PERF, "gamma_linear_grid": "0,10"}, 42,
+        ),
+    ], ids=("coeffs", "table1", "bessel", "dist", "dist-linear", "perf", "perf-linear"))
+    def test_parameters_are_the_flags_with_values(self, capsys, argv, parameters, seed):
+        # every flag the parser gave a value but the seed, output path and
+        # worker count; the dB default of a linear-scale run stays out
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        manifest, _, _ = parse_csv(out)
+        assert manifest["parameters"] == parameters
+        assert manifest["seed"] == seed
 
 
 class TestCoeffs:
@@ -158,6 +203,13 @@ class TestBessel:
         code, _, err = run_cli(capsys, "bessel", "--nu", "1", "--beta", "-1", "--x", "1")
         assert code == 2
         assert "positive" in err
+
+    def test_oracle_underflow_is_usage_error(self, capsys):
+        # from z = beta*x ~ 745 on the oracle K_nu(z) is 0.0, and the
+        # relative error would divide by it
+        code, out, err = run_cli(capsys, "bessel", "--beta-list", "100", "--x-grid", "8")
+        assert (code, out) == (2, "")
+        assert "z = beta*x = 800.0" in err
 
 
 class TestDist:
@@ -291,6 +343,15 @@ class TestPerf:
         code, _, _ = run_cli(capsys, "perf", "--metrics", "outage,nope")
         assert code == 2
 
+    def test_repeated_metric_is_usage_error(self, capsys):
+        # a repeat printed two same-named csv columns but one json key
+        for fmt in ("csv", "json"):
+            code, out, err = run_cli(
+                capsys, "perf", "--metrics", "bep,outage, bep", "--format", fmt
+            )
+            assert (code, out) == (2, ""), fmt
+            assert "'bep' is repeated" in err, fmt
+
     def test_negative_seed_is_usage_error(self, capsys):
         # refused also where no row needs Monte Carlo (a zero-SNR grid)
         for extra in ((), ("--gamma-linear-grid", "0")):
@@ -306,14 +367,23 @@ class TestPerf:
             assert (code, out) == (2, ""), grid
             assert f"with series depth {k}" in err, grid
 
-    def test_nonpositive_workers_is_usage_error(self, capsys):
-        code, out, err = run_cli(
-            capsys, "perf", "--gamma-db-grid", "0:10:2", "--with-mc",
-            "--samples", "1000", "--workers", "-3",
-        )
-        assert code == 2
-        assert out == ""
-        assert "workers" in err
+    def test_nonpositive_workers_is_usage_error(self, capsys, monkeypatch):
+        # refused before any work in every command that takes it, whether
+        # or not Monte Carlo runs
+        def no_checks(**_):
+            raise AssertionError("validate ran its checks")
+
+        monkeypatch.setattr(validation, "run_all", no_checks)
+        for argv in (
+            ("perf", "--gamma-db-grid", "0:10:2", "--with-mc", "--samples", "1000",
+             "--workers", "-3"),
+            ("perf", "--gamma-db-grid", "0:10:2", "--workers", "0"),
+            ("dist", "--x-grid", "0:2:3", "--workers", "0"),
+            ("validate", "--samples", "1000", "--workers", "0"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert "workers must be >= 1" in err, argv
 
     # golden: the artifact_checksum of this command before the SNR grid was
     # simulated in one pass; three dB points, two relays, 1000500 samples

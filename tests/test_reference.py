@@ -83,7 +83,7 @@ class TestFractionalIntegral:
     def test_power_rule(self):
         # integral of order s applied to t**p gives
         # Gamma(1+p)/Gamma(1+p+s) x**(p+s)
-        for s in (0.25, 0.5, 1.5):
+        for s in (0.25, 0.5, 1.0, 1.5, 2.5, 4.0):
             for p in (0, 1, 2):
                 for x in (0.5, 1.0, 2.0):
                     expected = (
