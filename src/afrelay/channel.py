@@ -19,19 +19,24 @@ Closed forms implemented here:
 * a high-SNR series CDF/PDF of D + S (combined_cdf / combined_pdf) built
   from the truncated Bessel-K series, in the exponential-polynomial form
 
-      F(x) = 1 - A exp(-lambda_sd x) + exp(-lambda_srd x) sum_c cols[c] x^c;
+      F(x) = 1 - A exp(-lambda_sd x) + exp(-lambda_srd x) sum_c cols[c] x^c,
+
+  and its density, of the same form with the polynomial pdf; one
+  evaluator (_expoly) computes both;
 
 * the exact convolution CDF of D + S by quadrature (combined_cdf_exact),
   used to audit the high-SNR form;
 * the classical min(X, Y) upper-bound baseline (minbound_cdf/minbound_pdf),
-  a hypoexponential Exp(lambda_sd) + Exp(lambda_sr + lambda_rd).
+  a hypoexponential Exp(lambda_sd) + Exp(lambda_sr + lambda_rd), in one
+  form that keeps its accuracy at every spacing of the two rates.
 
 The vectorized closed forms take a scalar or an array of powers through one
 formula.  A scalar stays a Python float end to end and comes back as one,
 so a quadrature integrand pays for a few float operations and np.exp
 calls, not for array set-up.  Facts that depend only on the parameters are
 computed once: ChannelParams derives its rate combinations on
-construction, and SeriesCdfCoeffs its A and its derivative polynomial.
+construction, and combined_cdf_coeffs builds the CDF's and the density's
+polynomials together.
 """
 
 from __future__ import annotations
@@ -124,22 +129,26 @@ def srd_cdf(params: ChannelParams, x: float) -> float:
 
     F(x) = 1 - 2 zeta exp(-lambda_s x) K_1(2 zeta) with
     zeta = sqrt(lambda_p x (x + 1/gamma)).  The x -> 0 limit is 0 because
-    z K_1(z) -> 1.  K_1 is scipy.special.k1.
+    z K_1(z) -> 1.  K_1 is scipy.special.k1.  The tail is 0 where
+    exp(-lambda_s x) is 0, as at x = inf.
     """
     x = float(x)
     if x < 0.0:
         raise ValueError(f"power must be >= 0, got {x!r}")
     if x == 0.0:
         return 0.0
+    decay = math.exp(-params.lambda_s * x)
+    if decay == 0.0:
+        return 1.0
     zeta = math.sqrt(params.lambda_p * x * (x + 1.0 / params.gamma))
     z = 2.0 * zeta
     if z < 1e-8:
         # z*K_1(z) = 1 + O(z^2 log z); below double resolution of the product
-        tail = math.exp(-params.lambda_s * x)
+        tail = decay
     else:
         if _k1 is None:
             _bind_bessel()
-        tail = z * math.exp(-params.lambda_s * x) * float(_k1(z))
+        tail = z * decay * float(_k1(z))
     return min(max(1.0 - tail, 0.0), 1.0)
 
 
@@ -147,49 +156,53 @@ def srd_pdf(params: ChannelParams, x: float) -> float:
     """Exact PDF of the relayed-path equivalent power S at x > 0.
 
     f(x) = 2 exp(-lambda_s x) (lambda_p (2x + 1/gamma) K_0(2 zeta)
-    + lambda_s zeta K_1(2 zeta)), with K_0/K_1 from scipy.special.
+    + lambda_s zeta K_1(2 zeta)), with K_0/K_1 from scipy.special; 0 where
+    exp(-lambda_s x) is 0, as at x = inf.
     """
     x = float(x)
     if x <= 0.0:
         raise ValueError(f"density is defined for x > 0, got {x!r}")
+    decay = math.exp(-params.lambda_s * x)
+    if decay == 0.0:
+        return 0.0
     inv_g = 1.0 / params.gamma
     zeta = math.sqrt(params.lambda_p * x * (x + inv_g))
     if _k1 is None:
         _bind_bessel()
     k0 = float(_k0(2.0 * zeta))
     k1 = float(_k1(2.0 * zeta))
-    return 2.0 * math.exp(-params.lambda_s * x) * (
+    return 2.0 * decay * (
         params.lambda_p * (2.0 * x + inv_g) * k0 + params.lambda_s * zeta * k1
     )
 
 
 @dataclass(frozen=True, eq=False)
 class SeriesCdfCoeffs:
-    """The polynomial of the high-SNR exponential-polynomial CDF of D + S.
+    """The polynomials of the high-SNR series CDF of D + S and its density:
 
     F(x) = 1 - A exp(-lambda_sd x) + exp(-lambda_srd x) sum_{c=0..k} cols[c] x^c,
-    with cols a tuple of Python floats, so a scalar power stays a Python
-    float.  A = 1 + cols[0] pins F(0) = 0 at every truncation depth.  The
-    depth k, A and the derivative polynomial are derived from cols once,
-    on construction, and are not fields.
+    f(x) = A lambda_sd exp(-lambda_sd x) + exp(-lambda_srd x) sum_{c=0..k} pdf[c] x^c,
+
+    with cols and pdf tuples of Python floats, so a scalar power stays a
+    Python float.  A = 1 + cols[0] pins F(0) = 0 and pdf[0] = -A lambda_sd
+    pins f(0) = 0 at every truncation depth.  The depth k and A are derived
+    from cols on construction and are not fields.
     """
 
     cols: tuple[float, ...]
+    pdf: tuple[float, ...]
 
     def __post_init__(self):
-        cols = tuple(map(float, self.cols))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "k", len(cols) - 1)
-        object.__setattr__(self, "A", 1.0 + cols[0])
-        # at k = 0 the derivative polynomial is the zero constant
-        dcols = tuple(c * cols[c] for c in range(1, len(cols)))
-        object.__setattr__(self, "_dpoly", dcols or (0.0,))
+        for name in ("cols", "pdf"):
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
+        object.__setattr__(self, "k", len(self.cols) - 1)
+        object.__setattr__(self, "A", 1.0 + self.cols[0])
 
 
 def combined_cdf_coeffs(
     params: ChannelParams, table: bessel_series.CoefficientTable
 ) -> SeriesCdfCoeffs:
-    """Build the high-SNR series CDF coefficients from a depth-k table.
+    """Build the high-SNR series CDF and density coefficients from a depth-k table.
 
     With d = lambda_srd - lambda_sd, term q of the series adds
     base_q / (c! d^(q-c+1)) to cols[c] for c = 0..q, where
@@ -210,7 +223,7 @@ def combined_cdf_coeffs(
             f"~1e-6 relative to evaluate nearby."
         )
     two_root_p = 2.0 * math.sqrt(params.lambda_p)
-    cols = [0.0] * (table.k + 1)
+    cols = [0.0] * (table.k + 2)  # cols[k+1] = 0 pads the density's top term
     q_fact = 1.0
     for q, a_q in enumerate(table.a):
         if q > 0:
@@ -221,7 +234,11 @@ def combined_cdf_coeffs(
             if c > 0:
                 c_fact *= c
             cols[c] += base / (c_fact * d ** (q - c + 1))
-    return SeriesCdfCoeffs(tuple(cols))
+    # pdf[c] = (c + 1) cols[c+1] - lambda_srd cols[c]; at c = 0 that is exactly
+    # -A lambda_sd, as cols[1] - d cols[0] + lambda_sd = lambda_sd (1 - a_0) = 0
+    pdf = [(c + 1) * cols[c + 1] - params.lambda_srd * cols[c] for c in range(table.k + 1)]
+    pdf[0] = -((1.0 + cols[0]) * params.lambda_sd)
+    return SeriesCdfCoeffs(tuple(cols[:-1]), tuple(pdf))
 
 
 def _powers(x):
@@ -244,9 +261,18 @@ def _result(out, v):
     return out if isinstance(v, np.ndarray) else float(out)
 
 
-def _excursion(raw: np.ndarray) -> float:
-    """How far an array leaves [0, 1]; nan exactly when a value is nan."""
-    return max(float(np.max(raw - 1.0, initial=0.0)), float(np.max(-raw, initial=0.0)))
+def _expoly(params: ChannelParams, v, const: float, a: float, poly):
+    """const + a exp(-lambda_sd v) + exp(-lambda_srd v) sum_c poly[c] v^c, a
+    float for a scalar v.  The relay term is 0 where exp(-lambda_srd v) is
+    0, so 0 times an overflowed polynomial gives no nan at any v."""
+    direct = const + a * np.exp(-params.lambda_sd * v)
+    relay = np.exp(-params.lambda_srd * v)
+    if isinstance(v, np.ndarray):
+        term = relay * _horner(poly, v)
+        if not relay.all():
+            term[relay == 0.0] = 0.0
+        return direct + term
+    return float(direct + relay * _horner(poly, v)) if relay else float(direct)
 
 
 def combined_cdf(params: ChannelParams, coeffs: SeriesCdfCoeffs, x, clamp: bool = True):
@@ -254,25 +280,13 @@ def combined_cdf(params: ChannelParams, coeffs: SeriesCdfCoeffs, x, clamp: bool 
 
     Values are clamped to [0, 1]; pre-clamp excursions beyond 1e-6 raise a
     RuntimeWarning as a truncation diagnostic.  Pass clamp=False for the
-    raw values.  Where exp(-lambda_srd x) underflows to 0 the relay term is
-    0, so no x, however large, gives nan.
+    raw values.  No x, however large, gives nan (see _expoly).
     """
-    v = _powers(x)
-    direct = 1.0 - coeffs.A * np.exp(-params.lambda_sd * v)
-    relay = np.exp(-params.lambda_srd * v)
-    raw = direct + relay * _horner(coeffs.cols, v)
-    # a nan marks where the relay factor underflowed to 0 while the
-    # polynomial overflowed; the relay term there is 0
-    if isinstance(v, np.ndarray):
-        excursion = _excursion(raw)
-        if excursion != excursion:
-            raw = np.where(relay == 0.0, direct, raw)
-            excursion = _excursion(raw)
+    raw = _expoly(params, _powers(x), 1.0, -coeffs.A, coeffs.cols)
+    if isinstance(raw, np.ndarray):
+        excursion = max(float(raw.max(initial=1.0)) - 1.0, -float(raw.min(initial=0.0)))
         out = np.clip(raw, 0.0, 1.0) if clamp else raw
     else:
-        raw = float(raw)
-        if raw != raw and relay == 0.0:
-            raw = float(direct)
         excursion = max(raw - 1.0, -raw)
         out = min(max(raw, 0.0), 1.0) if clamp else raw
     if excursion > EXCURSION_TOL:
@@ -288,23 +302,10 @@ def combined_cdf(params: ChannelParams, coeffs: SeriesCdfCoeffs, x, clamp: bool 
 def combined_pdf(params: ChannelParams, coeffs: SeriesCdfCoeffs, x):
     """High-SNR series PDF of D + S (derivative of combined_cdf), vectorized.
 
-    Finite at x = 0: the linear-power terms of the polynomial part
-    contribute a constant there.  Like combined_cdf, it takes the relay
-    term as 0 where exp(-lambda_srd x) underflows to 0.
+    Exactly 0 at x = 0; like combined_cdf, it takes the relay term as 0
+    where exp(-lambda_srd x) underflows to 0.
     """
-    v = _powers(x)
-    lam_srd = params.lambda_srd
-    direct = coeffs.A * params.lambda_sd * np.exp(-params.lambda_sd * v)
-    relay = np.exp(-lam_srd * v)
-    out = _result(
-        direct + relay * (_horner(coeffs._dpoly, v) - lam_srd * _horner(coeffs.cols, v)), v
-    )
-    # as in combined_cdf, a nan marks where the relay factor underflowed
-    # to 0, and the relay term there is 0
-    nan = np.isnan(out).any() if isinstance(v, np.ndarray) else out != out
-    if nan:
-        out = _result(np.where(relay == 0.0, direct, out), v)
-    return out
+    return _expoly(params, _powers(x), 0.0, coeffs.A * params.lambda_sd, coeffs.pdf)
 
 
 def combined_cdf_exact(params: ChannelParams, x: float) -> float:
@@ -330,30 +331,27 @@ def combined_cdf_exact(params: ChannelParams, x: float) -> float:
     return min(max(val, 0.0), 1.0)
 
 
+def _hypoexp(params: ChannelParams, x):
+    """The powers v, the min-of-hops rates a <= b and exp(-a v) g(v), with
+    g(v) = (1 - exp(-(b - a) v)) / (b - a), which is v at equal rates."""
+    v = _powers(x)
+    a, b = sorted((params.lambda_sd, params.lambda_s))
+    g = -np.expm1((a - b) * v) / (b - a) if b > a else v
+    return v, a, b, np.exp(-a * v) * g
+
+
 def minbound_cdf(params: ChannelParams, x):
     """CDF of the classical min-of-hops bound: Exp(lambda_sd) + Exp(lambda_s).
 
-    Hypoexponential closed form; the equal-rate case degenerates to an
-    Erlang(2) and is handled explicitly.
+    F(v) = 1 - exp(-a v) - a exp(-a v) g(v) (see _hypoexp): one formula,
+    accurate at every spacing of the two rates, Erlang(2) at equal ones.
     """
-    v = _powers(x)
-    a, b = params.lambda_sd, params.lambda_s
-    if abs(a - b) <= 1e-9 * max(a, b):
-        m = 0.5 * (a + b)
-        out = 1.0 - np.exp(-m * v) * (1.0 + m * v)
-    else:
-        out = 1.0 - (b * np.exp(-a * v) - a * np.exp(-b * v)) / (b - a)
-    out = np.clip(out, 0.0, 1.0)
-    return _result(out, v)
+    v, a, _, eg = _hypoexp(params, x)
+    return _result(np.clip(-np.expm1(-a * v) - a * eg, 0.0, 1.0), v)
 
 
 def minbound_pdf(params: ChannelParams, x):
-    """Density of the min-of-hops bound (derivative of minbound_cdf)."""
-    v = _powers(x)
-    a, b = params.lambda_sd, params.lambda_s
-    if abs(a - b) <= 1e-9 * max(a, b):
-        m = 0.5 * (a + b)
-        out = m * m * v * np.exp(-m * v)
-    else:
-        out = (a * b / (b - a)) * (np.exp(-a * v) - np.exp(-b * v))
-    return _result(out, v)
+    """Density of the min-of-hops bound (derivative of minbound_cdf):
+    f(v) = a b exp(-a v) g(v)."""
+    v, a, b, eg = _hypoexp(params, x)
+    return _result(a * b * eg, v)

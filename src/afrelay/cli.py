@@ -293,6 +293,7 @@ def _cmd_perf(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    SimConfig(seed=args.seed, samples=args.samples)  # refuses a bad seed or count up front
     results = validation.run_all(
         seed=args.seed, samples=args.samples, workers=args.workers
     )

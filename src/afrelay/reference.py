@@ -3,10 +3,12 @@
 Everything here is validation-grade and favours robustness over speed.
 K_nu comes from the exponentially decaying integral representation
 
-    K_nu(z) = integral_0^inf exp(-z cosh t) cosh(nu t) dt,
+    K_nu(z) = exp(-z) integral_0^inf exp(-z (cosh t - 1)) cosh(nu t) dt,
 
 which has no oscillation, so plain adaptive quadrature on a truncated
-interval is reliable.  The series module never calls into this one; the
+interval is reliable; scaled by exp(z), the integrand is 1 at t = 0 for
+every z, never subnormal, and is integrated to relative 1e-12 with no
+absolute floor.  The series module never calls into this one; the
 two stay independent so each can audit the other.
 
 scipy.integrate is imported by adaptive_quad on its first call, so
@@ -53,6 +55,7 @@ class QuadratureSpec:
 
 
 DEFAULT_SPEC = QuadratureSpec()
+_BESSEL_SPEC = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-12)
 
 
 def adaptive_quad(f: Callable[[float], float], lo: float, hi: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
@@ -80,17 +83,7 @@ def adaptive_quad(f: Callable[[float], float], lo: float, hi: float, spec: Quadr
     return out[0]
 
 
-def _cutoff(nu: float, z: float, abs_tol: float) -> float:
-    # Pick T with exp(-z cosh T + nu T) * (1 + 1/z) below abs_tol/10; the
-    # 1/z factor covers the tail-mass amplification at small arguments.
-    c = math.log(10.0 / abs_tol) + math.log1p(1.0 / z)
-    t = 1.0
-    for _ in range(4):
-        t = max(1.0, math.acosh(max((c + max(nu, 1.0) * t) / z, 1.0)))
-    return min(t + 1.0, 705.0)
-
-
-def bessel_k(nu: float, z: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def bessel_k(nu: float, z: float) -> float:
     """Reference K_nu(z) for real nu >= 0, z > 0, by adaptive quadrature."""
     nu = float(nu)
     z = float(z)
@@ -98,15 +91,21 @@ def bessel_k(nu: float, z: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
         raise ValueError(f"argument must be positive, got {z!r}")
     if not math.isfinite(nu) or nu < 0.0:
         raise ValueError(f"order must be >= 0, got {nu!r}")
-    t_max = _cutoff(nu, z, spec.abs_tol)
+    # Cut at T with exp(-z (cosh T - 1) + nu T) * (1 + 1/z) below 1e-17 of
+    # 1/sqrt(1 + z) <= exp(z) K_nu(z); the 1/z factor covers the tail-mass
+    # amplification at small arguments.
+    c = math.log(1e17) + math.log1p(1.0 / z) + 0.5 * math.log1p(z)
+    cut = 1.0
+    for _ in range(4):
+        cut = max(1.0, math.acosh(1.0 + (c + max(nu, 1.0) * cut) / z))
 
     def integrand(t: float) -> float:
-        u = -z * math.cosh(t)
+        u = -2.0 * z * math.sinh(0.5 * t) ** 2  # -z (cosh t - 1), no cancellation
         if u < -745.0:  # exp underflows anyway; avoids inf * 0 at large t
             return 0.0
         return math.exp(u) * math.cosh(nu * t)
 
-    return adaptive_quad(integrand, 0.0, t_max, spec)
+    return math.exp(-z) * adaptive_quad(integrand, 0.0, min(cut + 1.0, 705.0), _BESSEL_SPEC)
 
 
 def fractional_integral(f: Callable[[float], float], s: float, x: float) -> float:

@@ -11,6 +11,7 @@ import dataclasses
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -196,8 +197,9 @@ class TestSeriesCdfCoeffs:
 
     def test_immutable(self):
         co = unit_coeffs(4)
-        assert isinstance(co.cols, tuple) and len(co.cols) == co.k + 1 == 5
-        assert all(type(c) is float for c in co.cols)
+        for poly in (co.cols, co.pdf):
+            assert isinstance(poly, tuple) and len(poly) == co.k + 1 == 5
+            assert all(type(c) is float for c in poly)
         with pytest.raises(TypeError):
             co.cols[0] = 99.0
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -219,6 +221,21 @@ class TestSeriesCdfCoeffs:
         co = combined_cdf_coeffs(p, table)
         assert np.array_equal(np.array(co.cols).view(np.uint64), B.sum(axis=0).view(np.uint64))
         assert co.A == 1.0 + co.cols[0]
+
+    @pytest.mark.parametrize("k", (0, 1, 10, 30))
+    def test_density_polynomial(self, k):
+        # pdf[c] = (c + 1) cols[c+1] - lambda_srd cols[c], with cols[k+1] = 0;
+        # the constant is -A lambda_sd, to which the c = 0 expression is
+        # equal in exact arithmetic (cols[1] - d cols[0] + lambda_sd = 0);
+        # in doubles they differ by 2.2e-16 at depth 10, 2.8e-12 at 30
+        p = ChannelParams(gamma=100.0, lambda_sd=0.7, lambda_sr=2.0, lambda_rd=0.3)
+        co = combined_cdf_coeffs(p, series_coeffs(1.0, k))
+        cols = co.cols + (0.0,)
+        assert co.pdf[0] == -(co.A * p.lambda_sd)
+        assert co.pdf[0] == pytest.approx(cols[1] - p.lambda_srd * cols[0], rel=1e-10)
+        assert co.pdf[1:] == tuple(
+            (c + 1) * cols[c + 1] - p.lambda_srd * cols[c] for c in range(1, k + 1)
+        )
 
 
 class TestCombinedCdf:
@@ -369,8 +386,8 @@ class TestCombinedPdf:
         assert worst < 1e-6
 
     def test_depth_zero_derivative(self):
-        # the k = 0 series has a constant polynomial part, whose derivative
-        # is the zero polynomial
+        # the k = 0 series has a constant polynomial part, so its density
+        # polynomial is the constant -lambda_srd cols[0] = -A lambda_sd
         co = unit_coeffs(0)
         h = 1e-6
         for x in (0.5, 1.0, 3.0):
@@ -381,9 +398,17 @@ class TestCombinedPdf:
             assert combined_pdf(UNIT, co, x) == pytest.approx(fd, rel=1e-6), x
 
     def test_finite_at_origin(self):
-        v = combined_pdf(UNIT, unit_coeffs(), 0.0)
-        assert math.isfinite(v)
-        assert abs(v) < 1e-12  # direct path density cancels the c=1 terms here
+        # the model's density is 0 at the origin, and the series PDF is
+        # exactly 0 there: the density polynomial's constant is -A lambda_sd,
+        # the direct-path term's value at 0
+        xs = np.array([0.0, 0.5])
+        points = [UNIT] + [p for p in scalar_path_draws(11, 12)[::2]]
+        for k in range(31):
+            table = series_coeffs(1.0, k)
+            for p in points:
+                co = combined_cdf_coeffs(p, table)
+                assert combined_pdf(p, co, 0.0) == 0.0, (k, p)
+                assert combined_pdf(p, co, xs)[0] == 0.0, (k, p)
 
 
 class TestCombinedCdfExact:
@@ -399,10 +424,10 @@ class TestCombinedCdfExact:
         )
         assert sup < 1e-2
 
-    @pytest.mark.parametrize("x", (1e5, 1e40))
+    @pytest.mark.parametrize("x", (1e5, 1e40, math.inf))
     def test_one_far_past_the_direct_path_mass(self, x):
         # quadrature over all of [0, x] missed the mass near 0 and read
-        # 2e-45 at 1e5 and 0 from 1e6 on
+        # 2e-45 at 1e5 and 0 from 1e6 on; at inf srd_cdf was inf * 0 * 0
         assert combined_cdf_exact(UNIT, x) == 1.0
 
     def test_low_snr_deviation_is_bounded(self):
@@ -418,17 +443,12 @@ class TestCombinedCdfExact:
         assert 0.0 < sup < 0.1
 
 
-# relative-only tolerance for the quadrature oracle: with the default
-# absolute floor of 1e-12, K_nu(z) loses relative accuracy for z >~ 20
-ORACLE_SPEC = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-12)
-
-
 def oracle_srd_cdf(p: ChannelParams, x: float) -> float:
     """srd_cdf's formula with K_1 from the quadrature oracle."""
     if x == 0.0:
         return 0.0
     z = 2.0 * math.sqrt(p.lambda_p * x * (x + 1.0 / p.gamma))
-    tail = z * math.exp(-p.lambda_s * x) * reference.bessel_k(1.0, z, ORACLE_SPEC)
+    tail = z * math.exp(-p.lambda_s * x) * reference.bessel_k(1.0, z)
     return min(max(1.0 - tail, 0.0), 1.0)
 
 
@@ -436,8 +456,8 @@ def oracle_srd_pdf(p: ChannelParams, x: float) -> float:
     """srd_pdf's formula with K_0/K_1 from the quadrature oracle."""
     inv_g = 1.0 / p.gamma
     zeta = math.sqrt(p.lambda_p * x * (x + inv_g))
-    k0 = reference.bessel_k(0.0, 2.0 * zeta, ORACLE_SPEC)
-    k1 = reference.bessel_k(1.0, 2.0 * zeta, ORACLE_SPEC)
+    k0 = reference.bessel_k(0.0, 2.0 * zeta)
+    k1 = reference.bessel_k(1.0, 2.0 * zeta)
     return 2.0 * math.exp(-p.lambda_s * x) * (
         p.lambda_p * (2.0 * x + inv_g) * k0 + p.lambda_s * zeta * k1
     )
@@ -494,6 +514,11 @@ class TestExactModelAgainstOracle:
         pdf = srd_pdf(UNIT, 1e3)
         assert math.isfinite(pdf) and pdf >= 0.0
 
+    def test_tail_at_infinity(self):
+        # exp(-lambda_s x) is 0, and so is the tail, where the formulas
+        # would read inf * 0
+        assert (srd_cdf(UNIT, math.inf), srd_pdf(UNIT, math.inf)) == (1.0, 0.0)
+
 
 class TestMinboundBaseline:
     def test_hypoexponential_value(self):
@@ -503,12 +528,37 @@ class TestMinboundBaseline:
         assert minbound_cdf(UNIT, 1.0) == pytest.approx(0.39957640089372803, rel=1e-14)
 
     def test_equal_rate_erlang_branch(self):
-        # lambda_sd = 2 meets lambda_s = 2: the hypoexponential formula
-        # degenerates and the Erlang(2) form takes over
+        # lambda_sd = 2 meets lambda_s = 2: the same formula gives the
+        # Erlang(2) CDF
         p = ChannelParams(gamma=10.0, lambda_sd=2.0, lambda_sr=1.0, lambda_rd=1.0)
         for x in (0.3, 1.0, 2.5):
             expected = 1.0 - math.exp(-2.0 * x) * (1.0 + 2.0 * x)
             assert minbound_cdf(p, x) == pytest.approx(expected, rel=1e-12), x
+
+    @pytest.mark.parametrize("rel", (0.0, 1e-12, 1e-9, 1e-4, 0.1, 3.0, -0.5))
+    def test_matches_hypoexponential_at_every_spacing(self, rel):
+        # lambda_sd = 2 (1 + rel) against lambda_s = 2, by 50-digit mpmath:
+        # a difference quotient of two exponentials loses digits as the
+        # rates meet, and a switch to Erlang(2) at some spacing jumps.
+        # Measured worst: 2.7e-13 (CDF, at x = 1e-3), 3e-16 (PDF)
+        p = ChannelParams(gamma=10.0, lambda_sd=2.0 * (1.0 + rel), lambda_sr=1.0, lambda_rd=1.0)
+        xs = np.concatenate((np.geomspace(1e-3, 0.1, 10), np.linspace(0.2, 20.0, 40)))
+        cdfs, pdfs = minbound_cdf(p, xs), minbound_pdf(p, xs)
+        with mp.workdps(50):
+            a, b = mp.mpf(p.lambda_sd), mp.mpf(p.lambda_s)
+            for i, x in enumerate(xs.tolist()):
+                ea, eb = mp.exp(-a * x), mp.exp(-b * x)
+                if a == b:
+                    cdf, pdf = 1 - ea * (1 + a * x), a * a * x * ea
+                else:
+                    cdf, pdf = 1 - (b * ea - a * eb) / (b - a), a * b * (ea - eb) / (b - a)
+                assert abs(cdfs[i] - cdf) <= 5e-13 * cdf, (rel, x)
+                assert abs(pdfs[i] - pdf) <= 2e-15 * pdf, (rel, x)
+                assert (minbound_cdf(p, x), minbound_pdf(p, x)) == (cdfs[i], pdfs[i])
+
+    def test_ends_at_one_and_zero(self):
+        assert (minbound_cdf(UNIT, math.inf), minbound_pdf(UNIT, math.inf)) == (1.0, 0.0)
+        assert minbound_cdf(UNIT, np.array([0.0, math.inf])).tolist() == [0.0, 1.0]
 
     def test_pdf_normalizes(self):
         total = adaptive_quad(lambda x: minbound_pdf(UNIT, x), 0.0, 60.0)

@@ -282,13 +282,13 @@ class TestDist:
         assert "seed" in err
 
     def test_pinned_artifact(self, capsys):
-        # golden: recorded before the closed forms took scalars as Python
-        # floats; covers the array path of the series CDF/PDF
+        # golden: covers the array path of the series CDF/PDF; re-recorded
+        # when pdf_eq at x = 0 went from -8.881784197e-16 to exactly 0
         code, out, _ = run_cli(capsys, "dist", "--gamma-db", "20")
         assert code == 0
         manifest, _, _ = parse_csv(out)
         assert manifest["artifact_checksum"] == (
-            "be8f311d11e25dbc3c1b35f8532768dad02474a5c8d25786e46d78f612659a0c"
+            "c155ae796b0819213d484d29ede50b4f273a9e9c55ce338e86e1a53387f10696"
         )
 
 
@@ -413,6 +413,18 @@ class TestPerf:
 
 
 class TestValidate:
+    @pytest.mark.parametrize(
+        "flag, value", (("--seed", "-1"), ("--samples", "0")), ids=("seed", "samples"),
+    )
+    def test_bad_seed_or_samples_refused_before_any_check(self, capsys, monkeypatch, flag, value):
+        def refuse(**kwargs):
+            raise AssertionError("a check ran before the arguments were checked")
+
+        monkeypatch.setattr(validation, "run_all", refuse)
+        code, out, err = run_cli(capsys, "validate", flag, value)
+        assert (code, out) == (2, "")
+        assert flag[2:] in err
+
     def test_report_shape_and_exit(self, capsys, tmp_path):
         # small sample budget: fast, and the suite contains checks that
         # fail honestly, so the exit code is 1

@@ -213,27 +213,43 @@ def test_double_range_overflow_names_gamma_and_depth(metric, k, gamma_db):
         metric(p, co)
 
 
+def _non_unit_points():
+    """One draw of well-separated non-unit rates per depth 0-30, with its
+    series coefficients."""
+    for k, p in enumerate(_draws(5, 31)):
+        yield p, combined_cdf_coeffs(p, series_coeffs(1.0, k))
+
+
+NON_UNIT_XS = np.concatenate(([0.0], np.geomspace(1e-3, 20.0, 40)))
+
+
 def test_closed_forms_pinned_at_non_unit_rates():
-    """Golden over well-separated non-unit rates, one draw per depth 0-30:
-    the CDF (clamped and raw) and PDF array bytes and the float.hex of
-    outage, BEP and capacity.  Recorded before the series CDF kept only its
-    column polynomial."""
-    xs = np.concatenate(([0.0], np.geomspace(1e-3, 20.0, 40)))
+    """Golden over the non-unit points: the CDF (clamped and raw) array
+    bytes and the float.hex of outage, BEP and capacity.  Recorded before
+    the series PDF got its own density polynomial, which left these bits
+    unchanged."""
     h = hashlib.sha256()
     with warnings.catch_warnings():
         # the shallowest depths leave [0, 1] by more than the diagnostic's
         # tolerance; the raw values are part of the golden
         warnings.simplefilter("ignore", RuntimeWarning)
-        for k, p in enumerate(_draws(5, 31)):
-            co = combined_cdf_coeffs(p, series_coeffs(1.0, k))
-            for arr in (
-                combined_cdf(p, co, xs),
-                combined_cdf(p, co, xs, clamp=False),
-                combined_pdf(p, co, xs),
-            ):
-                h.update(arr.tobytes())
+        for p, co in _non_unit_points():
+            h.update(combined_cdf(p, co, NON_UNIT_XS).tobytes())
+            h.update(combined_cdf(p, co, NON_UNIT_XS, clamp=False).tobytes())
             for v in (outage(p, co, 1.0), bit_error_prob(p, co), capacity(p, co)):
                 h.update(float(v).hex().encode())
     assert h.hexdigest() == (
-        "ba9cf0367d71bee66d71daacd834299f29da4763f92d8eeab6418eed00ac0f60"
+        "902008c7ef8b6278e6f1aea444f34d9eefdccf07b5029b64036c2dd0f819bb67"
+    )
+
+
+def test_series_pdf_pinned_at_non_unit_rates():
+    """Golden over the non-unit points: the series PDF array bytes,
+    recorded when the PDF became one density polynomial, exactly 0 at the
+    origin."""
+    h = hashlib.sha256()
+    for p, co in _non_unit_points():
+        h.update(combined_pdf(p, co, NON_UNIT_XS).tobytes())
+    assert h.hexdigest() == (
+        "5cbaa7e0dfbb938e536a067c94d484657d58a040a64bdef25f818b1147929ed8"
     )

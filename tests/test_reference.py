@@ -3,7 +3,9 @@ the Riemann-Liouville fractional integral."""
 
 import math
 
+import numpy as np
 import pytest
+from scipy.special import kve
 
 from afrelay.reference import (
     QuadratureError,
@@ -43,6 +45,16 @@ class TestBesselK:
         z = 60.0
         lead = math.sqrt(math.pi / (2 * z)) * math.exp(-z)
         assert bessel_k(1.0, z) == pytest.approx(lead, rel=0.01)
+
+    @pytest.mark.parametrize("nu", (0.0, 1.0, 2.0, 3.7))
+    def test_relative_accuracy_everywhere(self, nu):
+        # kve(nu, z) e^-z is scipy's kv without its underflow to 0 at
+        # z = 700.  An absolute tolerance floor, or an integrand gone
+        # subnormal (unscaled, above z ~ 685), would cost relative accuracy
+        # at large z; measured worst 4e-15
+        for z in np.geomspace(1e-8, 700.0, 400).tolist() + [690.0, 705.0]:
+            want = kve(nu, z) * math.exp(-z)
+            assert abs(bessel_k(nu, z) - want) <= 1e-13 * want, z
 
     def test_domain(self):
         with pytest.raises(ValueError):
