@@ -25,18 +25,17 @@ params = ChannelParams(gamma=1000.0, lambda_sd=1.0, lambda_sr=1.0, lambda_rd=1.0
 coeffs = combined_cdf_coeffs(params, series_coeffs(1.0, 10))
 
 # closed form vs the quadrature route, pointwise
+xs = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
 print("     x      cdf series    cdf quadrature   abs diff")
-for x in (0.25, 0.5, 1.0, 2.0, 4.0):
-    a = combined_cdf(params, coeffs, x)
-    b = combined_cdf_exact(params, x)
+for x, a, b in zip(xs, combined_cdf(params, coeffs, xs), combined_cdf_exact(params, xs)):
     print(f"  {x:5.2f}   {a:.9f}    {b:.9f}    {abs(a - b):.2e}")
 print()
 
 # histogram of the exact model on the default [0, 8) x 80 grid
 hist = simulate(params, SimConfig(seed=42, samples=10**7), "pdf", workers=4)
 centers = hist.centers
-pdf_closed = np.array([combined_pdf(params, coeffs, float(c)) for c in centers])
-pdf_bound = np.array([minbound_pdf(params, float(c)) for c in centers])
+pdf_closed = combined_pdf(params, coeffs, centers)
+pdf_bound = minbound_pdf(params, centers)
 
 gap = np.abs(pdf_closed - hist.density)
 gap_bound = np.abs(pdf_bound - hist.density)

@@ -15,7 +15,7 @@ Closed forms implemented here:
 
 * exact CDF/PDF of S (srd_cdf / srd_pdf), valid at any gamma, with K_0/K_1
   from scipy.special (the quadrature oracle reference.bessel_k audits them
-  in the tests), imported on the first exact-model evaluation;
+  in the tests), imported where they are called;
 * a high-SNR series CDF/PDF of D + S (combined_cdf / combined_pdf) built
   from the truncated Bessel-K series, in the exponential-polynomial form
 
@@ -24,8 +24,12 @@ Closed forms implemented here:
   and its density, of the same form with the polynomial pdf; one
   evaluator (_expoly) computes both;
 
-* the exact convolution CDF of D + S by quadrature (combined_cdf_exact),
-  used to audit the high-SNR form;
+* the exact CDF of D + S (combined_cdf_exact), used to audit the high-SNR
+  form: the convolution of the direct path with the survival function of
+  S on fixed Gauss-Legendre panels, a whole grid of powers in one numpy
+  pass.  It is within 1e-13 absolute of a tight adaptive quadrature from
+  -20 to 100 dB, and it raises QuadratureError where its own error
+  estimate passes 1e-12;
 * the classical min(X, Y) upper-bound baseline (minbound_cdf/minbound_pdf),
   a hypoexponential Exp(lambda_sd) + Exp(lambda_sr + lambda_rd), in one
   form that keeps its accuracy at every spacing of the two rates.
@@ -41,14 +45,17 @@ polynomials together.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import bessel_series, reference
+from . import bessel_series
 from .bessel_series import _horner
+from .reference import QuadratureError
 
 __all__ = [
     "ChannelParams",
@@ -68,19 +75,22 @@ __all__ = [
 # as truncation artifacts before clamping.
 EXCURSION_TOL = 1e-6
 
-# exp(-_MASS_CUTOFF) is below the smallest subnormal double.
-_MASS_CUTOFF = 745.0
-
 # Relative spacing of lambda_srd and lambda_sd below which the series
 # coefficients hit their removable singularity.
 DEGENERATE_REL_TOL = 1e-9
 
+# combined_cdf_exact raises QuadratureError past this absolute error estimate.
+EXACT_ABS_TOL = 1e-12
 
-# scipy.special.k0 and k1, bound by _bind_bessel on the first exact-model
-# evaluation so that importing the package does not load scipy; srd_cdf
-# and srd_pdf need no other order.  _k1 is stored last, so callers test
-# it alone: once it is set, both are.
-_k0 = _k1 = None
+# The panels of combined_cdf_exact in t = u/x: [0, 0.5 * 4**-17], then
+# [0.5 * 4**-(j+1), 0.5 * 4**-j] for j = 16..0, then [0.5, 1]; 20 nodes each.
+_PANEL_NODES = 20
+_PANEL_RATIO = 0.25
+_PANEL_LEVELS = 17
+
+# Grid points per pass of combined_cdf_exact: bounds its temporaries to a
+# few MB, as each point takes one value per node.
+_EXACT_CHUNK = 1024
 
 
 class DegenerateParameterError(RuntimeError):
@@ -114,66 +124,6 @@ class ChannelParams:
         object.__setattr__(self, "lambda_p", lam_p)
         object.__setattr__(self, "lambda_s", lam_s)
         object.__setattr__(self, "lambda_srd", lam_s + 2.0 * math.sqrt(lam_p))
-
-
-def _bind_bessel() -> None:
-    global _k0, _k1
-    from scipy.special import k0, k1
-
-    _k0 = k0
-    _k1 = k1
-
-
-def srd_cdf(params: ChannelParams, x: float) -> float:
-    """Exact CDF of the relayed-path equivalent power S at x >= 0.
-
-    F(x) = 1 - 2 zeta exp(-lambda_s x) K_1(2 zeta) with
-    zeta = sqrt(lambda_p x (x + 1/gamma)).  The x -> 0 limit is 0 because
-    z K_1(z) -> 1.  K_1 is scipy.special.k1.  The tail is 0 where
-    exp(-lambda_s x) is 0, as at x = inf.
-    """
-    x = float(x)
-    if x < 0.0:
-        raise ValueError(f"power must be >= 0, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    decay = math.exp(-params.lambda_s * x)
-    if decay == 0.0:
-        return 1.0
-    zeta = math.sqrt(params.lambda_p * x * (x + 1.0 / params.gamma))
-    z = 2.0 * zeta
-    if z < 1e-8:
-        # z*K_1(z) = 1 + O(z^2 log z); below double resolution of the product
-        tail = decay
-    else:
-        if _k1 is None:
-            _bind_bessel()
-        tail = z * decay * float(_k1(z))
-    return min(max(1.0 - tail, 0.0), 1.0)
-
-
-def srd_pdf(params: ChannelParams, x: float) -> float:
-    """Exact PDF of the relayed-path equivalent power S at x > 0.
-
-    f(x) = 2 exp(-lambda_s x) (lambda_p (2x + 1/gamma) K_0(2 zeta)
-    + lambda_s zeta K_1(2 zeta)), with K_0/K_1 from scipy.special; 0 where
-    exp(-lambda_s x) is 0, as at x = inf.
-    """
-    x = float(x)
-    if x <= 0.0:
-        raise ValueError(f"density is defined for x > 0, got {x!r}")
-    decay = math.exp(-params.lambda_s * x)
-    if decay == 0.0:
-        return 0.0
-    inv_g = 1.0 / params.gamma
-    zeta = math.sqrt(params.lambda_p * x * (x + inv_g))
-    if _k1 is None:
-        _bind_bessel()
-    k0 = float(_k0(2.0 * zeta))
-    k1 = float(_k1(2.0 * zeta))
-    return 2.0 * decay * (
-        params.lambda_p * (2.0 * x + inv_g) * k0 + params.lambda_s * zeta * k1
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,35 +258,180 @@ def combined_pdf(params: ChannelParams, coeffs: SeriesCdfCoeffs, x):
     return _expoly(params, _powers(x), 0.0, coeffs.A * params.lambda_sd, coeffs.pdf)
 
 
-def combined_cdf_exact(params: ChannelParams, x: float) -> float:
-    """Exact CDF of D + S by convolving srd_cdf with the direct-path density.
+def _bessel_argument(params: ChannelParams, u):
+    """z = 2 sqrt(lambda_p u (u + 1/gamma)) and exp(-lambda_s u): the Bessel
+    argument and the decay in the CDF and PDF of S at powers u."""
+    z = 2.0 * np.sqrt(params.lambda_p * u * (u + 1.0 / params.gamma))
+    return z, np.exp(-params.lambda_s * u)
 
-    F(x) = integral_0^x lambda_sd exp(-lambda_sd v) F_S(x - v) dv, taken
-    over v <= 745 / lambda_sd, past which the direct-path density carries
-    no mass a double can hold.  No high-SNR assumption; this is the audit
-    target for combined_cdf.
+
+def _survival(params: ChannelParams, u):
+    """Survival function of S at powers u >= 0: 1 - F_S(u) = z K_1(z)
+    exp(-lambda_s u) (see _bessel_argument), a float for a scalar u.
+
+    It is 1 at u = 0, the limit of z K_1(z), and 0 where exp(-lambda_s u)
+    is 0, as at u = inf, where the product reads inf * 0.  A scalar takes
+    the same formula in Python floats, which raise no numpy warnings, so it
+    skips the array's error state.
     """
-    x = float(x)
-    if x < 0.0:
-        raise ValueError(f"power must be >= 0, got {x!r}")
-    if x == 0.0:
-        return 0.0
+    from scipy.special import k1
+
+    if not isinstance(u, np.ndarray):
+        z, decay = _bessel_argument(params, u)
+        if not decay:
+            return 0.0
+        return float(z * k1(z) * decay) if z else float(decay)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z, decay = _bessel_argument(params, u)
+        zk1 = np.where(z > 0.0, z * k1(z), 1.0)
+        return np.where(decay > 0.0, zk1 * decay, 0.0)
+
+
+def srd_cdf(params: ChannelParams, x):
+    """Exact CDF of the relayed-path equivalent power S, vectorized over x >= 0.
+
+    F(x) = 1 - 2 zeta exp(-lambda_s x) K_1(2 zeta) with
+    zeta = sqrt(lambda_p x (x + 1/gamma)), K_1 from scipy.special: 0 at
+    x = 0, because z K_1(z) -> 1, and 1 where exp(-lambda_s x) is 0, as at
+    x = inf.  combined_cdf_exact integrates the same survival function.
+    A scalar takes the array formula in Python floats, bit for bit.
+    """
+    v = _powers(x)
+    sf = _survival(params, v)
+    if isinstance(v, np.ndarray):
+        return np.clip(1.0 - sf, 0.0, 1.0)
+    return min(max(1.0 - sf, 0.0), 1.0)
+
+
+def srd_pdf(params: ChannelParams, x):
+    """Exact PDF of the relayed-path equivalent power S, vectorized over x > 0.
+
+    f(x) = 2 exp(-lambda_s x) (lambda_p (2x + 1/gamma) K_0(2 zeta)
+    + lambda_s zeta K_1(2 zeta)), with K_0/K_1 from scipy.special; 0 where
+    exp(-lambda_s x) is 0, as at x = inf.  A scalar takes the array formula
+    in Python floats, bit for bit.
+    """
+    from scipy.special import k0, k1
+
+    v = _powers(x)
+    zero = v == 0.0
+    if zero.any() if isinstance(v, np.ndarray) else zero:
+        raise ValueError("density is defined for x > 0; it has a log divergence at 0")
+
+    def density(z, decay):
+        return 2.0 * decay * (
+            params.lambda_p * (2.0 * v + 1.0 / params.gamma) * k0(z)
+            + params.lambda_s * (0.5 * z) * k1(z)
+        )
+
+    if not isinstance(v, np.ndarray):
+        z, decay = _bessel_argument(params, v)
+        return float(density(z, decay)) if decay else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        z, decay = _bessel_argument(params, v)
+        return np.where(decay > 0.0, density(z, decay), 0.0)
+
+
+@functools.cache
+def _panel_rule():
+    """The panels of combined_cdf_exact in t = u/x: nodes, weights, panel
+    widths, and the map from one panel's node values to the last four
+    Legendre coefficients c_16..c_19 of their interpolant.  Built on first
+    use, as importing numpy.polynomial takes a few ms."""
+    from numpy.polynomial import legendre
+
+    n = _PANEL_NODES
+    s, w = legendre.leggauss(n)
+    levels = 0.5 * _PANEL_RATIO ** np.arange(_PANEL_LEVELS, -1, -1)
+    cuts = np.concatenate(([0.0], levels, [1.0]))
+    width = np.diff(cuts)
+    t = (cuts[:-1, None] + 0.5 * width[:, None] * (1.0 + s)).ravel()
+    weights = (0.5 * width[:, None] * w).ravel()
+    j = np.arange(n - 4, n)
+    tail = legendre.legvander(s, n - 1)[:, j].T * w * (j[:, None] + 0.5)
+    return t, weights, width, tail
+
+
+def _exact_cdf_block(params: ChannelParams, x: np.ndarray) -> np.ndarray:
+    """combined_cdf_exact on a 1-d array of powers; see there."""
+    t, w, width, tail = _panel_rule()
+    n = _PANEL_NODES
     lam = params.lambda_sd
+    span = np.where(np.isinf(x), 0.0, x)  # x = inf reads 1 below
+    u = span[:, None] * t
+    decay = np.exp(-lam * (span[:, None] - u))
+    sf = _survival(params, u)
+    g = lam * decay * sf
+    integral = span * (g * w).sum(axis=1)
 
-    def integrand(v: float) -> float:
-        return lam * math.exp(-lam * v) * srd_cdf(params, x - v)
+    # The error estimate.  Per panel: the n node values fix the Legendre
+    # coefficients c_0..c_19 of their interpolant, and the rule errs by
+    # about c_40; max(|c_18|, |c_19|) is carried to degree 40 at the rate
+    # it falls from max(|c_16|, |c_17|) (not at all where it does not),
+    # times the panel's width.  The two ends are bounded instead, as S-bar
+    # falls and the direct-path density rises with u: the first panel by
+    # S's mass below its end, and, where that density falls by more than a
+    # factor e from t = 1 to the last node (its scale 1 / lambda_sd is
+    # finer than the nodes there), the gap past the last node by the mass
+    # it can hold.
+    c = np.abs(g.reshape(len(x), -1, n) @ tail.T)
+    hi = np.maximum(c[..., 2], c[..., 3])
+    lo = np.maximum(c[..., 0], c[..., 1])
+    fall = np.divide(hi, lo, out=np.ones_like(hi), where=lo > hi)
+    panels = (width * hi * fall ** ((n + 1) / 2)).sum(axis=1)
+    first = width[0] * lam * decay[:, n] * (1.0 - sf[:, n])
+    gap = np.where(decay[:, -1] < math.exp(-1.0), sf[:, -1] * (1.0 - decay[:, -1]), 0.0)
+    estimate = span * (panels + first) + gap
+    if (estimate > EXACT_ABS_TOL).any():
+        i = int(np.argmax(estimate))
+        raise QuadratureError(
+            f"exact CDF at x = {x[i]!r}: quadrature error estimate "
+            f"{estimate[i]:.3g} exceeds {EXACT_ABS_TOL:g}",
+            estimate=float(estimate[i]),
+        )
+    cdf = np.clip(-np.expm1(-lam * span) - integral, 0.0, 1.0)
+    return np.where(np.isinf(x), 1.0, cdf)
 
-    # over all of a far larger [0, x] the quadrature misses the mass near 0
-    val = reference.adaptive_quad(integrand, 0.0, min(x, _MASS_CUTOFF / lam))
-    return min(max(val, 0.0), 1.0)
+
+def combined_cdf_exact(params: ChannelParams, x):
+    """Exact CDF of D + S, vectorized over x: the audit target for combined_cdf.
+
+    With S-bar = 1 - srd_cdf the survival function of S,
+
+        F(x) = 1 - exp(-lambda_sd x)
+               - integral_0^x lambda_sd exp(-lambda_sd (x - u)) S-bar(u) du,
+
+    with no high-SNR assumption.  The integral runs in t = u/x over fixed
+    Gauss-Legendre panels of 20 nodes: [0.5, 1] and panels graded
+    geometrically toward t = 0, each a quarter of the one above, down to
+    [0, 0.5 * 4**-17].  Near u = 0, S-bar has a u log u cusp and changes
+    on the scale 1/gamma; near t = 0 the integrand also falls at the rate
+    lambda_srd - lambda_sd.  Against a tight adaptive quadrature the
+    result is within 1e-13 absolute from -20 to 100 dB, out to
+    x = 1e3 / lambda_sd.
+
+    The same node values give an error estimate (see _exact_cdf_block);
+    where it passes 1e-12 absolute, QuadratureError is raised with the
+    estimate attached instead of a value returned.  The CDF is exactly 0
+    at x = 0 and 1 where the direct path and S have no mass a double can
+    hold, as at x = inf.  Grid points are evaluated 1024 at a time.
+    """
+    v = _powers(x)
+    flat = np.array(v, dtype=float).reshape(-1)
+    out = np.empty_like(flat)
+    for lo in range(0, flat.size, _EXACT_CHUNK):
+        out[lo : lo + _EXACT_CHUNK] = _exact_cdf_block(params, flat[lo : lo + _EXACT_CHUNK])
+    return _result(out.reshape(np.shape(v)), v)
 
 
 def _hypoexp(params: ChannelParams, x):
     """The powers v, the min-of-hops rates a <= b and exp(-a v) g(v), with
-    g(v) = (1 - exp(-(b - a) v)) / (b - a), which is v at equal rates."""
+    g(v) = (1 - exp(-(b - a) v)) / (b - a), which is v at equal rates.
+    There v is capped at the largest double, so that exp(-a v) g(v) is 0
+    at v = inf, not 0 * inf."""
     v = _powers(x)
     a, b = sorted((params.lambda_sd, params.lambda_s))
-    g = -np.expm1((a - b) * v) / (b - a) if b > a else v
+    g = -np.expm1((a - b) * v) / (b - a) if b > a else np.minimum(v, sys.float_info.max)
     return v, a, b, np.exp(-a * v) * g
 
 

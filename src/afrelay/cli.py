@@ -195,7 +195,7 @@ def _cmd_dist(args) -> int:
 
     cdf = combined_cdf(params, co, xs)
     pdf = combined_pdf(params, co, xs)
-    cdfq = np.array([combined_cdf_exact(params, float(x)) for x in xs])
+    cdfq = combined_cdf_exact(params, xs)
 
     mc = mb = None
     if args.with_mc or args.with_minbound:

@@ -32,7 +32,8 @@ __all__ = [
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge to the requested tolerance."""
+    """A quadrature failed to reach its requested tolerance: adaptive_quad
+    did not converge, or combined_cdf_exact's error estimate passed its bound."""
 
     def __init__(self, message: str, estimate: float = math.nan):
         super().__init__(message)

@@ -15,9 +15,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from afrelay import reference
+from afrelay import channel, reference
 from afrelay.bessel_series import series_coeffs
 from afrelay.channel import (
+    EXACT_ABS_TOL,
     ChannelParams,
     DegenerateParameterError,
     SeriesCdfCoeffs,
@@ -31,7 +32,7 @@ from afrelay.channel import (
     srd_pdf,
 )
 from afrelay.montecarlo import SimConfig, relay_power, simulate
-from afrelay.reference import QuadratureSpec, adaptive_quad
+from afrelay.reference import QuadratureError, QuadratureSpec, adaptive_quad
 
 UNIT = ChannelParams(gamma=1000.0, lambda_sd=1.0, lambda_sr=1.0, lambda_rd=1.0)
 TABLE10 = series_coeffs(1.0, 10)
@@ -300,9 +301,10 @@ class TestCombinedCdf:
         assert pdfs.tolist() == [combined_pdf(UNIT, co, 1.0), 0.0]
 
 
-def scalar_path_draws(seed: int, n: int):
+def scalar_path_draws(seed: int, n: int, db=(0.0, 40.0)):
     """Seeded parameter points over the whole rate box, half of them put
-    right next to the removable singularity lambda_sd = lambda_srd."""
+    right next to the removable singularity lambda_sd = lambda_srd, with
+    gamma uniform in dB over db."""
     rng = np.random.default_rng(seed)
     out = []
     for i in range(n):
@@ -310,7 +312,7 @@ def scalar_path_draws(seed: int, n: int):
         if i % 2:
             rel = rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-12.0, -1.0)
             lsd = (math.sqrt(lsr) + math.sqrt(lrd)) ** 2 * (1.0 + rel)
-        gamma = 10 ** (rng.uniform(0.0, 40.0) / 10)
+        gamma = 10 ** (rng.uniform(*db) / 10)
         out.append(ChannelParams(gamma=gamma, lambda_sd=lsd, lambda_sr=lsr, lambda_rd=lrd))
     return out
 
@@ -488,7 +490,9 @@ class TestExactModelAgainstOracle:
         assert worst_pdf < 1e-12
 
     def test_combined_cdf_exact_matches_oracle_convolution(self):
-        # the outer quadrature lands on the same value: measured gap 0
+        # measured gaps 0, 2.6e-12 and 4.4e-15 relative; at gamma = 1e3 the
+        # default-spec quadrature here is the less accurate side (see
+        # TestExactPanels.test_default_spec_is_the_looser_side)
         for gamma, (lsr, lrd), x in (
             (1.0, self.RATES[0], 0.7),
             (1e3, self.RATES[1], 2.0),
@@ -518,6 +522,125 @@ class TestExactModelAgainstOracle:
         # exp(-lambda_s x) is 0, and so is the tail, where the formulas
         # would read inf * 0
         assert (srd_cdf(UNIT, math.inf), srd_pdf(UNIT, math.inf)) == (1.0, 0.0)
+
+
+def adaptive_cdf_exact(p: ChannelParams, x: float) -> float:
+    """The exact CDF of D + S by adaptive quadrature, one point at a time:
+    integral_0^x lambda_sd exp(-lambda_sd v) F_S(x - v) dv over
+    v <= 745 / lambda_sd, past which the direct-path density holds no mass
+    a double can hold, at relative 1e-14, absolute 1e-15 and up to 2000
+    subdivisions (adaptive_quad's default is 1e-10, 1e-12 and 200).
+
+    The range is cut at v = x - x 10**-k, k = 1..12, toward the end where
+    F_S(x - v) rises from 0.  Where S has its mass within a sliver of 0,
+    one quadrature over the whole range misses that mass: 1.45e-6 at
+    -20 dB, lambda_sd = 0.2, both hops at rate 5 and x = 20, the value
+    combined_cdf_exact returned before it integrated on fixed panels.
+    QUADPACK's roundoff verdict is accepted, as relative 1e-14 is below the
+    ~50 ulp it certifies and it then returns its value at double accuracy;
+    any other verdict fails.
+    """
+    from scipy import integrate
+
+    if x == 0.0:
+        return 0.0
+    lam = p.lambda_sd
+    hi = min(x, 745.0 / lam)
+    cuts = [0.0] + [x - x * 10.0**-k for k in range(1, 13) if x - x * 10.0**-k < hi] + [hi]
+    total = 0.0
+    for a, b in zip(cuts, cuts[1:]):
+        out = integrate.quad(
+            lambda v: lam * math.exp(-lam * v) * srd_cdf(p, x - v), a, b,
+            epsabs=1e-15, epsrel=1e-14, limit=2000, full_output=1,
+        )
+        assert len(out) == 3 or "occurrence of roundoff error" in out[3], out[3]
+        total += out[0]
+    return total
+
+
+def _unit_db(db: float) -> ChannelParams:
+    return ChannelParams(gamma=10 ** (db / 10), lambda_sd=1.0, lambda_sr=1.0, lambda_rd=1.0)
+
+
+# (parameters, powers): the validate audit grid, the dist default grid, a
+# gamma sweep at unit rates out to x = 1e3 / lambda_sd, seeded draws over
+# the rate box (the lambda_sd ~ lambda_srd band kept) out to the same
+# reach, and fast hops at -20 dB, where S has its mass within 1e-3 of 0
+SWEEP = {
+    "audit-60dB": [(_unit_db(60.0), np.linspace(0.0, 10.0, 101))],
+    "audit-0dB": [(_unit_db(0.0), np.linspace(0.0, 10.0, 101))],
+    "dist": [(_unit_db(db), np.linspace(0.0, 6.0, 61)) for db in (0.0, 20.0, 40.0)],
+    "gamma": [
+        (_unit_db(db), np.geomspace(1e-6, 1e3, 19)) for db in (-20, 0, 20, 40, 60, 80, 100)
+    ],
+    "draws": [
+        (p, np.geomspace(1e-4, 1e3, 15) / p.lambda_sd)
+        for p in scalar_path_draws(15, 10, db=(-20.0, 100.0))
+    ],
+    "fast-hops": [
+        (ChannelParams(gamma=0.01, lambda_sd=0.2, lambda_sr=5.0, lambda_rd=5.0),
+         np.linspace(0.0, 40.0, 21))
+    ],
+}
+
+
+class TestExactPanels:
+    """combined_cdf_exact's fixed Gauss-Legendre panels against the
+    adaptive route, adaptive_cdf_exact."""
+
+    @pytest.mark.parametrize("name", SWEEP)
+    def test_within_1e13_of_the_tight_adaptive_route(self, name):
+        # measured worst 5.6e-16 over the 689 points (dist group); none
+        # raises, so every error estimate stays within EXACT_ABS_TOL
+        worst = 0.0
+        for p, xs in SWEEP[name]:
+            got = combined_cdf_exact(p, xs)
+            for x, value in zip(xs.tolist(), got.tolist()):
+                worst = max(worst, abs(value - adaptive_cdf_exact(p, x)))
+        assert worst <= 1e-13, name
+
+    def test_default_spec_is_the_looser_side(self):
+        # the 2.6e-12 relative gap at gamma = 1e3 in
+        # test_combined_cdf_exact_matches_oracle_convolution is its
+        # default-spec quadrature's: the tight route is 1.7e-12 from it and
+        # 1.1e-16 from the panels
+        p = ChannelParams(gamma=1e3, lambda_sd=0.6, lambda_sr=1.7, lambda_rd=4.0)
+        lam = p.lambda_sd
+        loose = adaptive_quad(
+            lambda v: lam * math.exp(-lam * v) * oracle_srd_cdf(p, 2.0 - v), 0.0, 2.0
+        )
+        tight = adaptive_cdf_exact(p, 2.0)
+        assert abs(combined_cdf_exact(p, 2.0) - tight) < 1e-15
+        assert abs(loose - tight) > 1e-12
+
+    def test_scalar_equals_array_bitwise(self):
+        xs = np.concatenate(([0.0], np.geomspace(1e-9, 1e3, 60), [1e40, math.inf]))
+        for p in [UNIT] + scalar_path_draws(5, 6, db=(-20.0, 100.0)):
+            for f, grid in ((srd_cdf, xs), (srd_pdf, xs[1:]), (combined_cdf_exact, xs)):
+                vec = f(p, grid)
+                one = np.array([f(p, x) for x in grid.tolist()])
+                assert np.array_equal(one.view(np.uint64), vec.view(np.uint64)), (f, p)
+                assert type(f(p, grid[1])) is float and type(f(p, np.array(grid[1]))) is float
+                assert f(p, grid[:62].reshape(2, 31)).shape == (2, 31)
+
+    def test_grid_larger_than_one_pass(self):
+        # 1024 points per pass: a longer grid takes two, with the same bits
+        xs = np.linspace(0.0, 12.0, 1500)
+        whole = combined_cdf_exact(UNIT, xs)
+        parts = np.concatenate([combined_cdf_exact(UNIT, xs[:700]), combined_cdf_exact(UNIT, xs[700:])])
+        assert np.array_equal(whole.view(np.uint64), parts.view(np.uint64))
+
+    def test_refuses_past_its_error_bound(self, monkeypatch):
+        # lambda_sd = 100 lambda_srd: near t = 1 the direct-path density
+        # changes on a scale finer than the nodes, so the estimate (1.7e-4
+        # at x = 1) passes EXACT_ABS_TOL; the value it withholds is off by
+        # 8.5e-5
+        p = ChannelParams(gamma=1e3, lambda_sd=400.0, lambda_sr=1.0, lambda_rd=1.0)
+        with pytest.raises(QuadratureError, match="error estimate") as info:
+            combined_cdf_exact(p, np.array([0.01, 1.0]))
+        assert info.value.estimate > EXACT_ABS_TOL
+        monkeypatch.setattr(channel, "EXACT_ABS_TOL", math.inf)
+        assert abs(combined_cdf_exact(p, 1.0) - adaptive_cdf_exact(p, 1.0)) > 1e-6
 
 
 class TestMinboundBaseline:
@@ -559,6 +682,14 @@ class TestMinboundBaseline:
     def test_ends_at_one_and_zero(self):
         assert (minbound_cdf(UNIT, math.inf), minbound_pdf(UNIT, math.inf)) == (1.0, 0.0)
         assert minbound_cdf(UNIT, np.array([0.0, math.inf])).tolist() == [0.0, 1.0]
+
+    def test_equal_rates_end_at_one_and_zero(self):
+        # lambda_sd = lambda_s = 2: exp(-a v) v was 0 * inf = nan at v = inf
+        p = ChannelParams(gamma=10.0, lambda_sd=2.0, lambda_sr=1.0, lambda_rd=1.0)
+        assert (minbound_cdf(p, math.inf), minbound_pdf(p, math.inf)) == (1.0, 0.0)
+        xs = np.array([1.0, math.inf])
+        assert minbound_cdf(p, xs).tolist() == [minbound_cdf(p, 1.0), 1.0]
+        assert minbound_pdf(p, xs).tolist() == [minbound_pdf(p, 1.0), 0.0]
 
     def test_pdf_normalizes(self):
         total = adaptive_quad(lambda x: minbound_pdf(UNIT, x), 0.0, 60.0)

@@ -282,13 +282,16 @@ class TestDist:
         assert "seed" in err
 
     def test_pinned_artifact(self, capsys):
-        # golden: covers the array path of the series CDF/PDF; re-recorded
-        # when pdf_eq at x = 0 went from -8.881784197e-16 to exactly 0
+        # golden: covers the array path of the series CDF/PDF and of the
+        # exact CDF; re-recorded when pdf_eq at x = 0 went from
+        # -8.881784197e-16 to exactly 0, and when cdf_quadrature moved to
+        # fixed panels (26 of 61 cells, by at most 1.17e-10, each toward a
+        # tight adaptive quadrature)
         code, out, _ = run_cli(capsys, "dist", "--gamma-db", "20")
         assert code == 0
         manifest, _, _ = parse_csv(out)
         assert manifest["artifact_checksum"] == (
-            "c155ae796b0819213d484d29ede50b4f273a9e9c55ce338e86e1a53387f10696"
+            "aa1a9233edc22ce17acbe9d2053539bc0e40a1a7ae1f453c32a3dfb82676b9ae"
         )
 
 

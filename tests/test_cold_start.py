@@ -31,10 +31,13 @@ def test_import_loads_no_scipy(child_env):
 
 
 @pytest.mark.parametrize(
-    "argv", (["coeffs", "--nu", "1"], ["perf", "--gamma-db-grid", "0:30:4"]), ids=("coeffs", "perf"),
+    "argv",
+    (["coeffs", "--nu", "1"], ["perf", "--gamma-db-grid", "0:30:4"], ["dist", "--gamma-db", "20"]),
+    ids=("coeffs", "perf", "dist"),
 )
 def test_command_does_not_load_scipy_integrate(argv, child_env):
-    # no point of this perf grid needs the quadrature fallback of capacity
+    # no point of this perf grid needs the quadrature fallback of capacity,
+    # and dist's cdf_quadrature column takes fixed panels, not scipy.integrate
     code = (
         "import contextlib, io, sys\n"
         "import afrelay.cli\n"
