@@ -26,21 +26,23 @@ Closed forms implemented here:
 
 * the exact CDF of D + S (combined_cdf_exact), used to audit the high-SNR
   form: the convolution of the direct path with the survival function of
-  S on fixed Gauss-Legendre panels, a whole grid of powers in one numpy
-  pass.  It is within 1e-13 absolute of a tight adaptive quadrature from
-  -20 to 100 dB, and it raises QuadratureError where its own error
-  estimate passes 1e-12;
+  S on fixed Gauss-Legendre panels, graded toward both ends of [0, x] as
+  far as each point's rates and power need, a whole grid of powers in a
+  few numpy passes.  It is within 1e-13 absolute of a tight adaptive
+  quadrature from -20 to 100 dB, and it raises QuadratureError where its
+  own error estimate passes 1e-12;
 * the classical min(X, Y) upper-bound baseline (minbound_cdf/minbound_pdf),
   a hypoexponential Exp(lambda_sd) + Exp(lambda_sr + lambda_rd), in one
   form that keeps its accuracy at every spacing of the two rates.
 
 The vectorized closed forms take a scalar or an array of powers through one
-formula.  A scalar stays a Python float end to end and comes back as one,
-so a quadrature integrand pays for a few float operations and np.exp
-calls, not for array set-up.  Facts that depend only on the parameters are
-computed once: ChannelParams derives its rate combinations on
-construction, and combined_cdf_coeffs builds the CDF's and the density's
-polynomials together.
+formula, and a scalar comes back as a Python float.  In the series forms a
+scalar stays a Python float end to end, so a quadrature integrand pays for
+a few float operations and np.exp calls, not for array set-up; the exact
+forms and the min bound run numpy on it.  Facts that depend only on the
+parameters are computed once: ChannelParams derives its rate combinations
+on construction, and combined_cdf_coeffs builds the CDF's and the
+density's polynomials together.
 """
 
 from __future__ import annotations
@@ -82,14 +84,21 @@ DEGENERATE_REL_TOL = 1e-9
 # combined_cdf_exact raises QuadratureError past this absolute error estimate.
 EXACT_ABS_TOL = 1e-12
 
-# The panels of combined_cdf_exact in t = u/x: [0, 0.5 * 4**-17], then
-# [0.5 * 4**-(j+1), 0.5 * 4**-j] for j = 16..0, then [0.5, 1]; 20 nodes each.
+# The panel rule of combined_cdf_exact (see there): 20 nodes a panel, each
+# panel a quarter of the one before it, 17 levels toward t = 0, and one more
+# level per factor 4 by which x max(lambda_srd, lambda_p / gamma) passes
+# _LOW_REACH (toward t = 0) or lambda_sd x passes _HIGH_REACH (toward t = 1),
+# at most _EXTRA_LEVELS at either end.
 _PANEL_NODES = 20
 _PANEL_RATIO = 0.25
 _PANEL_LEVELS = 17
+_LOW_REACH = 1e7
+_HIGH_REACH = 32.0
+_EXTRA_LEVELS = 32
 
-# Grid points per pass of combined_cdf_exact: bounds its temporaries to a
-# few MB, as each point takes one value per node.
+# Grid points per pass of combined_cdf_exact on the 19 panels of the base
+# rule, fewer in proportion on more panels: bounds its temporaries to a few
+# MB, as each point takes one value per node.
 _EXACT_CHUNK = 1024
 
 
@@ -265,26 +274,19 @@ def _bessel_argument(params: ChannelParams, u):
     return z, np.exp(-params.lambda_s * u)
 
 
-def _survival(params: ChannelParams, u):
-    """Survival function of S at powers u >= 0: 1 - F_S(u) = z K_1(z)
-    exp(-lambda_s u) (see _bessel_argument), a float for a scalar u.
+def _survival(params: ChannelParams, u: np.ndarray) -> np.ndarray:
+    """Survival function of S at an array of powers u >= 0: 1 - F_S(u) =
+    z K_1(z) exp(-lambda_s u) (see _bessel_argument), in [0, 1].
 
-    It is 1 at u = 0, the limit of z K_1(z), and 0 where exp(-lambda_s u)
-    is 0, as at u = inf, where the product reads inf * 0.  A scalar takes
-    the same formula in Python floats, which raise no numpy warnings, so it
-    skips the array's error state.
+    z K_1(z) falls from its limit 1 at z = 0; np.fmin caps it at 1, which
+    also takes that limit where the product reads 0 * inf = nan, at u = 0,
+    and gives 1 * 0 at u = inf, where it reads inf * 0.
     """
     from scipy.special import k1
 
-    if not isinstance(u, np.ndarray):
-        z, decay = _bessel_argument(params, u)
-        if not decay:
-            return 0.0
-        return float(z * k1(z) * decay) if z else float(decay)
     with np.errstate(over="ignore", invalid="ignore"):
         z, decay = _bessel_argument(params, u)
-        zk1 = np.where(z > 0.0, z * k1(z), 1.0)
-        return np.where(decay > 0.0, zk1 * decay, 0.0)
+        return np.fmin(z * k1(z), 1.0) * decay
 
 
 def srd_cdf(params: ChannelParams, x):
@@ -294,13 +296,10 @@ def srd_cdf(params: ChannelParams, x):
     zeta = sqrt(lambda_p x (x + 1/gamma)), K_1 from scipy.special: 0 at
     x = 0, because z K_1(z) -> 1, and 1 where exp(-lambda_s x) is 0, as at
     x = inf.  combined_cdf_exact integrates the same survival function.
-    A scalar takes the array formula in Python floats, bit for bit.
+    A scalar runs the array formula on a 0-d array and comes back a float.
     """
     v = _powers(x)
-    sf = _survival(params, v)
-    if isinstance(v, np.ndarray):
-        return np.clip(1.0 - sf, 0.0, 1.0)
-    return min(max(1.0 - sf, 0.0), 1.0)
+    return _result(1.0 - _survival(params, np.asarray(v)), v)
 
 
 def srd_pdf(params: ChannelParams, x):
@@ -308,33 +307,29 @@ def srd_pdf(params: ChannelParams, x):
 
     f(x) = 2 exp(-lambda_s x) (lambda_p (2x + 1/gamma) K_0(2 zeta)
     + lambda_s zeta K_1(2 zeta)), with K_0/K_1 from scipy.special; 0 where
-    exp(-lambda_s x) is 0, as at x = inf.  A scalar takes the array formula
-    in Python floats, bit for bit.
+    exp(-lambda_s x) is 0, as at x = inf.  A scalar runs the array formula
+    on a 0-d array and comes back a float.
     """
     from scipy.special import k0, k1
 
     v = _powers(x)
-    zero = v == 0.0
-    if zero.any() if isinstance(v, np.ndarray) else zero:
+    u = np.asarray(v)
+    if (u == 0.0).any():
         raise ValueError("density is defined for x > 0; it has a log divergence at 0")
-
-    def density(z, decay):
-        return 2.0 * decay * (
-            params.lambda_p * (2.0 * v + 1.0 / params.gamma) * k0(z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z, decay = _bessel_argument(params, u)
+        density = 2.0 * decay * (
+            params.lambda_p * (2.0 * u + 1.0 / params.gamma) * k0(z)
             + params.lambda_s * (0.5 * z) * k1(z)
         )
-
-    if not isinstance(v, np.ndarray):
-        z, decay = _bessel_argument(params, v)
-        return float(density(z, decay)) if decay else 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        z, decay = _bessel_argument(params, v)
-        return np.where(decay > 0.0, density(z, decay), 0.0)
+        return _result(np.where(decay > 0.0, density, 0.0), v)
 
 
 @functools.cache
-def _panel_rule():
-    """The panels of combined_cdf_exact in t = u/x: nodes, weights, panel
+def _panel_rule(low: int, high: int):
+    """The panels of combined_cdf_exact in t = u/x with low levels toward
+    t = 0 and high levels toward t = 1: nodes t, their distances 1 - t
+    (exact near t = 1, where x - u is taken from them), weights, panel
     widths, and the map from one panel's node values to the last four
     Legendre coefficients c_16..c_19 of their interpolant.  Built on first
     use, as importing numpy.polynomial takes a few ms."""
@@ -342,24 +337,35 @@ def _panel_rule():
 
     n = _PANEL_NODES
     s, w = legendre.leggauss(n)
-    levels = 0.5 * _PANEL_RATIO ** np.arange(_PANEL_LEVELS, -1, -1)
-    cuts = np.concatenate(([0.0], levels, [1.0]))
-    width = np.diff(cuts)
-    t = (cuts[:-1, None] + 0.5 * width[:, None] * (1.0 + s)).ravel()
+    half = 0.5 * (1.0 + s)  # the nodes on [0, 1]
+    near = np.concatenate(([0.0], 0.5 * _PANEL_RATIO ** np.arange(low, -1, -1)))  # t, up to 0.5
+    far = np.concatenate((0.5 * _PANEL_RATIO ** np.arange(high + 1), [0.0]))  # 1 - t, down to 0
+    rise, fall = np.diff(near), -np.diff(far)
+    t = (near[:-1, None] + rise[:, None] * half).ravel()
+    rest = (far[:-1, None] - fall[:, None] * half).ravel()
+    width = np.concatenate((rise, fall))
     weights = (0.5 * width[:, None] * w).ravel()
     j = np.arange(n - 4, n)
     tail = legendre.legvander(s, n - 1)[:, j].T * w * (j[:, None] + 0.5)
-    return t, weights, width, tail
+    return np.concatenate((t, 1.0 - rest)), np.concatenate((1.0 - t, rest)), weights, width, tail
 
 
-def _exact_cdf_block(params: ChannelParams, x: np.ndarray) -> np.ndarray:
-    """combined_cdf_exact on a 1-d array of powers; see there."""
-    t, w, width, tail = _panel_rule()
+def _extra_levels(reach: np.ndarray, start: float) -> np.ndarray:
+    """One level per factor 4 by which reach passes start, at most
+    _EXTRA_LEVELS; none for nan."""
+    steps = start * _PANEL_RATIO ** -np.arange(_EXTRA_LEVELS)
+    return (reach[:, None] > steps).sum(axis=1)
+
+
+def _exact_cdf_block(params: ChannelParams, x: np.ndarray, low: int, high: int) -> np.ndarray:
+    """combined_cdf_exact on a 1-d array of powers, on the panels of
+    _panel_rule(low, high); see there."""
+    t, rest, w, width, tail = _panel_rule(low, high)
     n = _PANEL_NODES
     lam = params.lambda_sd
     span = np.where(np.isinf(x), 0.0, x)  # x = inf reads 1 below
     u = span[:, None] * t
-    decay = np.exp(-lam * (span[:, None] - u))
+    decay = np.exp(-lam * span[:, None] * rest)
     sf = _survival(params, u)
     g = lam * decay * sf
     integral = span * (g * w).sum(axis=1)
@@ -372,8 +378,8 @@ def _exact_cdf_block(params: ChannelParams, x: np.ndarray) -> np.ndarray:
     # falls and the direct-path density rises with u: the first panel by
     # S's mass below its end, and, where that density falls by more than a
     # factor e from t = 1 to the last node (its scale 1 / lambda_sd is
-    # finer than the nodes there), the gap past the last node by the mass
-    # it can hold.
+    # finer than the nodes there, past _EXTRA_LEVELS), the gap past the
+    # last node by the mass it can hold.
     c = np.abs(g.reshape(len(x), -1, n) @ tail.T)
     hi = np.maximum(c[..., 2], c[..., 3])
     lo = np.maximum(c[..., 0], c[..., 1])
@@ -385,7 +391,7 @@ def _exact_cdf_block(params: ChannelParams, x: np.ndarray) -> np.ndarray:
     if (estimate > EXACT_ABS_TOL).any():
         i = int(np.argmax(estimate))
         raise QuadratureError(
-            f"exact CDF at x = {x[i]!r}: quadrature error estimate "
+            f"exact CDF at x = {float(x[i])!r}: quadrature error estimate "
             f"{estimate[i]:.3g} exceeds {EXACT_ABS_TOL:g}",
             estimate=float(estimate[i]),
         )
@@ -402,25 +408,44 @@ def combined_cdf_exact(params: ChannelParams, x):
                - integral_0^x lambda_sd exp(-lambda_sd (x - u)) S-bar(u) du,
 
     with no high-SNR assumption.  The integral runs in t = u/x over fixed
-    Gauss-Legendre panels of 20 nodes: [0.5, 1] and panels graded
-    geometrically toward t = 0, each a quarter of the one above, down to
-    [0, 0.5 * 4**-17].  Near u = 0, S-bar has a u log u cusp and changes
-    on the scale 1/gamma; near t = 0 the integrand also falls at the rate
-    lambda_srd - lambda_sd.  Against a tight adaptive quadrature the
-    result is within 1e-13 absolute from -20 to 100 dB, out to
-    x = 1e3 / lambda_sd.
+    Gauss-Legendre panels of 20 nodes, graded geometrically toward both
+    ends, each panel a quarter of the one before it:
+
+    * toward t = 0, down to [0, 0.5 * 4**-17].  There S-bar has a u log u
+      cusp, changes on the scale 1/gamma, and falls on the scale
+      1 / max(lambda_srd, lambda_p / gamma); the panels go one level
+      deeper per factor 4 by which x times that rate passes 1e7;
+    * toward t = 1, where the direct-path density changes on the scale
+      1 / (lambda_sd x): [0.5, 1] is one panel up to lambda_sd x = 32 and
+      is split one level further per factor 4 past it.
+
+    Either end takes at most 32 extra levels.  The levels depend on each
+    point's own x, so a point's value does not depend on the rest of the
+    grid.  Against a tight adaptive quadrature the result is within 1e-13
+    absolute from -20 to 100 dB, out to x = 1e3 / lambda_sd, with the
+    direct path up to 2.5e7 times faster than lambda_srd, and with S's mass
+    within 1e-9 of 0.
 
     The same node values give an error estimate (see _exact_cdf_block);
     where it passes 1e-12 absolute, QuadratureError is raised with the
-    estimate attached instead of a value returned.  The CDF is exactly 0
-    at x = 0 and 1 where the direct path and S have no mass a double can
-    hold, as at x = inf.  Grid points are evaluated 1024 at a time.
+    estimate attached instead of a value returned.  It does so past the
+    32 levels toward t = 1 (lambda_sd x beyond 32 * 4**32, about 5.9e20)
+    where S still has mass near x.  The CDF is exactly 0 at x = 0 and 1
+    where the direct path and S have no mass a double can hold, as at
+    x = inf.  Grid points are evaluated 1024 at a time on the base panels.
     """
     v = _powers(x)
     flat = np.array(v, dtype=float).reshape(-1)
+    rate = max(params.lambda_srd, params.lambda_p / params.gamma)
+    low = _PANEL_LEVELS + _extra_levels(rate * flat, _LOW_REACH)
+    high = _extra_levels(params.lambda_sd * flat, _HIGH_REACH)
     out = np.empty_like(flat)
-    for lo in range(0, flat.size, _EXACT_CHUNK):
-        out[lo : lo + _EXACT_CHUNK] = _exact_cdf_block(params, flat[lo : lo + _EXACT_CHUNK])
+    for lo, hi in np.unique(np.stack((low, high), axis=1), axis=0).tolist():
+        at = np.flatnonzero((low == lo) & (high == hi))
+        step = _EXACT_CHUNK * (_PANEL_LEVELS + 2) // (lo + hi + 2)
+        for i in range(0, at.size, step):
+            part = at[i : i + step]
+            out[part] = _exact_cdf_block(params, flat[part], lo, hi)
     return _result(out.reshape(np.shape(v)), v)
 
 

@@ -565,7 +565,11 @@ def _unit_db(db: float) -> ChannelParams:
 # (parameters, powers): the validate audit grid, the dist default grid, a
 # gamma sweep at unit rates out to x = 1e3 / lambda_sd, seeded draws over
 # the rate box (the lambda_sd ~ lambda_srd band kept) out to the same
-# reach, and fast hops at -20 dB, where S has its mass within 1e-3 of 0
+# reach, fast hops at -20 dB, where S has its mass within 1e-3 of 0, a
+# direct path 100 to 2.5e7 times faster than lambda_srd, where the panels
+# are graded toward t = 1, and a relayed path whose mass sits within 1e-9
+# of 0 (-90 dB, or hops at rate 1e9), where they are graded further toward
+# t = 0
 SWEEP = {
     "audit-60dB": [(_unit_db(60.0), np.linspace(0.0, 10.0, 101))],
     "audit-0dB": [(_unit_db(0.0), np.linspace(0.0, 10.0, 101))],
@@ -581,6 +585,17 @@ SWEEP = {
         (ChannelParams(gamma=0.01, lambda_sd=0.2, lambda_sr=5.0, lambda_rd=5.0),
          np.linspace(0.0, 40.0, 21))
     ],
+    "fast-direct": [
+        (ChannelParams(gamma=1e3, lambda_sd=lam, lambda_sr=1.0, lambda_rd=1.0),
+         np.geomspace(1e-3, 30.0, 16))
+        for lam in (400.0, 1e4, 1e8)
+    ],
+    "faint-relay": [
+        (ChannelParams(gamma=1e-9, lambda_sd=1.0, lambda_sr=1.0, lambda_rd=1.0),
+         np.geomspace(1e-3, 30.0, 16)),
+        (ChannelParams(gamma=1e3, lambda_sd=1.0, lambda_sr=1e9, lambda_rd=1e9),
+         np.geomspace(1e-3, 30.0, 16)),
+    ],
 }
 
 
@@ -590,8 +605,12 @@ class TestExactPanels:
 
     @pytest.mark.parametrize("name", SWEEP)
     def test_within_1e13_of_the_tight_adaptive_route(self, name):
-        # measured worst 5.6e-16 over the 689 points (dist group); none
-        # raises, so every error estimate stays within EXACT_ABS_TOL
+        # measured worst 5.6e-16 over the 721 points of the other groups
+        # and 9.6e-15 in fast-direct (lambda_sd = 1e8, x = 1e-3, where a
+        # 20-digit mpmath quadrature puts the error on the panels' side:
+        # numpy's 20-node Gauss-Legendre weights are good to 7e-14
+        # relative); none raises, so every error estimate stays within
+        # EXACT_ABS_TOL
         worst = 0.0
         for p, xs in SWEEP[name]:
             got = combined_cdf_exact(p, xs)
@@ -615,7 +634,8 @@ class TestExactPanels:
 
     def test_scalar_equals_array_bitwise(self):
         xs = np.concatenate(([0.0], np.geomspace(1e-9, 1e3, 60), [1e40, math.inf]))
-        for p in [UNIT] + scalar_path_draws(5, 6, db=(-20.0, 100.0)):
+        fast = ChannelParams(gamma=1e3, lambda_sd=400.0, lambda_sr=1.0, lambda_rd=1.0)
+        for p in [UNIT, fast] + scalar_path_draws(5, 6, db=(-20.0, 100.0)):
             for f, grid in ((srd_cdf, xs), (srd_pdf, xs[1:]), (combined_cdf_exact, xs)):
                 vec = f(p, grid)
                 one = np.array([f(p, x) for x in grid.tolist()])
@@ -627,20 +647,32 @@ class TestExactPanels:
         # 1024 points per pass: a longer grid takes two, with the same bits
         xs = np.linspace(0.0, 12.0, 1500)
         whole = combined_cdf_exact(UNIT, xs)
-        parts = np.concatenate([combined_cdf_exact(UNIT, xs[:700]), combined_cdf_exact(UNIT, xs[700:])])
+        parts = np.concatenate(
+            [combined_cdf_exact(UNIT, xs[:700]), combined_cdf_exact(UNIT, xs[700:])]
+        )
         assert np.array_equal(whole.view(np.uint64), parts.view(np.uint64))
 
-    def test_refuses_past_its_error_bound(self, monkeypatch):
-        # lambda_sd = 100 lambda_srd: near t = 1 the direct-path density
-        # changes on a scale finer than the nodes, so the estimate (1.7e-4
-        # at x = 1) passes EXACT_ABS_TOL; the value it withholds is off by
-        # 8.5e-5
+    def test_levels_follow_each_point(self):
+        # lambda_sd x from 1e-3 to 4e4 takes 0 to 7 levels toward t = 1;
+        # each point gets the value it gets alone
         p = ChannelParams(gamma=1e3, lambda_sd=400.0, lambda_sr=1.0, lambda_rd=1.0)
+        xs = np.geomspace(1e-5, 100.0, 40)
+        vec = combined_cdf_exact(p, xs)
+        one = np.array([combined_cdf_exact(p, x) for x in xs.tolist()])
+        assert np.array_equal(one.view(np.uint64), vec.view(np.uint64))
+
+    def test_refuses_past_its_error_bound(self, monkeypatch):
+        # lambda_sd = 1e22 with unit hops: lambda_sd x = 1e22 passes the 32
+        # levels toward t = 1 (they reach 32 * 4**32, about 5.9e20), so the
+        # last panel spans lambda_sd (x - u) up to 110 and the estimate,
+        # 2.5e-4, passes EXACT_ABS_TOL; the value it withholds is off by
+        # 6.6e-4
+        p = ChannelParams(gamma=1e3, lambda_sd=1e22, lambda_sr=1.0, lambda_rd=1.0)
         with pytest.raises(QuadratureError, match="error estimate") as info:
-            combined_cdf_exact(p, np.array([0.01, 1.0]))
+            combined_cdf_exact(p, np.array([1e-23, 1.0]))
         assert info.value.estimate > EXACT_ABS_TOL
         monkeypatch.setattr(channel, "EXACT_ABS_TOL", math.inf)
-        assert abs(combined_cdf_exact(p, 1.0) - adaptive_cdf_exact(p, 1.0)) > 1e-6
+        assert abs(combined_cdf_exact(p, 1.0) - adaptive_cdf_exact(p, 1.0)) > 1e-4
 
 
 class TestMinboundBaseline:

@@ -7,6 +7,7 @@ subprocess test pins the module entry point.
 
 import hashlib
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -280,6 +281,28 @@ class TestDist:
         assert code == 2
         assert out == ""
         assert "seed" in err
+
+    def test_fast_direct_path(self, capsys):
+        # lambda_sd = 400: the direct-path density changes on the scale
+        # 1/400 near u = x, so the panels are graded toward t = 1; the cells
+        # match a tight quadrature of the convolution
+        from scipy import integrate
+
+        from afrelay import ChannelParams, srd_cdf
+
+        code, out, _ = run_cli(capsys, "dist", "--lambda-sd", "400", "--gamma-db", "30")
+        assert code == 0
+        _, columns, rows = parse_csv(out)
+        xs = [float(v) for v in column(rows, columns, "x")]
+        quad = [float(v) for v in column(rows, columns, "cdf_quadrature")]
+        p = ChannelParams(gamma=1e3, lambda_sd=400.0, lambda_sr=1.0, lambda_rd=1.0)
+        for i in (5, 15, 60):
+            x = xs[i]
+            want, _ = integrate.quad(
+                lambda v: 400.0 * math.exp(-400.0 * v) * srd_cdf(p, x - v),
+                0.0, min(x, 745.0 / 400.0), epsabs=1e-15, epsrel=1e-13, limit=200,
+            )
+            assert quad[i] == pytest.approx(want, rel=1e-11), x
 
     def test_pinned_artifact(self, capsys):
         # golden: covers the array path of the series CDF/PDF and of the
