@@ -634,6 +634,8 @@ class TestExactPanels:
 
     def test_scalar_equals_array_bitwise(self):
         xs = np.concatenate(([0.0], np.geomspace(1e-9, 1e3, 60), [1e40, math.inf]))
+        # lambda_sd = 400: lambda_sd x from 4e-7 to 4e5 takes 0 to 7 levels
+        # toward t = 1, and each point gets the value it gets alone
         fast = ChannelParams(gamma=1e3, lambda_sd=400.0, lambda_sr=1.0, lambda_rd=1.0)
         for p in [UNIT, fast] + scalar_path_draws(5, 6, db=(-20.0, 100.0)):
             for f, grid in ((srd_cdf, xs), (srd_pdf, xs[1:]), (combined_cdf_exact, xs)):
@@ -651,15 +653,6 @@ class TestExactPanels:
             [combined_cdf_exact(UNIT, xs[:700]), combined_cdf_exact(UNIT, xs[700:])]
         )
         assert np.array_equal(whole.view(np.uint64), parts.view(np.uint64))
-
-    def test_levels_follow_each_point(self):
-        # lambda_sd x from 1e-3 to 4e4 takes 0 to 7 levels toward t = 1;
-        # each point gets the value it gets alone
-        p = ChannelParams(gamma=1e3, lambda_sd=400.0, lambda_sr=1.0, lambda_rd=1.0)
-        xs = np.geomspace(1e-5, 100.0, 40)
-        vec = combined_cdf_exact(p, xs)
-        one = np.array([combined_cdf_exact(p, x) for x in xs.tolist()])
-        assert np.array_equal(one.view(np.uint64), vec.view(np.uint64))
 
     def test_refuses_past_its_error_bound(self, monkeypatch):
         # lambda_sd = 1e22 with unit hops: lambda_sd x = 1e22 passes the 32
