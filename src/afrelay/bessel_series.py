@@ -110,16 +110,6 @@ def term_coeff(nu: float, n: int, i: int) -> float:
     return sign * math.exp(log_mag)
 
 
-@lru_cache(maxsize=None)
-def _coeff_tuple(nu: float, k: int) -> tuple[float, ...]:
-    # Column sums of the triangular term array: a_q = sum_{l=q..k} coeff(l, q).
-    # Cached write-once per (nu, k); tuples keep the cache immutable.
-    return tuple(
-        math.fsum(term_coeff(nu, l, q) for l in range(q, k + 1))
-        for q in range(k + 1)
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class CoefficientTable:
     """Polynomial coefficients a_0..a_k of the depth-k truncation for one
@@ -141,23 +131,39 @@ class TruncatedValue:
     epsilon_estimate: float
 
 
+@lru_cache(maxsize=None)
+def _table(nu: float, k: int) -> CoefficientTable:
+    # Column sums of the triangular term array: a_q = sum_{l=q..k} coeff(l, q).
+    # Cached write-once per (nu, k); the table is frozen and holds a tuple.
+    a = tuple(
+        math.fsum(term_coeff(nu, l, q) for l in range(q, k + 1))
+        for q in range(k + 1)
+    )
+    return CoefficientTable(nu=nu, a=a)
+
+
 def series_coeffs(nu: float, k: int) -> CoefficientTable:
-    """Collapsed polynomial coefficients a_0..a_k of the depth-k truncation.
+    """Collapsed polynomial coefficients a_0..a_k of the depth-k truncation,
+    built once per (nu, k): every call returns the same table.
 
     Raises ValueError for nu = 0 and half-integer nu, where the expansion
     is undefined.
     """
-    nu = _check_order(nu)
-    k = _check_depth(k)
-    return CoefficientTable(nu=nu, a=_coeff_tuple(nu, k))
+    return _table(_check_order(nu), _check_depth(k))
 
 
 def _horner(c, x):
     """sum_i c[i] x**i with numpy.polynomial.polyval's operations, bit for
-    bit, for a Python float or an ndarray x."""
+    bit, for a Python float or an ndarray x.  An array runs in one buffer,
+    updated in place: p *= x; p += c[i] rounds as c[i] + p * x does."""
     p = c[-1] + x * 0.0
+    if isinstance(p, float):
+        for ci in c[-2::-1]:
+            p = ci + p * x
+        return p
     for ci in c[-2::-1]:
-        p = ci + p * x
+        p *= x
+        p += ci
     return p
 
 
@@ -176,8 +182,8 @@ def evaluate(nu: float, k: int, z: float) -> TruncatedValue:
     z = float(z)
     if not z > 0.0:
         raise ValueError(f"series argument must be positive, got {z!r}")
-    value = _eval_poly_form(_coeff_tuple(nu, k), nu, z)
-    value_next = _eval_poly_form(_coeff_tuple(nu, k + 1), nu, z)
+    value = _eval_poly_form(_table(nu, k).a, nu, z)
+    value_next = _eval_poly_form(_table(nu, k + 1).a, nu, z)
     return TruncatedValue(value=value, epsilon_estimate=abs(value - value_next))
 
 

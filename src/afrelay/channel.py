@@ -37,12 +37,16 @@ Closed forms implemented here:
 
 The vectorized closed forms take a scalar or an array of powers through one
 formula, and a scalar comes back as a Python float.  In the series forms a
-scalar stays a Python float end to end, so a quadrature integrand pays for
-a few float operations and np.exp calls, not for array set-up; the exact
-forms and the min bound run numpy on it.  Facts that depend only on the
-parameters are computed once: ChannelParams derives its rate combinations
-on construction, and combined_cdf_coeffs builds the CDF's and the
-density's polynomials together.
+scalar stays a Python float end to end: each of its two np.exp calls turns
+into a float at once, and the rest is float arithmetic, so a quadrature
+integrand pays for a few float operations, not for numpy scalars or array
+set-up.  An array grid is evaluated in place, in one result buffer plus
+the relay decay and the polynomial.  The exact forms and the min bound run
+numpy on a scalar.  Facts that depend only on the parameters are computed
+once: ChannelParams derives its rate combinations on construction,
+combined_cdf_coeffs builds the CDF's and the density's polynomials
+together from one table of powers of d, and bessel_series.series_coeffs
+returns one cached table per order and depth.
 """
 
 from __future__ import annotations
@@ -166,10 +170,13 @@ def combined_cdf_coeffs(
     With d = lambda_srd - lambda_sd, term q of the series adds
     base_q / (c! d^(q-c+1)) to cols[c] for c = 0..q, where
     base_q = lambda_sd (2 sqrt(lambda_p))^q q! a_q; each column is summed
-    in q order.  The table must be for order nu = 1 (the CDF of S involves
-    K_1 only).  Raises DegenerateParameterError when lambda_srd is within
-    relative 1e-9 of lambda_sd, where the coefficients blow up; perturbing
-    lambda_sd by one part in 1e6 moves off the singularity.
+    in q order.  The powers d^m (one pow each) and the factorials c! (the
+    running product) are computed once per call, and every term reads
+    them from those tables.  The table must be for order nu = 1 (the CDF
+    of S involves K_1 only).  Raises DegenerateParameterError when
+    lambda_srd is within relative 1e-9 of lambda_sd, where the coefficients
+    blow up; perturbing lambda_sd by one part in 1e6 moves off the
+    singularity.
     """
     if table.nu != 1.0:
         raise ValueError(f"coefficients need the order-1 table, got nu={table.nu}")
@@ -182,17 +189,17 @@ def combined_cdf_coeffs(
             f"~1e-6 relative to evaluate nearby."
         )
     two_root_p = 2.0 * math.sqrt(params.lambda_p)
-    cols = [0.0] * (table.k + 2)  # cols[k+1] = 0 pads the density's top term
+    d_pow = [d**m for m in range(1, table.k + 2)]  # d_pow[m] = d^(m+1)
+    fact = []  # fact[c] = c!, the running product in floats
     q_fact = 1.0
+    cols = [0.0] * (table.k + 2)  # cols[k+1] = 0 pads the density's top term
     for q, a_q in enumerate(table.a):
         if q > 0:
             q_fact *= q
+        fact.append(q_fact)
         base = params.lambda_sd * two_root_p**q * q_fact * a_q
-        c_fact = 1.0
         for c in range(q + 1):
-            if c > 0:
-                c_fact *= c
-            cols[c] += base / (c_fact * d ** (q - c + 1))
+            cols[c] += base / (fact[c] * d_pow[q - c])
     # pdf[c] = (c + 1) cols[c+1] - lambda_srd cols[c]; at c = 0 that is exactly
     # -A lambda_sd, as cols[1] - d cols[0] + lambda_sd = lambda_sd (1 - a_0) = 0
     pdf = [(c + 1) * cols[c + 1] - params.lambda_srd * cols[c] for c in range(table.k + 1)]
@@ -206,7 +213,9 @@ def _powers(x):
     if not isinstance(x, (float, int)):
         x = np.asarray(x, dtype=float)
         if x.ndim:
-            if (x < 0.0).any():  # the method skips np.any's dispatch
+            # one reduction; fmin skips nan, so a negative entry among nans
+            # is refused, and an empty or all-nan grid reads the initial 0
+            if np.fmin.reduce(x, axis=None, initial=0.0) < 0.0:
                 raise ValueError("power must be >= 0")
             return x
     v = float(x)
@@ -223,15 +232,27 @@ def _result(out, v):
 def _expoly(params: ChannelParams, v, const: float, a: float, poly):
     """const + a exp(-lambda_sd v) + exp(-lambda_srd v) sum_c poly[c] v^c, a
     float for a scalar v.  The relay term is 0 where exp(-lambda_srd v) is
-    0, so 0 times an overflowed polynomial gives no nan at any v."""
-    direct = const + a * np.exp(-params.lambda_sd * v)
-    relay = np.exp(-params.lambda_srd * v)
+    0, so 0 times an overflowed polynomial gives no nan at any v.
+
+    An array fills a new result buffer in place, never v itself.  A scalar
+    turns each np.exp into a Python float at once, and the rest is float
+    arithmetic; np.exp and not math.exp, whose bits differ."""
     if isinstance(v, np.ndarray):
-        term = relay * _horner(poly, v)
+        out = np.multiply(v, -params.lambda_sd)
+        np.exp(out, out=out)
+        out *= a
+        out += const
+        relay = np.multiply(v, -params.lambda_srd)
+        np.exp(relay, out=relay)
+        term = _horner(poly, v)
+        term *= relay
         if not relay.all():
             term[relay == 0.0] = 0.0
-        return direct + term
-    return float(direct + relay * _horner(poly, v)) if relay else float(direct)
+        out += term
+        return out
+    direct = const + a * float(np.exp(-params.lambda_sd * v))
+    relay = float(np.exp(-params.lambda_srd * v))
+    return direct + relay * _horner(poly, v) if relay else direct
 
 
 def combined_cdf(params: ChannelParams, coeffs: SeriesCdfCoeffs, x, clamp: bool = True):
@@ -244,7 +265,7 @@ def combined_cdf(params: ChannelParams, coeffs: SeriesCdfCoeffs, x, clamp: bool 
     raw = _expoly(params, _powers(x), 1.0, -coeffs.A, coeffs.cols)
     if isinstance(raw, np.ndarray):
         excursion = max(float(raw.max(initial=1.0)) - 1.0, -float(raw.min(initial=0.0)))
-        out = np.clip(raw, 0.0, 1.0) if clamp else raw
+        out = raw.clip(0.0, 1.0, out=raw) if clamp else raw
     else:
         excursion = max(raw - 1.0, -raw)
         out = min(max(raw, 0.0), 1.0) if clamp else raw

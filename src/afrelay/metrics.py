@@ -38,6 +38,12 @@ __all__ = [
 ]
 
 
+# Gamma(c + 1/2) for every c where it is a finite double (c <= 171); the
+# BEP sum reads its terms from here, and from c = 172 on it refuses as
+# math.gamma's OverflowError did.
+_HALF_GAMMAS = tuple(math.gamma(c + 0.5) for c in range(172))
+
+
 def e1_scaled(x: float) -> float:
     """exp(x) * E_1(x) for x > 0, stable for large x where E_1 alone
     underflows.
@@ -94,11 +100,13 @@ def bit_error_prob(params: ChannelParams, coeffs: SeriesCdfCoeffs) -> float:
                   + sqrt(g/pi) sum_c col_c Gamma(c+1/2)/(g+l2)^(c+1/2) ].
     """
     g = params.gamma
-    lam_srd = params.lambda_srd
+    g_srd = g + params.lambda_srd
+    if coeffs.k >= len(_HALF_GAMMAS):
+        raise _out_of_range("bit error probability", params, coeffs)
     try:
         s = math.fsum(
-            col * math.gamma(c + 0.5) / (g + lam_srd) ** (c + 0.5)
-            for c, col in enumerate(coeffs.cols)
+            col * gh / g_srd ** (c + 0.5)
+            for c, (col, gh) in enumerate(zip(coeffs.cols, _HALF_GAMMAS))
         )
     except OverflowError:
         raise _out_of_range("bit error probability", params, coeffs) from None

@@ -48,7 +48,6 @@ import functools
 import math
 import numbers
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,6 +234,10 @@ def _map_blocks(fn, blocks, workers: int):
         raise ValueError(f"workers must be >= 1, got {workers!r}")
     if workers == 1:
         return [fn(b, m) for b, m in blocks]
+    # imported here: importing the package loads no concurrent.futures,
+    # nor the logging it brings
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda bm: fn(*bm), blocks))
 

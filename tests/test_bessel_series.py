@@ -124,12 +124,12 @@ class TestSeriesCoeffs:
             series_coeffs(0.0, 2)
 
     def test_table_is_the_cached_tuple(self):
-        # the coefficients are a tuple of Python floats and the depth is
-        # read off their count
+        # the coefficients are a tuple of Python floats, the depth is read
+        # off their count, and each (nu, k) has one table
         t = series_coeffs(1.0, 7)
         assert isinstance(t.a, tuple) and all(type(v) is float for v in t.a)
         assert t.k == len(t.a) - 1 == 7
-        assert series_coeffs(1.0, 7).a is t.a
+        assert series_coeffs(1.0, 7) is t and series_coeffs(1, 7) is t
         assert CoefficientTable(nu=2.0, a=(1.0, 0.5)).k == 1
 
 

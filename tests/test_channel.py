@@ -301,6 +301,52 @@ class TestCombinedCdf:
         assert pdfs.tolist() == [combined_pdf(UNIT, co, 1.0), 0.0]
 
 
+GRID_FORMS = {
+    "combined_cdf": lambda x: combined_cdf(UNIT, unit_coeffs(), x, clamp=False),
+    "combined_pdf": lambda x: combined_pdf(UNIT, unit_coeffs(), x),
+    "srd_cdf": lambda x: srd_cdf(UNIT, x),
+    "srd_pdf": lambda x: srd_pdf(UNIT, x),
+    "combined_cdf_exact": lambda x: combined_cdf_exact(UNIT, x),
+    "minbound_cdf": lambda x: minbound_cdf(UNIT, x),
+    "minbound_pdf": lambda x: minbound_pdf(UNIT, x),
+}
+
+
+@pytest.mark.parametrize("form", GRID_FORMS.values(), ids=GRID_FORMS.keys())
+class TestPowerGrid:
+    """Every closed form checks a grid of powers with one reduction that
+    skips nan: a negative entry is refused wherever it sits, and nan, -0.0
+    and empty grids pass as they always did."""
+
+    @pytest.mark.parametrize(
+        "grid",
+        ([math.nan, -1.0, -0.0, math.inf], [-0.0, math.inf, math.nan, -1e-300],
+         [math.nan, math.nan, -math.inf], [[math.nan, 1.0], [2.0, -1.0]]),
+    )
+    def test_negative_among_nan_signed_zero_and_inf_refused(self, form, grid):
+        with pytest.raises(ValueError, match="power must be >= 0"):
+            form(np.array(grid))
+
+    @staticmethod
+    def _outcome(form, x) -> list[str]:
+        # float.hex per value, where a nan of either sign reads "nan", or
+        # the message of a refusal once per power (srd_pdf refuses 0)
+        try:
+            return [v.hex() for v in np.atleast_1d(form(x)).tolist()]
+        except ValueError as exc:
+            return [str(exc)] * np.size(x)
+
+    def test_nan_signed_zero_and_empty_grids_pass(self, form):
+        # each entry is what the scalar, checked apart, gives
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for grid in ([math.nan] * 3, [-0.0, -0.0]):
+                want = [h for v in grid for h in self._outcome(form, v)]
+                assert self._outcome(form, np.array(grid)) == want, grid
+        empty = form(np.array([]))
+        assert empty.shape == (0,) and empty.dtype == float
+
+
 def scalar_path_draws(seed: int, n: int, db=(0.0, 40.0)):
     """Seeded parameter points over the whole rate box, half of them put
     right next to the removable singularity lambda_sd = lambda_srd, with

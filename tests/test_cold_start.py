@@ -1,4 +1,5 @@
-"""Cold start: importing afrelay loads numpy and no scipy module.
+"""Cold start: importing afrelay loads numpy and no scipy module, nor the
+thread pool of the Monte Carlo workers.
 
 Each scipy function is imported where it is first used.  These tests run
 fresh interpreters, because the test process loaded scipy long ago: one
@@ -28,6 +29,13 @@ def run_fresh(code: str, env: dict) -> str:
 def test_import_loads_no_scipy(child_env):
     out = run_fresh(f"import sys, afrelay\nprint({SCIPY_LOADED})", child_env)
     assert out.strip() == "[]"
+
+
+def test_import_loads_no_thread_pool(child_env):
+    # the Monte Carlo thread pool is imported where more than one worker
+    # runs, so importing the package loads neither it nor its logging
+    code = "import sys, afrelay\nprint('concurrent.futures' in sys.modules, 'logging' in sys.modules)"
+    assert run_fresh(code, child_env).split() == ["False", "False"]
 
 
 @pytest.mark.parametrize(

@@ -15,8 +15,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from afrelay.bessel_series import series_coeffs
-from afrelay.channel import ChannelParams, combined_cdf, combined_cdf_coeffs, combined_pdf
+from afrelay.bessel_series import K_MAX, series_coeffs
+from afrelay.channel import (
+    ChannelParams,
+    SeriesCdfCoeffs,
+    combined_cdf,
+    combined_cdf_coeffs,
+    combined_pdf,
+)
 from afrelay.metrics import (
     _t_moments,
     bit_error_prob,
@@ -155,6 +161,39 @@ class TestBitErrorProb:
         assert est.std_error > 0.0
         assert abs(bit_error_prob(p, co) - est.value) < 3.0 * est.std_error
 
+    @staticmethod
+    def _per_term(p, co):
+        # the closed form with Gamma(c + 1/2) from math.gamma term by term
+        s = math.fsum(
+            col * math.gamma(c + 0.5) / (p.gamma + p.lambda_srd) ** (c + 0.5)
+            for c, col in enumerate(co.cols)
+        )
+        return 0.5 * (
+            1.0 - co.A * math.sqrt(p.gamma / (p.gamma + p.lambda_sd))
+            + math.sqrt(p.gamma / math.pi) * s
+        )
+
+    def test_gamma_table_covers_columns_past_k_max(self):
+        # 36 columns, past K_MAX: the terms fall off like c^(-1/2), so a
+        # table cut at K_MAX + 1 columns would move the bits
+        p = unit_params(1.0)  # gamma + lambda_srd = 5
+        cols = [1e-2 * (-5.0) ** c / math.factorial(c) for c in range(36)]
+        co = SeriesCdfCoeffs(cols, [0.0] * 36)
+        assert co.k > K_MAX
+        assert bit_error_prob(p, co).hex() == self._per_term(p, co).hex()
+
+    def test_refuses_where_the_gamma_factor_overflows(self):
+        # Gamma(171.5) is the last finite factor: 172 columns give the
+        # per-term bits, and 173 refuse where math.gamma overflowed
+        p = unit_params(1.0)
+        co = SeriesCdfCoeffs([1e-3] * 172, [0.0] * 172)
+        assert bit_error_prob(p, co).hex() == self._per_term(p, co).hex()
+        co = SeriesCdfCoeffs([1e-3] * 173, [0.0] * 173)
+        with pytest.raises(OverflowError):
+            self._per_term(p, co)
+        with pytest.raises(ValueError, match="with series depth 172"):
+            bit_error_prob(p, co)
+
 
 class TestCapacity:
     def test_quadrature_twin_at_10db(self):
@@ -252,4 +291,38 @@ def test_series_pdf_pinned_at_non_unit_rates():
         h.update(combined_pdf(p, co, NON_UNIT_XS).tobytes())
     assert h.hexdigest() == (
         "5cbaa7e0dfbb938e536a067c94d484657d58a040a64bdef25f818b1147929ed8"
+    )
+
+
+def _near_degenerate_points():
+    """lambda_sd = lambda_srd (1 + rel) at rel = +-1e-1 .. +-1e-4, depths 2,
+    5, 10 and 20, for two hop pairs at 10 and 30 dB: the band where the
+    coefficient build divides by powers of a small d = lambda_srd - lambda_sd
+    and cancels, which the non-unit points skip."""
+    for lam_sr, lam_rd in ((1.0, 1.0), (0.5, 3.0)):
+        lam_srd = (math.sqrt(lam_sr) + math.sqrt(lam_rd)) ** 2
+        for gamma_db in (10.0, 30.0):
+            for rel in (1e-1, 1e-2, 1e-3, 1e-4, -1e-1, -1e-2, -1e-3, -1e-4):
+                for k in (2, 5, 10, 20):
+                    p = ChannelParams(10 ** (gamma_db / 10), lam_srd * (1.0 + rel), lam_sr, lam_rd)
+                    yield p, combined_cdf_coeffs(p, series_coeffs(1.0, k))
+
+
+def test_closed_forms_pinned_near_degenerate_band():
+    """Golden over the near-degenerate band: the CDF (clamped and raw) and
+    PDF array bytes, and the float.hex of outage, BEP and capacity.
+    Recorded before the coefficient build took its powers of d from a
+    table.  At the smaller spacings these values are far off the exact
+    model; this pins their bits, not their accuracy."""
+    h = hashlib.sha256()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for p, co in _near_degenerate_points():
+            h.update(combined_cdf(p, co, NON_UNIT_XS).tobytes())
+            h.update(combined_cdf(p, co, NON_UNIT_XS, clamp=False).tobytes())
+            h.update(combined_pdf(p, co, NON_UNIT_XS).tobytes())
+            for v in (outage(p, co, 1.0), bit_error_prob(p, co), capacity(p, co)):
+                h.update(float(v).hex().encode())
+    assert h.hexdigest() == (
+        "738b0a9e109dbc20bed7cf4b409cda9229223f4ddb1a58bfe50dd5488bf29541"
     )
