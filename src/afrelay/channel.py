@@ -26,11 +26,7 @@ Closed forms implemented here:
 
 * the exact CDF of D + S (combined_cdf_exact), used to audit the high-SNR
   form: the convolution of the direct path with the survival function of
-  S on fixed Gauss-Legendre panels, graded toward both ends of [0, x] as
-  far as each point's rates and power need, a whole grid of powers in a
-  few numpy passes.  It is within 1e-13 absolute of a tight adaptive
-  quadrature from -20 to 100 dB, and it raises QuadratureError where its
-  own error estimate passes 1e-12;
+  S, a whole grid of powers at once on reference's fixed panel rule;
 * the classical min(X, Y) upper-bound baseline (minbound_cdf/minbound_pdf),
   a hypoexponential Exp(lambda_sd) + Exp(lambda_sr + lambda_rd), in one
   form that keeps its accuracy at every spacing of the two rates.
@@ -51,7 +47,6 @@ returns one cached table per order and depth.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 import warnings
@@ -61,7 +56,7 @@ import numpy as np
 
 from . import bessel_series
 from .bessel_series import _horner
-from .reference import QuadratureError
+from .reference import _PANEL_RATIO, QuadratureError, _panel_rule, _panel_tail
 
 __all__ = [
     "ChannelParams",
@@ -88,13 +83,7 @@ DEGENERATE_REL_TOL = 1e-9
 # combined_cdf_exact raises QuadratureError past this absolute error estimate.
 EXACT_ABS_TOL = 1e-12
 
-# The panel rule of combined_cdf_exact (see there): 20 nodes a panel, each
-# panel a quarter of the one before it, 17 levels toward t = 0, and one more
-# level per factor 4 by which x max(lambda_srd, lambda_p / gamma) passes
-# _LOW_REACH (toward t = 0) or lambda_sd x passes _HIGH_REACH (toward t = 1),
-# at most _EXTRA_LEVELS at either end.
-_PANEL_NODES = 20
-_PANEL_RATIO = 0.25
+# The levels of combined_cdf_exact's panels toward each end; see there.
 _PANEL_LEVELS = 17
 _LOW_REACH = 1e7
 _HIGH_REACH = 32.0
@@ -343,32 +332,7 @@ def srd_pdf(params: ChannelParams, x):
             params.lambda_p * (2.0 * u + 1.0 / params.gamma) * k0(z)
             + params.lambda_s * (0.5 * z) * k1(z)
         )
-        return _result(np.where(decay > 0.0, density, 0.0), v)
-
-
-@functools.cache
-def _panel_rule(low: int, high: int):
-    """The panels of combined_cdf_exact in t = u/x with low levels toward
-    t = 0 and high levels toward t = 1: nodes t, their distances 1 - t
-    (exact near t = 1, where x - u is taken from them), weights, panel
-    widths, and the map from one panel's node values to the last four
-    Legendre coefficients c_16..c_19 of their interpolant.  Built on first
-    use, as importing numpy.polynomial takes a few ms."""
-    from numpy.polynomial import legendre
-
-    n = _PANEL_NODES
-    s, w = legendre.leggauss(n)
-    half = 0.5 * (1.0 + s)  # the nodes on [0, 1]
-    near = np.concatenate(([0.0], 0.5 * _PANEL_RATIO ** np.arange(low, -1, -1)))  # t, up to 0.5
-    far = np.concatenate((0.5 * _PANEL_RATIO ** np.arange(high + 1), [0.0]))  # 1 - t, down to 0
-    rise, fall = np.diff(near), -np.diff(far)
-    t = (near[:-1, None] + rise[:, None] * half).ravel()
-    rest = (far[:-1, None] - fall[:, None] * half).ravel()
-    width = np.concatenate((rise, fall))
-    weights = (0.5 * width[:, None] * w).ravel()
-    j = np.arange(n - 4, n)
-    tail = legendre.legvander(s, n - 1)[:, j].T * w * (j[:, None] + 0.5)
-    return np.concatenate((t, 1.0 - rest)), np.concatenate((1.0 - t, rest)), weights, width, tail
+        return _result(np.where(decay == 0.0, 0.0, density), v)
 
 
 def _extra_levels(reach: np.ndarray, start: float) -> np.ndarray:
@@ -381,8 +345,8 @@ def _extra_levels(reach: np.ndarray, start: float) -> np.ndarray:
 def _exact_cdf_block(params: ChannelParams, x: np.ndarray, low: int, high: int) -> np.ndarray:
     """combined_cdf_exact on a 1-d array of powers, on the panels of
     _panel_rule(low, high); see there."""
-    t, rest, w, width, tail = _panel_rule(low, high)
-    n = _PANEL_NODES
+    t, rest, w, width = _panel_rule(low, high)
+    n = t.size // width.size  # nodes per panel
     lam = params.lambda_sd
     span = np.where(np.isinf(x), 0.0, x)  # x = inf reads 1 below
     u = span[:, None] * t
@@ -391,24 +355,15 @@ def _exact_cdf_block(params: ChannelParams, x: np.ndarray, low: int, high: int) 
     g = lam * decay * sf
     integral = span * (g * w).sum(axis=1)
 
-    # The error estimate.  Per panel: the n node values fix the Legendre
-    # coefficients c_0..c_19 of their interpolant, and the rule errs by
-    # about c_40; max(|c_18|, |c_19|) is carried to degree 40 at the rate
-    # it falls from max(|c_16|, |c_17|) (not at all where it does not),
-    # times the panel's width.  The two ends are bounded instead, as S-bar
-    # falls and the direct-path density rises with u: the first panel by
-    # S's mass below its end, and, where that density falls by more than a
-    # factor e from t = 1 to the last node (its scale 1 / lambda_sd is
-    # finer than the nodes there, past _EXTRA_LEVELS), the gap past the
-    # last node by the mass it can hold.
-    c = np.abs(g.reshape(len(x), -1, n) @ tail.T)
-    hi = np.maximum(c[..., 2], c[..., 3])
-    lo = np.maximum(c[..., 0], c[..., 1])
-    fall = np.divide(hi, lo, out=np.ones_like(hi), where=lo > hi)
-    panels = (width * hi * fall ** ((n + 1) / 2)).sum(axis=1)
+    # The error estimate: _panel_tail's, and at the two ends bounds, as S-bar
+    # falls and the direct-path density rises with u: the first panel by S's
+    # mass below its end, and, where that density falls by more than a
+    # factor e from t = 1 to the last node (its scale 1 / lambda_sd is finer
+    # than the nodes there, past _EXTRA_LEVELS), the gap past the last node
+    # by the mass it can hold.
     first = width[0] * lam * decay[:, n] * (1.0 - sf[:, n])
     gap = np.where(decay[:, -1] < math.exp(-1.0), sf[:, -1] * (1.0 - decay[:, -1]), 0.0)
-    estimate = span * (panels + first) + gap
+    estimate = span * (_panel_tail(g, width) + first) + gap
     if (estimate > EXACT_ABS_TOL).any():
         i = int(np.argmax(estimate))
         raise QuadratureError(
@@ -428,9 +383,9 @@ def combined_cdf_exact(params: ChannelParams, x):
         F(x) = 1 - exp(-lambda_sd x)
                - integral_0^x lambda_sd exp(-lambda_sd (x - u)) S-bar(u) du,
 
-    with no high-SNR assumption.  The integral runs in t = u/x over fixed
-    Gauss-Legendre panels of 20 nodes, graded geometrically toward both
-    ends, each panel a quarter of the one before it:
+    with no high-SNR assumption.  The integral runs in t = u/x on the fixed
+    Gauss-Legendre panels of reference._panel_rule, graded geometrically
+    toward both ends, each panel a quarter of the one before it:
 
     * toward t = 0, down to [0, 0.5 * 4**-17].  There S-bar has a u log u
       cusp, changes on the scale 1/gamma, and falls on the scale

@@ -107,14 +107,10 @@ def _render(args, columns, rows) -> str:
     """Rows to a json object, or for any other format to csv under a
     manifest header; returns text."""
     if args.format == "json":
-        records = [
-            {c: _json_cell(v) for c, v in zip(columns, row)} for row in rows
-        ]
+        records = [{c: _json_cell(v) for c, v in zip(columns, row)} for row in rows]
         body = json.dumps(records, sort_keys=True, separators=(",", ":"))
-        return (
-            json.dumps({"manifest": _manifest(args, body), "records": records}, sort_keys=True)
-            + "\n"
-        )
+        doc = {"manifest": _manifest(args, body), "records": records}
+        return json.dumps(doc, sort_keys=True) + "\n"
     lines = [",".join(columns)]
     lines.extend(",".join(_fmt_cell(v) for v in row) for row in rows)
     return _with_header(args, "\n".join(lines) + "\n")
@@ -137,20 +133,13 @@ def _log(msg: str, *, bad: bool = False) -> None:
 
 
 def _channel_params(args, gamma: float) -> ChannelParams:
-    return ChannelParams(
-        gamma=gamma,
-        lambda_sd=args.lambda_sd,
-        lambda_sr=args.lambda_sr,
-        lambda_rd=args.lambda_rd,
-    )
+    return ChannelParams(gamma, args.lambda_sd, args.lambda_sr, args.lambda_rd)
 
 
 def _cmd_coeffs(args) -> int:
     table = series_coeffs(args.nu, args.k)
-    if args.format == "table1":
-        rows = [(q, float(f"{a:.4g}")) for q, a in enumerate(table.a)]
-    else:
-        rows = [(q, float(a)) for q, a in enumerate(table.a)]
+    table1 = args.format == "table1"
+    rows = [(q, float(f"{a:.4g}") if table1 else a) for q, a in enumerate(table.a)]
     _deliver(_render(args, ("q", "a"), rows), args.out)
     return 0
 
@@ -184,10 +173,8 @@ def _cmd_dist(args) -> int:
         raise ValueError("x grid must be ascending and nonnegative")
     if (args.with_mc or args.with_minbound) and len(xs) < 2:
         raise ValueError("sampled densities need an x grid of at least two points")
-    if args.gamma_linear is not None:
-        params = _channel_params(args, args.gamma_linear)
-    else:
-        params = _channel_params(args, 10 ** (args.gamma_db / 10))
+    linear = args.gamma_linear
+    params = _channel_params(args, 10 ** (args.gamma_db / 10) if linear is None else linear)
     # built before any work so a bad seed or sample count is refused
     # whether or not Monte Carlo is asked for
     cfg = SimConfig(seed=args.seed, samples=args.samples)
@@ -204,26 +191,15 @@ def _cmd_dist(args) -> int:
         first = max(xs[0] - (inner[0] - xs[0]), 0.0)
         edges = np.concatenate([[first], inner, [xs[-1] + (xs[-1] - inner[-1])]])
         if args.with_mc:
-            mc = histogram_at_edges(
-                params, cfg, edges, workers=args.workers
-            ).sample_density
+            mc = histogram_at_edges(params, cfg, edges, workers=args.workers).sample_density
         if args.with_minbound:
             mb = histogram_at_edges(
                 params, cfg, edges, workers=args.workers, minbound=True
             ).sample_density
 
-    rows = []
-    for i, x in enumerate(xs):
-        rows.append(
-            (
-                float(x),
-                float(cdf[i]),
-                float(pdf[i]),
-                float(cdfq[i]),
-                None if mc is None else float(mc[i]),
-                None if mb is None else float(mb[i]),
-            )
-        )
+    # one row per x; a column not asked for is empty
+    values = (xs, cdf, pdf, cdfq, mc, mb)
+    rows = zip(*([None] * len(xs) if v is None else v.tolist() for v in values))
     columns = ("x", "cdf_eq", "pdf_eq", "cdf_quadrature", "mc_density", "minbound_density")
     _deliver(_render(args, columns, rows), args.out)
     return 0
@@ -256,9 +232,7 @@ def _cmd_perf(args) -> int:
     cfg = SimConfig(seed=args.seed, samples=args.samples, relays=args.relays)
 
     # the series CDF coefficients depend only on the fading rates, not on gamma
-    co = combined_cdf_coeffs(
-        _channel_params(args, 1.0), series_coeffs(1.0, args.k)
-    )
+    co = combined_cdf_coeffs(_channel_params(args, 1.0), series_coeffs(1.0, args.k))
     # one point per SNR, None at zero SNR; the rest form the model's grid
     points = [None if g == 0.0 else _channel_params(args, float(g)) for g in gammas]
     grid = [p for p in points if p is not None]
@@ -294,14 +268,10 @@ def _cmd_perf(args) -> int:
 
 def _cmd_validate(args) -> int:
     SimConfig(seed=args.seed, samples=args.samples)  # refuses a bad seed or count up front
-    results = validation.run_all(
-        seed=args.seed, samples=args.samples, workers=args.workers
-    )
+    results = validation.run_all(seed=args.seed, samples=args.samples, workers=args.workers)
     report = validation.render_report(results, args.seed, args.samples)
     passed = sum(r.passed for r in results)
-    _deliver(
-        _with_header(args, report), args.out, note=f"{passed}/{len(results)} checks passed"
-    )
+    _deliver(_with_header(args, report), args.out, note=f"{passed}/{len(results)} checks passed")
     if passed < len(results):
         _log(f"{len(results) - passed} check(s) failed", bad=True)
         return 1

@@ -1,6 +1,6 @@
-"""Quadrature reference values: K_nu and the Riemann-Liouville integral.
+"""Quadrature: K_nu and Riemann-Liouville reference values, validation-grade
+and favouring robustness over speed, and the exact CDF's fixed rule.
 
-Everything here is validation-grade and favours robustness over speed.
 K_nu comes from the exponentially decaying integral representation
 
     K_nu(z) = exp(-z) integral_0^inf exp(-z (cosh t - 1)) cosh(nu t) dt,
@@ -11,15 +11,23 @@ every z, never subnormal, and is integrated to relative 1e-12 with no
 absolute floor.  The series module never calls into this one; the
 two stay independent so each can audit the other.
 
+The fixed rule is 20-node Gauss-Legendre, from a correctly rounded
+table, on panels graded geometrically toward both ends of [0, 1]
+(_panel_rule), with an error estimate from the Legendre tail of each
+panel's interpolant (_panel_tail).
+
 scipy.integrate is imported by adaptive_quad on its first call, so
 importing this module (and the package) does not load it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 __all__ = [
     "QuadratureError",
@@ -33,7 +41,8 @@ __all__ = [
 
 class QuadratureError(RuntimeError):
     """A quadrature failed to reach its requested tolerance: adaptive_quad
-    did not converge, or combined_cdf_exact's error estimate passed its bound."""
+    did not converge, or the _panel_tail estimate of a fixed panel rule
+    passed its caller's bound (combined_cdf_exact's EXACT_ABS_TOL)."""
 
     def __init__(self, message: str, estimate: float = math.nan):
         super().__init__(message)
@@ -135,3 +144,69 @@ def fractional_integral(f: Callable[[float], float], s: float, x: float) -> floa
 
     val = adaptive_quad(g, 0.0, x**s)
     return val / (s * math.gamma(s))
+
+
+# The 20-node Gauss-Legendre rule on [-1, 1]: its ten positive nodes, rising,
+# and their weights, each correctly rounded from 40-digit mpmath (a test in
+# tests/test_reference.py prints these lines anew); mirrored at use.
+_GAUSS_LEGENDRE = (
+    (0.07652652113349734, 0.15275338713072584),
+    (0.22778585114164507, 0.14917298647260374),
+    (0.37370608871541955, 0.14209610931838204),
+    (0.5108670019508271, 0.13168863844917664),
+    (0.636053680726515, 0.11819453196151841),
+    (0.7463319064601508, 0.10193011981724044),
+    (0.8391169718222188, 0.08327674157670475),
+    (0.912234428251326, 0.06267204833410907),
+    (0.9639719272779138, 0.04060142980038694),
+    (0.9931285991850949, 0.017614007139152118),
+)
+_PANEL_RATIO = 0.25  # each panel of _panel_rule is a quarter of the one before it
+
+
+@functools.cache
+def _legendre_rule():
+    """The rule's nodes s and weights w, and the map from its n node values
+    to the Legendre coefficients c_j = (j + 1/2) sum_i w_i P_j(s_i) f_i,
+    j = n-4..n-1, of their interpolant, P_j by the three-term recurrence."""
+    pos, half = np.array(_GAUSS_LEGENDRE).T
+    s, w = np.concatenate((-pos[::-1], pos)), np.concatenate((half[::-1], half))
+    p = [np.ones_like(s), s]
+    for j in range(2, s.size):
+        p.append((p[-1] * s * (2 * j - 1) - p[-2] * (j - 1)) / j)
+    j = np.arange(s.size - 4, s.size)
+    return s, w, np.array(p[-4:]) * w * (j[:, None] + 0.5)
+
+
+@functools.cache
+def _panel_rule(low: int, high: int):
+    """The rule on [0, 1] in panels of the 20 nodes, each a quarter of the
+    one before it: low + 1 panels on [0, 0.5] down to [0, 0.5 * 4**-low] and
+    high + 1 on [0.5, 1] down to [1 - 0.5 * 4**-high, 1].  Returns the nodes
+    t, their distances 1 - t (exact near t = 1, where the far panels are
+    built from them), the weights and the panel widths, from t = 0 on."""
+    s, w, _ = _legendre_rule()
+    half = 0.5 * (1.0 + s)  # the nodes on [0, 1]
+    near = np.concatenate(([0.0], 0.5 * _PANEL_RATIO ** np.arange(low, -1, -1)))  # t, up to 0.5
+    far = np.concatenate((0.5 * _PANEL_RATIO ** np.arange(high + 1), [0.0]))  # 1 - t, down to 0
+    rise, fall = np.diff(near), -np.diff(far)
+    t = (near[:-1, None] + rise[:, None] * half).ravel()
+    rest = (far[:-1, None] - fall[:, None] * half).ravel()
+    width = np.concatenate((rise, fall))
+    weights = (0.5 * width[:, None] * w).ravel()
+    return np.concatenate((t, 1.0 - rest)), np.concatenate((1.0 - t, rest)), weights, width
+
+
+def _panel_tail(values: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """The error estimate of a _panel_rule, per row of values at its nodes,
+    summed over its panels.  Per panel: the n node values fix the Legendre
+    coefficients c_0..c_{n-1} of their interpolant, and the rule errs by
+    about c_{2n}; max(|c_{n-2}|, |c_{n-1}|) is carried to degree 2n at the
+    rate it falls from max(|c_{n-4}|, |c_{n-3}|) (not at all where it does
+    not), times the panel's width."""
+    tail = _legendre_rule()[2]
+    n = tail.shape[1]
+    c = np.abs(values.reshape(len(values), -1, n) @ tail.T)
+    hi, lo = c[..., 2:].max(axis=-1), c[..., :2].max(axis=-1)
+    fall = np.divide(hi, lo, out=np.ones_like(hi), where=lo > hi)
+    return (width * hi * fall ** ((n + 1) / 2)).sum(axis=1)

@@ -346,6 +346,13 @@ class TestPowerGrid:
         empty = form(np.array([]))
         assert empty.shape == (0,) and empty.dtype == float
 
+    def test_nan_maps_to_nan(self, form):
+        # not to a value: a nan power is not read as one past the double range
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert math.isnan(form(math.nan))
+            assert np.isnan(form(np.full(3, math.nan))).all()
+
 
 def scalar_path_draws(seed: int, n: int, db=(0.0, 40.0)):
     """Seeded parameter points over the whole rate box, half of them put
@@ -651,12 +658,10 @@ class TestExactPanels:
 
     @pytest.mark.parametrize("name", SWEEP)
     def test_within_1e13_of_the_tight_adaptive_route(self, name):
-        # measured worst 5.6e-16 over the 721 points of the other groups
-        # and 9.6e-15 in fast-direct (lambda_sd = 1e8, x = 1e-3, where a
-        # 20-digit mpmath quadrature puts the error on the panels' side:
-        # numpy's 20-node Gauss-Legendre weights are good to 7e-14
-        # relative); none raises, so every error estimate stays within
-        # EXACT_ABS_TOL
+        # measured worst 4.4e-16 over the 721 points of the other groups
+        # and 6.7e-16 in fast-direct (lambda_sd = 1e8, x = 15.1), on the
+        # correctly rounded 20-node table; none raises, so every error
+        # estimate stays within EXACT_ABS_TOL
         worst = 0.0
         for p, xs in SWEEP[name]:
             got = combined_cdf_exact(p, xs)

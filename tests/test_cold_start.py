@@ -1,5 +1,5 @@
-"""Cold start: importing afrelay loads numpy and no scipy module, nor the
-thread pool of the Monte Carlo workers.
+"""Cold start: importing afrelay loads numpy and no scipy module, nor
+numpy.polynomial, nor the thread pool of the Monte Carlo workers.
 
 Each scipy function is imported where it is first used.  These tests run
 fresh interpreters, because the test process loaded scipy long ago: one
@@ -27,8 +27,8 @@ def run_fresh(code: str, env: dict) -> str:
 
 
 def test_import_loads_no_scipy(child_env):
-    out = run_fresh(f"import sys, afrelay\nprint({SCIPY_LOADED})", child_env)
-    assert out.strip() == "[]"
+    code = f"import sys, afrelay\nprint({SCIPY_LOADED}, 'numpy.polynomial' in sys.modules)"
+    assert run_fresh(code, child_env).strip() == "[] False"
 
 
 def test_import_loads_no_thread_pool(child_env):
@@ -45,9 +45,20 @@ def test_import_loads_no_thread_pool(child_env):
 )
 def test_command_does_not_load_scipy_integrate(argv, child_env):
     # no point of this perf grid needs the quadrature fallback of capacity,
-    # and dist's cdf_quadrature column takes fixed panels, not scipy.integrate
+    # and dist's cdf_quadrature column takes fixed panels, not scipy.integrate,
+    # on a literal Gauss-Legendre table, not numpy.polynomial's.  scipy.special
+    # loads numpy.polynomial itself (through its array-API layer), so the
+    # child replaces every numpy.polynomial function by one that raises: a
+    # command that called one would fail
     code = (
         "import contextlib, io, sys\n"
+        "import numpy.polynomial as npp\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise RuntimeError('numpy.polynomial called')\n"
+        "for mod in (npp.chebyshev, npp.hermite, npp.hermite_e, npp.laguerre,\n"
+        "            npp.legendre, npp.polynomial):\n"
+        "    for name in mod.__all__:\n"
+        "        setattr(mod, name, refuse)\n"
         "import afrelay.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = afrelay.cli.main({argv!r})\n"

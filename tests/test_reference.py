@@ -1,13 +1,16 @@
-"""Quadrature oracle: K_nu reference values, the adaptive integrator and
-the Riemann-Liouville fractional integral."""
+"""Quadrature: K_nu reference values, the adaptive integrator, the
+Riemann-Liouville fractional integral and the fixed Gauss-Legendre table."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import kve
 
+from afrelay.channel import ChannelParams, combined_cdf_exact
 from afrelay.reference import (
+    _GAUSS_LEGENDRE,
     QuadratureError,
     QuadratureSpec,
     adaptive_quad,
@@ -116,3 +119,46 @@ class TestFractionalIntegral:
             fractional_integral(math.exp, 0.0, 1.0)
         with pytest.raises(ValueError):
             fractional_integral(math.exp, 0.5, 0.0)
+
+
+class TestGaussLegendreTable:
+    def test_each_entry_is_its_40_digit_value_rounded(self):
+        # the positive roots of P_20 by mpmath.findroot from the cosine guesses,
+        # w = 2 / ((1 - s^2) P_20'(s)^2); on a mismatch the message holds
+        # the table's lines as they should read
+        n = 2 * len(_GAUSS_LEGENDRE)
+        rows = []
+        with mpmath.workdps(40):
+            weight_sum = 0
+            for i in range(n // 2, 0, -1):
+                guess = mpmath.cos(mpmath.pi * (i - 0.25) / (n + 0.5))
+                s = mpmath.findroot(lambda t: mpmath.legendre(n, t), guess)
+                dp = n * (s * mpmath.legendre(n, s) - mpmath.legendre(n - 1, s)) / (s * s - 1)
+                w = 2 / ((1 - s * s) * dp * dp)
+                weight_sum += w
+                rows.append((float(s), float(w)))
+            # ten distinct roots: their weights sum to half the interval
+            assert abs(weight_sum - 1) < mpmath.mpf(10) ** -35
+        lines = "\n".join(f"    ({s!r}, {w!r})," for s, w in rows)
+        assert tuple(rows) == _GAUSS_LEGENDRE, f"the table should read:\n{lines}"
+
+    def test_exact_cdf_at_a_fast_direct_path(self):
+        # lambda_sd = 1e8, x = 1e-3: the direct-path density lives within a
+        # few 1e-8 of u = x, on the panels toward t = 1.  The convolution at
+        # 30 digits is 0.0021216283976809336077 at x = 1e-3 and 4.4e-20 more
+        # at the double nearest it, 2.1e-20 past; weights 7e-14 off in
+        # relative terms put the panels 9.5e-15 from it
+        p = ChannelParams(gamma=100.0, lambda_sd=1e8, lambda_sr=1.0, lambda_rd=1.0)
+        x = 1e-3
+        with mpmath.workdps(30):
+            lam, xm = mpmath.mpf(p.lambda_sd), mpmath.mpf(x)
+
+            def survival(u):  # of S: z K_1(z) exp(-lambda_s u)
+                z = 2 * mpmath.sqrt(p.lambda_p * u * (u + 1 / mpmath.mpf(p.gamma)))
+                return z * mpmath.besselk(1, z) * mpmath.exp(-p.lambda_s * u) if u else 1
+
+            cuts = [0] + [mpmath.mpf(k) / lam for k in (1, 4, 16, 64)] + [xm]
+            inner = mpmath.quad(lambda v: lam * mpmath.exp(-lam * v) * survival(xm - v), cuts)
+            want = 1 - mpmath.exp(-lam * xm) - inner
+            assert abs(want - mpmath.mpf("0.0021216283976809336077")) < 1e-19
+        assert abs(combined_cdf_exact(p, x) - float(want)) <= 2e-15
