@@ -43,7 +43,6 @@ from .metrics import (
     outage,
 )
 from .reference import (
-    DEFAULT_SPEC,
     QuadratureError,
     QuadratureSpec,
     adaptive_quad,
@@ -66,7 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "K_MAX",
     "BLOCK",
-    "DEFAULT_SPEC",
     "CoefficientTable",
     "TruncatedValue",
     "ChannelParams",

@@ -33,7 +33,8 @@ per-sample array is chunk-sized and stays in cache; no array is as long
 as a block.  Each link's stream is opened once per block and read on
 from chunk to chunk, so the chunks see the draws of the whole block.
 Every per-sample operation is elementwise, so chunking changes no
-sample's value.  Of the reductions, counts and histograms add exactly.
+sample's value.  Of the reductions, counts and histograms add exactly; a
+histogram takes one sort per chunk and reads its bins from the sorted copy.
 Sums of doubles do not: numpy sums an array pairwise, splitting it at
 half its length rounded down to a multiple of 8.  The chunks are the
 parts of that same split, and their sums are joined up the same tree, so
@@ -123,7 +124,7 @@ class Histogram:
     """Counted histogram with out-of-range mass tracked, not dropped silently.
 
     below and above count the samples left of the first edge and right of
-    the last; density integrates to exactly 1 over the binned range.
+    the last; the last bin is closed.
     """
 
     edges: np.ndarray
@@ -137,20 +138,11 @@ class Histogram:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
 
     @property
-    def density(self) -> np.ndarray:
-        total = self.counts.sum()
-        widths = np.diff(self.edges)
-        if total == 0:
-            return np.zeros_like(widths)
-        return self.counts / (total * widths)
-
-    @property
     def sample_density(self) -> np.ndarray:
         """Density normalized by all samples drawn, out-of-range mass included.
 
-        Unlike density this is an unbiased estimate of the underlying pdf
-        over the binned range, at the price of integrating to < 1 when mass
-        fell outside.
+        An unbiased estimate of the underlying pdf over the binned range, at
+        the price of integrating to < 1 when mass fell outside.
         """
         return self.counts / (self.samples_used * np.diff(self.edges))
 
@@ -315,10 +307,21 @@ def _count_estimate(hits: int, n: int) -> SimEstimate:
 
 
 def _bin(powers: np.ndarray, edges: np.ndarray):
-    counts, _ = np.histogram(powers, bins=edges)
-    below = int(np.count_nonzero(powers < edges[0]))
-    above = int(np.count_nonzero(powers > edges[-1]))
-    return counts.astype(np.int64), below, above
+    # (counts, below, above) from one sorted copy: np.histogram's own
+    # algorithm for explicit edges, the last bin closed.  nan sorts past
+    # inf, so it is counted in no bin and neither below nor above.
+    ranked = np.sort(powers)
+    cuts = ranked.searchsorted(edges)
+    cuts[-1], end = ranked.searchsorted((edges[-1], np.inf), "right")
+    return np.diff(cuts), int(cuts[0]), int(end - cuts[-1])
+
+
+def _histogram(edges: np.ndarray, n: int):
+    # (reduce, finish) of the histogram of n samples on edges
+    return (
+        lambda s, gamma: _bin(s, edges),
+        lambda counts, below, above: Histogram(edges, counts, below, above, n),
+    )
 
 
 def _reducer(metric: str, cfg: SimConfig, x, threshold):
@@ -333,11 +336,7 @@ def _reducer(metric: str, cfg: SimConfig, x, threshold):
 
         return reduce, lambda hits: _count_estimate(hits, n)
     if metric == "pdf":
-        edges = np.linspace(*_PDF_EDGES)
-        return (
-            lambda s, gamma: _bin(s, edges),
-            lambda counts, below, above: Histogram(edges, counts, below, above, n),
-        )
+        return _histogram(np.linspace(*_PDF_EDGES), n)
     if metric == "bep":
         # imported in the calling thread, so no worker thread runs an
         # import, and only where it is used: importing the package does
@@ -460,9 +459,7 @@ def histogram_at_edges(
     if edges[0] < 0:
         raise ValueError("edges must be nonnegative (powers are nonnegative)")
 
-    def reduce(s, gamma):
-        return _bin(s, edges)
-
+    reduce, finish = _histogram(edges, cfg.samples)
     request = (1, None, reduce) if minbound else (cfg.relays, params.gamma, reduce)
-    [(counts, below, above)] = _run(params, cfg, [request], workers)
-    return Histogram(edges, counts, below, above, cfg.samples)
+    [partial] = _run(params, cfg, [request], workers)
+    return finish(*partial)

@@ -32,7 +32,6 @@ import numpy as np
 __all__ = [
     "QuadratureError",
     "QuadratureSpec",
-    "DEFAULT_SPEC",
     "adaptive_quad",
     "bessel_k",
     "fractional_integral",

@@ -194,6 +194,12 @@ def _unit(gamma_db: float) -> ChannelParams:
     )
 
 
+def _unit_coeffs():
+    """Depth-10 series coefficients at unit fading rates.  They depend on
+    the rates alone, not on gamma, so one build serves every SNR."""
+    return combined_cdf_coeffs(_unit(0.0), series_coeffs(1.0, 10))
+
+
 def _draws(seed: int, n: int = 10):
     """Seeded non-degenerate parameter draws shared by the draw-based checks."""
     rng = np.random.default_rng(seed)
@@ -231,7 +237,7 @@ def check_density_vs_histogram(seed: int, samples: int, workers: int) -> CheckRe
     and the min-bound baseline's larger deviation, at the reference scenario
     (unit fading parameters, 30 dB)."""
     p = _unit(30.0)
-    co = combined_cdf_coeffs(p, series_coeffs(1.0, 10))
+    co = _unit_coeffs()
     cfg = SimConfig(seed=seed, samples=samples)
     edges = np.linspace(0.0, 6.0, 61)
     h = histogram_at_edges(p, cfg, edges, workers=workers)
@@ -265,10 +271,8 @@ def check_bep_closed_form(seed: int) -> CheckResult:
         b = metrics.bit_error_prob(p, co)
         bq = metrics.bit_error_prob_quadrature(p, co)
         worst = max(worst, abs(b - bq) / bq)
-    beps = []
-    for gdb in np.arange(-5.0, 35.01, 2.5):
-        p = _unit(gdb)
-        beps.append(metrics.bit_error_prob(p, combined_cdf_coeffs(p, tab)))
+    unit = _unit_coeffs()
+    beps = [metrics.bit_error_prob(_unit(gdb), unit) for gdb in np.arange(-5.0, 35.01, 2.5)]
     mono = bool(np.all(np.diff(beps) <= 0.0))
     lines = [
         f"closed vs quadrature worst rel over 10 draws: {_f(worst)} (tol 1e-6)",
@@ -288,7 +292,7 @@ def check_capacity_vs_mc(seed: int, samples: int, workers: int) -> CheckResult:
     at every point; the simulator itself matches exact-model quadrature
     within ~1 SE.  Reported honestly.
     """
-    tab = series_coeffs(1.0, 10)
+    co = _unit_coeffs()
     # one simulation pass: the one-relay total is a prefix of the
     # two-relay total on the same streams
     single_db = (0.0, 5.0, 10.0, 15.0, 20.0)
@@ -304,8 +308,7 @@ def check_capacity_vs_mc(seed: int, samples: int, workers: int) -> CheckResult:
     ok = True
     worst_z = 0.0
     for gdb, est in one.items():
-        p = _unit(gdb)
-        closed = metrics.capacity(p, combined_cdf_coeffs(p, tab))
+        closed = metrics.capacity(_unit(gdb), co)
         z = (closed - est.value) / est.std_error
         worst_z = max(worst_z, abs(z))
         ok = ok and abs(z) <= 3.0
@@ -328,10 +331,10 @@ def check_high_snr_audit() -> CheckResult:
     """Series CDF vs exact-convolution CDF: asserted at 60 dB, measured and
     reported at 0 dB."""
     xs = np.linspace(0.0, 10.0, 101)
+    co = _unit_coeffs()
     sups = {}
     for gdb in (60.0, 0.0):
         p = _unit(gdb)
-        co = combined_cdf_coeffs(p, series_coeffs(1.0, 10))
         sups[gdb] = float(np.abs(combined_cdf(p, co, xs) - combined_cdf_exact(p, xs)).max())
     lines = [
         f"sup |series - exact| at 60 dB: {_f(sups[60.0])} (tol 1e-3)",

@@ -192,6 +192,17 @@ class TestSeriesCdfCoeffs:
         with pytest.raises(DegenerateParameterError, match="Perturb lambda_sd"):
             combined_cdf_coeffs(p, TABLE10)
 
+    @pytest.mark.parametrize("rates", ((1.0, 1.0, 1.0), (0.7, 2.0, 0.3)))
+    def test_independent_of_gamma(self, rates):
+        # gamma enters only where the coefficients are evaluated, so one
+        # build serves a whole SNR grid (perf and the validate checks)
+        built = [
+            combined_cdf_coeffs(ChannelParams(g, *rates), TABLE10) for g in (1e-3, 1.0, 1e6)
+        ]
+        for poly in ("cols", "pdf"):
+            bits = {np.array(getattr(co, poly)).tobytes() for co in built}
+            assert len(bits) == 1, poly
+
     def test_wrong_order_table_rejected(self):
         with pytest.raises(ValueError):
             combined_cdf_coeffs(UNIT, series_coeffs(2.0, 5))
