@@ -125,7 +125,11 @@ class CoefficientTable:
 
 @dataclass(frozen=True)
 class TruncatedValue:
-    """A truncated-series value together with a truncation-error estimate."""
+    """A truncated-series value together with a truncation-error estimate.
+
+    The return value of evaluate and evaluate_k0, read by the bessel
+    command and demos/bessel_series_accuracy.py.
+    """
 
     value: float
     epsilon_estimate: float

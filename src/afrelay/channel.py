@@ -307,6 +307,8 @@ def srd_cdf(params: ChannelParams, x):
     x = 0, because z K_1(z) -> 1, and 1 where exp(-lambda_s x) is 0, as at
     x = inf.  combined_cdf_exact integrates the same survival function.
     A scalar runs the array formula on a 0-d array and comes back a float.
+    The paper's exact statistic of S; the tests check it against the
+    bessel_k quadrature oracle.
     """
     v = _powers(x)
     return _result(1.0 - _survival(params, np.asarray(v)), v)
@@ -318,7 +320,8 @@ def srd_pdf(params: ChannelParams, x):
     f(x) = 2 exp(-lambda_s x) (lambda_p (2x + 1/gamma) K_0(2 zeta)
     + lambda_s zeta K_1(2 zeta)), with K_0/K_1 from scipy.special; 0 where
     exp(-lambda_s x) is 0, as at x = inf.  A scalar runs the array formula
-    on a 0-d array and comes back a float.
+    on a 0-d array and comes back a float.  The paper's exact statistic of
+    S; the tests check it against the bessel_k quadrature oracle.
     """
     from scipy.special import k0, k1
 
@@ -441,6 +444,7 @@ def minbound_cdf(params: ChannelParams, x):
 
     F(v) = 1 - exp(-a v) - a exp(-a v) g(v) (see _hypoexp): one formula,
     accurate at every spacing of the two rates, Erlang(2) at equal ones.
+    With Histogram.cdf_at_edges, the reference pair of TestMinbound.
     """
     v, a, _, eg = _hypoexp(params, x)
     return _result(np.clip(-np.expm1(-a * v) - a * eg, 0.0, 1.0), v)

@@ -190,7 +190,10 @@ def capacity(params: ChannelParams, coeffs: SeriesCdfCoeffs) -> float:
 
 
 def capacity_quadrature(params: ChannelParams, coeffs: SeriesCdfCoeffs) -> float:
-    """Ergodic capacity by quadrature of the complementary-CDF integral."""
+    """Ergodic capacity by quadrature of the complementary-CDF integral.
+
+    The reference tests/test_metrics.py compares capacity against.
+    """
     g = params.gamma
 
     def integrand(x: float) -> float:

@@ -103,8 +103,11 @@ class SimConfig:
 
     def __post_init__(self):
         # the seed is one 64-bit Philox key word; masking it instead would
-        # give -1 and 2**64 - 1 the same stream
-        if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2**64):
+        # give -1 and 2**64 - 1 the same stream; a bool is an Integral but
+        # never a seed
+        if isinstance(self.seed, bool) or not (
+            isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2**64
+        ):
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         _require_count("samples", self.samples, 1)
         _require_count("relays", self.relays, 1)
@@ -147,7 +150,10 @@ class Histogram:
         return self.counts / (self.samples_used * np.diff(self.edges))
 
     def cdf_at_edges(self) -> np.ndarray:
-        """Empirical CDF at every bin edge (exact counts, no binning loss)."""
+        """Empirical CDF at every bin edge (exact counts, no binning loss).
+
+        With minbound_cdf, the reference pair of TestMinbound.
+        """
         cum = np.concatenate([[0], np.cumsum(self.counts)])
         return (self.below + cum) / self.samples_used
 
@@ -180,7 +186,8 @@ def relay_power(x, y, inv_gamma: float):
     """Equivalent power of one relayed path given the two hop powers.
 
     Exact product form x*y/(x + y + 1/gamma), no high-SNR shortcut.
-    Zero on either hop gives zero (the path is down).
+    Zero on either hop gives zero (the path is down).  The kernel runs
+    _relay_term; this form is timed by perfbench's relay_power probe.
     """
     return x * y / (x + y + inv_gamma)
 
@@ -222,8 +229,7 @@ def _blocks(samples: int):
 
 
 def _map_blocks(fn, blocks, workers: int):
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers!r}")
+    _require_count("workers", workers, 1)
     if workers == 1:
         return [fn(b, m) for b, m in blocks]
     # imported here: importing the package loads no concurrent.futures,

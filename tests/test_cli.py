@@ -288,7 +288,7 @@ class TestDist:
         # match a tight quadrature of the convolution
         from scipy import integrate
 
-        from afrelay import ChannelParams, srd_cdf
+        from afrelay.channel import ChannelParams, srd_cdf
 
         code, out, _ = run_cli(capsys, "dist", "--lambda-sd", "400", "--gamma-db", "30")
         assert code == 0

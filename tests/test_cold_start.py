@@ -1,5 +1,6 @@
 """Cold start: importing afrelay loads numpy and no scipy module, nor
-numpy.polynomial, nor the thread pool of the Monte Carlo workers.
+numpy.polynomial, nor the thread pool of the Monte Carlo workers, nor the
+validation suite or the command line.
 
 Each scipy function is imported where it is first used.  These tests run
 fresh interpreters, because the test process loaded scipy long ago: one
@@ -38,6 +39,16 @@ def test_import_loads_no_thread_pool(child_env):
     assert run_fresh(code, child_env).split() == ["False", "False"]
 
 
+def test_import_loads_no_validation(child_env):
+    # no name of the package namespace lives in validation or cli, so
+    # importing the package runs neither the self-check suite nor the parser
+    code = (
+        "import sys, afrelay\n"
+        "print('afrelay.validation' in sys.modules, 'afrelay.cli' in sys.modules)"
+    )
+    assert run_fresh(code, child_env).split() == ["False", "False"]
+
+
 @pytest.mark.parametrize(
     "argv",
     (["coeffs", "--nu", "1"], ["perf", "--gamma-db-grid", "0:30:4"], ["dist", "--gamma-db", "20"]),
@@ -70,10 +81,11 @@ def test_command_does_not_load_scipy_integrate(argv, child_env):
 # Shared by the child and this process.  The order-1 depth-10 table is
 # given by value, so building the series coefficients loads no scipy.
 PRELUDE = f"""
-from afrelay import (
-    BLOCK, ChannelParams, CoefficientTable, SimConfig, bit_error_prob_quadrature,
-    combined_cdf_coeffs, combined_cdf_exact, e1_scaled, simulate, srd_cdf, srd_pdf, term_coeff,
-)
+from afrelay import ChannelParams, SimConfig, combined_cdf_coeffs, simulate
+from afrelay.bessel_series import CoefficientTable, term_coeff
+from afrelay.channel import combined_cdf_exact, srd_cdf, srd_pdf
+from afrelay.metrics import bit_error_prob_quadrature, e1_scaled
+from afrelay.montecarlo import BLOCK
 
 P = ChannelParams(gamma=100.0, lambda_sd=1.0, lambda_sr=1.0, lambda_rd=2.0)
 CO = combined_cdf_coeffs(P, CoefficientTable(1.0, {series_coeffs(1.0, 10).a!r}))

@@ -1,12 +1,16 @@
 """Export lists: the package re-exports each public name from the submodule
-that defines it, and every submodule export resolves."""
+that defines it, every submodule export resolves, and every import in
+README's code blocks resolves."""
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import afrelay
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 SUBMODULES = sorted(
     m.name for m in pkgutil.iter_modules(afrelay.__path__) if m.name != "__main__"
@@ -40,3 +44,50 @@ def test_submodule_exports_resolve():
         module = importlib.import_module(f"afrelay.{sub}")
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, (sub, missing)
+
+
+def test_package_exports_are_pinned():
+    # the quick start's names, the two errors they raise and the version;
+    # a new re-export has to show up here
+    assert afrelay.__all__ == [
+        "ChannelParams",
+        "DegenerateParameterError",
+        "QuadratureError",
+        "SimConfig",
+        "__version__",
+        "bit_error_prob",
+        "capacity",
+        "combined_cdf",
+        "combined_cdf_coeffs",
+        "outage",
+        "series_coeffs",
+        "simulate",
+    ]
+
+
+def readme_imports() -> list[ast.stmt]:
+    """The afrelay import statements of README's python code blocks."""
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    imports = []
+    for block in blocks:
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(m.split(".")[0] == "afrelay" for m in modules):
+                imports.append(node)
+    return imports
+
+
+def test_readme_imports_resolve():
+    imports = readme_imports()
+    assert imports, "README has no afrelay import"
+    for node in imports:
+        exec(compile(ast.Module([node], []), "README.md", "exec"), {})
+        if isinstance(node, ast.ImportFrom) and node.module == "afrelay":
+            # a package-level import is of a documented name, not a submodule
+            missing = [a.name for a in node.names if a.name not in afrelay.__all__]
+            assert not missing, missing

@@ -72,10 +72,10 @@ class TestSimConfig:
     def test_seed_range(self):
         # the seed is one 64-bit Philox key word: both ends of [0, 2**64)
         # are accepted, and values outside are refused rather than wrapped
-        # onto another seed's stream
+        # onto another seed's stream; a bool is refused as for the counts
         SimConfig(seed=0, samples=1)
         SimConfig(seed=2**64 - 1, samples=1)
-        for bad in (-1, 2**64, 1.5):
+        for bad in (-1, 2**64, 1.5, True, False):
             with pytest.raises(ValueError, match="seed"):
                 SimConfig(seed=bad, samples=1)
 
@@ -178,7 +178,8 @@ class TestSimulate:
             simulate(UNIT, cfg, "outage")
         with pytest.raises(ValueError, match="positive threshold"):
             simulate(UNIT, cfg, "outage", threshold=0.0)
-        for workers in (0, -3):
+        # 2.5 would size the thread pool from a float, True run as 1 worker
+        for workers in (0, -3, 2.5, True):
             with pytest.raises(ValueError, match="workers"):
                 simulate(UNIT, cfg, "capacity", workers=workers)
         with pytest.raises(ValueError, match="metric sequence is empty"):
