@@ -26,7 +26,9 @@ Closed forms implemented here:
 
 * the exact CDF of D + S (combined_cdf_exact), used to audit the high-SNR
   form: the convolution of the direct path with the survival function of
-  S, a whole grid of powers at once on reference's fixed panel rule;
+  S, taken over the direct path's own probability, in which its density
+  is uniform, so reference's fixed panel rule is graded toward one end
+  only; a whole grid of powers at once;
 * the classical min(X, Y) upper-bound baseline (minbound_cdf/minbound_pdf),
   a hypoexponential Exp(lambda_sd) + Exp(lambda_sr + lambda_rd), in one
   form that keeps its accuracy at every spacing of the two rates.
@@ -83,10 +85,9 @@ DEGENERATE_REL_TOL = 1e-9
 # combined_cdf_exact raises QuadratureError past this absolute error estimate.
 EXACT_ABS_TOL = 1e-12
 
-# The levels of combined_cdf_exact's panels toward each end; see there.
+# The levels of combined_cdf_exact's panels toward t = 0; see there.
 _PANEL_LEVELS = 17
 _LOW_REACH = 1e7
-_HIGH_REACH = 32.0
 _EXTRA_LEVELS = 32
 
 # Grid points per pass of combined_cdf_exact on the 19 panels of the base
@@ -338,35 +339,22 @@ def srd_pdf(params: ChannelParams, x):
         return _result(np.where(decay == 0.0, 0.0, density), v)
 
 
-def _extra_levels(reach: np.ndarray, start: float) -> np.ndarray:
-    """One level per factor 4 by which reach passes start, at most
-    _EXTRA_LEVELS; none for nan."""
-    steps = start * _PANEL_RATIO ** -np.arange(_EXTRA_LEVELS)
-    return (reach[:, None] > steps).sum(axis=1)
-
-
-def _exact_cdf_block(params: ChannelParams, x: np.ndarray, low: int, high: int) -> np.ndarray:
-    """combined_cdf_exact on a 1-d array of powers, on the panels of
-    _panel_rule(low, high); see there."""
-    t, rest, w, width = _panel_rule(low, high)
+def _exact_cdf_block(params: ChannelParams, x: np.ndarray, grow: np.ndarray, low: int):
+    """combined_cdf_exact on a 1-d array of powers x, with grow =
+    expm1(lambda_sd x), on the panels of _panel_rule(low); see there."""
+    t, w, width = _panel_rule(low)
     n = t.size // width.size  # nodes per panel
     lam = params.lambda_sd
-    span = np.where(np.isinf(x), 0.0, x)  # x = inf reads 1 below
-    u = span[:, None] * t
-    decay = np.exp(-lam * span[:, None] * rest)
+    big = np.isinf(grow)  # where expm1 overflows, log1p(t grow) = lambda_sd x + log t
+    u = np.log1p(np.where(big, 0.0, grow)[:, None] * t) / lam
+    if big.any():
+        u[big] = x[big, None] + np.log(t) / lam
     sf = _survival(params, u)
-    g = lam * decay * sf
-    integral = span * (g * w).sum(axis=1)
+    mass = -np.expm1(-lam * x)  # W = P[D <= x]
 
-    # The error estimate: _panel_tail's, and at the two ends bounds, as S-bar
-    # falls and the direct-path density rises with u: the first panel by S's
-    # mass below its end, and, where that density falls by more than a
-    # factor e from t = 1 to the last node (its scale 1 / lambda_sd is finer
-    # than the nodes there, past _EXTRA_LEVELS), the gap past the last node
-    # by the mass it can hold.
-    first = width[0] * lam * decay[:, n] * (1.0 - sf[:, n])
-    gap = np.where(decay[:, -1] < math.exp(-1.0), sf[:, -1] * (1.0 - decay[:, -1]), 0.0)
-    estimate = span * (_panel_tail(g, width) + first) + gap
+    # The error estimate: _panel_tail's, and a bound on the first panel, as
+    # S-bar falls from 1 by at most its drop at the next panel's first node
+    estimate = mass * (_panel_tail(sf, width) + width[0] * (1.0 - sf[:, n]))
     if (estimate > EXACT_ABS_TOL).any():
         i = int(np.argmax(estimate))
         raise QuadratureError(
@@ -374,57 +362,54 @@ def _exact_cdf_block(params: ChannelParams, x: np.ndarray, low: int, high: int) 
             f"{estimate[i]:.3g} exceeds {EXACT_ABS_TOL:g}",
             estimate=float(estimate[i]),
         )
-    cdf = np.clip(-np.expm1(-lam * span) - integral, 0.0, 1.0)
-    return np.where(np.isinf(x), 1.0, cdf)
+    return np.clip(mass * (1.0 - (sf * w).sum(axis=1)), 0.0, 1.0)
 
 
 def combined_cdf_exact(params: ChannelParams, x):
     """Exact CDF of D + S, vectorized over x: the audit target for combined_cdf.
 
-    With S-bar = 1 - srd_cdf the survival function of S,
+    With S-bar = 1 - srd_cdf the survival function of S, W = P[D <= x] =
+    -expm1(-lambda_sd x) and t = P[D <= x - u | D <= x] the direct path's
+    own probability, in which its density is uniform,
 
-        F(x) = 1 - exp(-lambda_sd x)
-               - integral_0^x lambda_sd exp(-lambda_sd (x - u)) S-bar(u) du,
+        F(x) = W (1 - integral_0^1 S-bar(u(t)) dt),
+        u(t) = log1p(t expm1(lambda_sd x)) / lambda_sd,
 
-    with no high-SNR assumption.  The integral runs in t = u/x on the fixed
-    Gauss-Legendre panels of reference._panel_rule, graded geometrically
-    toward both ends, each panel a quarter of the one before it:
-
-    * toward t = 0, down to [0, 0.5 * 4**-17].  There S-bar has a u log u
-      cusp, changes on the scale 1/gamma, and falls on the scale
-      1 / max(lambda_srd, lambda_p / gamma); the panels go one level
-      deeper per factor 4 by which x times that rate passes 1e7;
-    * toward t = 1, where the direct-path density changes on the scale
-      1 / (lambda_sd x): [0.5, 1] is one panel up to lambda_sd x = 32 and
-      is split one level further per factor 4 past it.
-
-    Either end takes at most 32 extra levels.  The levels depend on each
-    point's own x, so a point's value does not depend on the rest of the
-    grid.  Against a tight adaptive quadrature the result is within 1e-13
-    absolute from -20 to 100 dB, out to x = 1e3 / lambda_sd, with the
-    direct path up to 2.5e7 times faster than lambda_srd, and with S's mass
-    within 1e-9 of 0.
+    or x + log(t) / lambda_sd where expm1 overflows (lambda_sd x past about
+    709.8), with no high-SNR assumption.  u runs from 0 at t = 0, where
+    S-bar has a u log u cusp, changes on the scale 1/gamma and falls on the
+    scale 1/rate, rate = max(lambda_srd, lambda_p / gamma).  So the fixed
+    Gauss-Legendre panels of reference._panel_rule are graded toward t = 0
+    only, down to [0, 0.5 * 4**-17], and one level deeper per factor 4 by
+    which rate u'(0) = rate expm1(lambda_sd x) / lambda_sd passes 1e7, at
+    most 32 more.  The levels depend on each point's own x, so a point's
+    value does not depend on the rest of the grid.  Against a tight
+    adaptive quadrature the result is within 1e-13 absolute from -20 to
+    100 dB, out to x = 1e3 / lambda_sd, with the direct path up to 2.5e299
+    times faster than lambda_srd, and with S's mass within 1e-9 of 0.
 
     The same node values give an error estimate (see _exact_cdf_block);
     where it passes 1e-12 absolute, QuadratureError is raised with the
-    estimate attached instead of a value returned.  It does so past the
-    32 levels toward t = 1 (lambda_sd x beyond 32 * 4**32, about 5.9e20)
-    where S still has mass near x.  The CDF is exactly 0 at x = 0 and 1
-    where the direct path and S have no mass a double can hold, as at
-    x = inf.  Grid points are evaluated 1024 at a time on the base panels.
+    estimate attached instead of a value returned.  The CDF is exactly 0
+    at x = 0 and 1 where the direct path and S have no mass a double can
+    hold, as at x = inf.  Grid points are evaluated 1024 at a time on the
+    base panels.
     """
     v = _powers(x)
     flat = np.array(v, dtype=float).reshape(-1)
+    lam = params.lambda_sd
+    with np.errstate(over="ignore"):
+        grow = np.expm1(lam * flat)
     rate = max(params.lambda_srd, params.lambda_p / params.gamma)
-    low = _PANEL_LEVELS + _extra_levels(rate * flat, _LOW_REACH)
-    high = _extra_levels(params.lambda_sd * flat, _HIGH_REACH)
+    steps = _LOW_REACH * _PANEL_RATIO ** -np.arange(_EXTRA_LEVELS)
+    low = _PANEL_LEVELS + (rate * grow[:, None] / lam > steps).sum(axis=1)
     out = np.empty_like(flat)
-    for lo, hi in np.unique(np.stack((low, high), axis=1), axis=0).tolist():
-        at = np.flatnonzero((low == lo) & (high == hi))
-        step = _EXACT_CHUNK * (_PANEL_LEVELS + 2) // (lo + hi + 2)
+    for lo in np.unique(low).tolist():
+        at = np.flatnonzero(low == lo)
+        step = _EXACT_CHUNK * (_PANEL_LEVELS + 2) // (lo + 2)
         for i in range(0, at.size, step):
             part = at[i : i + step]
-            out[part] = _exact_cdf_block(params, flat[part], lo, hi)
+            out[part] = _exact_cdf_block(params, flat[part], grow[part], lo)
     return _result(out.reshape(np.shape(v)), v)
 
 

@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from . import metrics, reference, validation
+from . import metrics, reference
 from .bessel_series import evaluate, evaluate_k0, series_coeffs
 from .channel import (
     ChannelParams,
@@ -68,6 +68,19 @@ def _parse_grid(text: str) -> np.ndarray:
     if not vals:
         raise ValueError("empty grid")
     return np.asarray(vals)
+
+
+def _db_to_linear(flag: str, db):
+    """10**(db/10) of a dB flag's value or grid, refused with the flag's
+    name where a value leaves the positive doubles."""
+    try:
+        with np.errstate(over="ignore"):
+            linear = 10 ** (db / 10)
+    except OverflowError:  # a float's pow raises where numpy's reads inf
+        linear = math.inf
+    if not np.all(np.isfinite(linear) & (linear > 0.0)):
+        raise ValueError(f"{flag} must give a finite positive linear value 10**(dB/10)")
+    return linear
 
 
 def _fmt_cell(v) -> str:
@@ -174,7 +187,9 @@ def _cmd_dist(args) -> int:
     if (args.with_mc or args.with_minbound) and len(xs) < 2:
         raise ValueError("sampled densities need an x grid of at least two points")
     linear = args.gamma_linear
-    params = _channel_params(args, 10 ** (args.gamma_db / 10) if linear is None else linear)
+    if linear is None:
+        linear = _db_to_linear("--gamma-db", args.gamma_db)
+    params = _channel_params(args, linear)
     # built before any work so a bad seed or sample count is refused
     # whether or not Monte Carlo is asked for
     cfg = SimConfig(seed=args.seed, samples=args.samples)
@@ -223,8 +238,8 @@ def _cmd_perf(args) -> int:
         if np.any(gammas < 0):
             raise ValueError("linear SNR values must be >= 0")
     else:
-        gammas = 10 ** (_parse_grid(args.gamma_db_grid) / 10)
-    snr_threshold = 10 ** (args.snr_threshold_db / 10)
+        gammas = _db_to_linear("--gamma-db-grid", _parse_grid(args.gamma_db_grid))
+    snr_threshold = _db_to_linear("--snr-threshold-db", args.snr_threshold_db)
     cap_scale = 1.0 / _LN2 if args.bits else 1.0
     cap_name = "capacity_bits" if args.bits else "capacity_nats"
     # built before any work so a bad seed, sample or relay count is
@@ -267,6 +282,8 @@ def _cmd_perf(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from . import validation
+
     SimConfig(seed=args.seed, samples=args.samples)  # refuses a bad seed or count up front
     results = validation.run_all(seed=args.seed, samples=args.samples, workers=args.workers)
     report = validation.render_report(results, args.seed, args.samples)

@@ -12,7 +12,7 @@ absolute floor.  The series module never calls into this one; the
 two stay independent so each can audit the other.
 
 The fixed rule is 20-node Gauss-Legendre, from a correctly rounded
-table, on panels graded geometrically toward both ends of [0, 1]
+table, on panels graded geometrically toward one end, t = 0, of [0, 1]
 (_panel_rule), with an error estimate from the Legendre tail of each
 panel's interpolant (_panel_tail).
 
@@ -178,22 +178,17 @@ def _legendre_rule():
 
 
 @functools.cache
-def _panel_rule(low: int, high: int):
-    """The rule on [0, 1] in panels of the 20 nodes, each a quarter of the
-    one before it: low + 1 panels on [0, 0.5] down to [0, 0.5 * 4**-low] and
-    high + 1 on [0.5, 1] down to [1 - 0.5 * 4**-high, 1].  Returns the nodes
-    t, their distances 1 - t (exact near t = 1, where the far panels are
-    built from them), the weights and the panel widths, from t = 0 on."""
+def _panel_rule(low: int):
+    """The rule on [0, 1] in panels of the 20 nodes: low + 1 panels on
+    [0, 0.5], each a quarter of the one before it, down to
+    [0, 0.5 * 4**-low], and one on [0.5, 1].  Returns the nodes, their
+    weights and the panel widths, from t = 0 on."""
     s, w, _ = _legendre_rule()
     half = 0.5 * (1.0 + s)  # the nodes on [0, 1]
-    near = np.concatenate(([0.0], 0.5 * _PANEL_RATIO ** np.arange(low, -1, -1)))  # t, up to 0.5
-    far = np.concatenate((0.5 * _PANEL_RATIO ** np.arange(high + 1), [0.0]))  # 1 - t, down to 0
-    rise, fall = np.diff(near), -np.diff(far)
-    t = (near[:-1, None] + rise[:, None] * half).ravel()
-    rest = (far[:-1, None] - fall[:, None] * half).ravel()
-    width = np.concatenate((rise, fall))
-    weights = (0.5 * width[:, None] * w).ravel()
-    return np.concatenate((t, 1.0 - rest)), np.concatenate((1.0 - t, rest)), weights, width
+    edges = np.concatenate(([0.0], 0.5 * _PANEL_RATIO ** np.arange(low, -1, -1), [1.0]))
+    width = np.diff(edges)
+    t = (edges[:-1, None] + width[:, None] * half).ravel()
+    return t, (0.5 * width[:, None] * w).ravel(), width
 
 
 def _panel_tail(values: np.ndarray, width: np.ndarray) -> np.ndarray:

@@ -630,10 +630,11 @@ def _unit_db(db: float) -> ChannelParams:
 # gamma sweep at unit rates out to x = 1e3 / lambda_sd, seeded draws over
 # the rate box (the lambda_sd ~ lambda_srd band kept) out to the same
 # reach, fast hops at -20 dB, where S has its mass within 1e-3 of 0, a
-# direct path 100 to 2.5e7 times faster than lambda_srd, where the panels
-# are graded toward t = 1, and a relayed path whose mass sits within 1e-9
-# of 0 (-90 dB, or hops at rate 1e9), where they are graded further toward
-# t = 0
+# direct path 100 to 2.5e7 times faster than lambda_srd, one 2.5e11 to
+# 2.5e299 times faster, where expm1(lambda_sd x) overflows and u(t) takes
+# its logarithmic form, and a relayed path whose mass sits within 1e-9 of 0
+# (-90 dB, or hops at rate 1e9), where the panels are graded further
+# toward t = 0
 SWEEP = {
     "audit-60dB": [(_unit_db(60.0), np.linspace(0.0, 10.0, 101))],
     "audit-0dB": [(_unit_db(0.0), np.linspace(0.0, 10.0, 101))],
@@ -654,6 +655,11 @@ SWEEP = {
          np.geomspace(1e-3, 30.0, 16))
         for lam in (400.0, 1e4, 1e8)
     ],
+    "fastest-direct": [
+        (ChannelParams(gamma=1e3, lambda_sd=lam, lambda_sr=1.0, lambda_rd=1.0),
+         np.geomspace(1e-3, 10.0, 16))
+        for lam in (1e12, 1e22, 1e100, 1e300)
+    ],
     "faint-relay": [
         (ChannelParams(gamma=1e-9, lambda_sd=1.0, lambda_sr=1.0, lambda_rd=1.0),
          np.geomspace(1e-3, 30.0, 16)),
@@ -669,10 +675,11 @@ class TestExactPanels:
 
     @pytest.mark.parametrize("name", SWEEP)
     def test_within_1e13_of_the_tight_adaptive_route(self, name):
-        # measured worst 4.4e-16 over the 721 points of the other groups
-        # and 6.7e-16 in fast-direct (lambda_sd = 1e8, x = 15.1), on the
-        # correctly rounded 20-node table; none raises, so every error
-        # estimate stays within EXACT_ABS_TOL
+        # measured worst 5.6e-16 over the 721 points of the other groups
+        # (dist, 20 dB, x = 3.3), 6.7e-16 in fast-direct (lambda_sd = 1e8,
+        # x = 15.1) and 3.3e-16 in fastest-direct, on the correctly rounded
+        # 20-node table; none raises, so every error estimate stays within
+        # EXACT_ABS_TOL
         worst = 0.0
         for p, xs in SWEEP[name]:
             got = combined_cdf_exact(p, xs)
@@ -696,8 +703,9 @@ class TestExactPanels:
 
     def test_scalar_equals_array_bitwise(self):
         xs = np.concatenate(([0.0], np.geomspace(1e-9, 1e3, 60), [1e40, math.inf]))
-        # lambda_sd = 400: lambda_sd x from 4e-7 to 4e5 takes 0 to 7 levels
-        # toward t = 1, and each point gets the value it gets alone
+        # lambda_sd = 400: expm1(lambda_sd x) from 4e-7 to inf takes 0 to 32
+        # extra levels toward t = 0, and each point gets the value it gets
+        # alone
         fast = ChannelParams(gamma=1e3, lambda_sd=400.0, lambda_sr=1.0, lambda_rd=1.0)
         for p in [UNIT, fast] + scalar_path_draws(5, 6, db=(-20.0, 100.0)):
             for f, grid in ((srd_cdf, xs), (srd_pdf, xs[1:]), (combined_cdf_exact, xs)):
@@ -716,18 +724,23 @@ class TestExactPanels:
         )
         assert np.array_equal(whole.view(np.uint64), parts.view(np.uint64))
 
-    def test_refuses_past_its_error_bound(self, monkeypatch):
-        # lambda_sd = 1e22 with unit hops: lambda_sd x = 1e22 passes the 32
-        # levels toward t = 1 (they reach 32 * 4**32, about 5.9e20), so the
-        # last panel spans lambda_sd (x - u) up to 110 and the estimate,
-        # 2.5e-4, passes EXACT_ABS_TOL; the value it withholds is off by
-        # 6.6e-4
+    def test_fast_direct_path_past_expm1(self):
+        # lambda_sd = 1e22 with unit hops: at x = 1e-23 lambda_sd x is 0.1,
+        # and u(t) takes its log1p form; at 1e-3 and 1 expm1 overflows, and
+        # it takes its logarithmic form, in the same pass
         p = ChannelParams(gamma=1e3, lambda_sd=1e22, lambda_sr=1.0, lambda_rd=1.0)
+        xs = np.array([1e-23, 1e-3, 1.0])
+        got = combined_cdf_exact(p, xs)
+        for x, value in zip(xs.tolist(), got.tolist()):
+            assert abs(value - adaptive_cdf_exact(p, x)) <= 1e-13, x
+
+    def test_refuses_past_its_error_bound(self, monkeypatch):
+        # a bound below every estimate: the pass raises with the estimate
+        # attached, which the real bound would have let through
+        monkeypatch.setattr(channel, "EXACT_ABS_TOL", 1e-300)
         with pytest.raises(QuadratureError, match="error estimate") as info:
-            combined_cdf_exact(p, np.array([1e-23, 1.0]))
-        assert info.value.estimate > EXACT_ABS_TOL
-        monkeypatch.setattr(channel, "EXACT_ABS_TOL", math.inf)
-        assert abs(combined_cdf_exact(p, 1.0) - adaptive_cdf_exact(p, 1.0)) > 1e-4
+            combined_cdf_exact(UNIT, np.array([0.5, 1.0]))
+        assert 1e-300 < info.value.estimate <= EXACT_ABS_TOL
 
 
 class TestMinboundBaseline:

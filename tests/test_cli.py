@@ -11,6 +11,7 @@ import math
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -284,8 +285,9 @@ class TestDist:
 
     def test_fast_direct_path(self, capsys):
         # lambda_sd = 400: the direct-path density changes on the scale
-        # 1/400 near u = x, so the panels are graded toward t = 1; the cells
-        # match a tight quadrature of the convolution
+        # 1/400 near u = x, and is uniform in the variable of the panels,
+        # the direct path's own probability; the cells match a tight
+        # quadrature of the convolution
         from scipy import integrate
 
         from afrelay.channel import ChannelParams, srd_cdf
@@ -303,6 +305,15 @@ class TestDist:
                 0.0, min(x, 745.0 / 400.0), epsabs=1e-15, epsrel=1e-13, limit=200,
             )
             assert quad[i] == pytest.approx(want, rel=1e-11), x
+
+    def test_direct_path_past_expm1(self, capsys):
+        # lambda_sd x passes 709.8 at every x > 0; the exact column takes
+        # u(t)'s logarithmic form and returns a value
+        code, out, _ = run_cli(capsys, "dist", "--lambda-sd", "1e22", "--x-grid", "0:2:3")
+        assert code == 0
+        _, columns, rows = parse_csv(out)
+        quad = [float(v) for v in column(rows, columns, "cdf_quadrature")]
+        assert quad[0] == 0.0 and 0.0 < quad[1] < quad[2] < 1.0
 
     def test_pinned_artifact(self, capsys):
         # golden: covers the array path of the series CDF/PDF and of the
@@ -472,6 +483,23 @@ class TestValidate:
 
 
 class TestHarness:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        (
+            (["dist", "--gamma-db", "4000"], "--gamma-db"),
+            (["perf", "--snr-threshold-db", "4000"], "--snr-threshold-db"),
+            (["perf", "--gamma-db-grid", "0:4000:2"], "--gamma-db-grid"),
+        ),
+    )
+    def test_db_value_past_the_double_range_is_usage_error(self, capsys, argv, flag):
+        # 10**400 is past the largest double: refused with the flag's name,
+        # with neither an OverflowError nor numpy's overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert flag in err
+
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert run_cli(capsys)[0] == 2
 

@@ -1,6 +1,7 @@
 """Cold start: importing afrelay loads numpy and no scipy module, nor
 numpy.polynomial, nor the thread pool of the Monte Carlo workers, nor the
-validation suite or the command line.
+validation suite or the command line; a command other than validate
+loads no validation suite either.
 
 Each scipy function is imported where it is first used.  These tests run
 fresh interpreters, because the test process loaded scipy long ago: one
@@ -54,8 +55,9 @@ def test_import_loads_no_validation(child_env):
     (["coeffs", "--nu", "1"], ["perf", "--gamma-db-grid", "0:30:4"], ["dist", "--gamma-db", "20"]),
     ids=("coeffs", "perf", "dist"),
 )
-def test_command_does_not_load_scipy_integrate(argv, child_env):
-    # no point of this perf grid needs the quadrature fallback of capacity,
+def test_command_loads_neither_scipy_integrate_nor_validation(argv, child_env):
+    # cli imports the self-check suite inside the validate command alone.
+    # No point of this perf grid needs the quadrature fallback of capacity,
     # and dist's cdf_quadrature column takes fixed panels, not scipy.integrate,
     # on a literal Gauss-Legendre table, not numpy.polynomial's.  scipy.special
     # loads numpy.polynomial itself (through its array-API layer), so the
@@ -73,9 +75,9 @@ def test_command_does_not_load_scipy_integrate(argv, child_env):
         "import afrelay.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = afrelay.cli.main({argv!r})\n"
-        "print(code, 'scipy.integrate' in sys.modules)"
+        "print(code, 'scipy.integrate' in sys.modules, 'afrelay.validation' in sys.modules)"
     )
-    assert run_fresh(code, child_env).split() == ["0", "False"]
+    assert run_fresh(code, child_env).split() == ["0", "False", "False"]
 
 
 # Shared by the child and this process.  The order-1 depth-10 table is

@@ -144,10 +144,10 @@ class TestGaussLegendreTable:
 
     def test_exact_cdf_at_a_fast_direct_path(self):
         # lambda_sd = 1e8, x = 1e-3: the direct-path density lives within a
-        # few 1e-8 of u = x, on the panels toward t = 1.  The convolution at
-        # 30 digits is 0.0021216283976809336077 at x = 1e-3 and 4.4e-20 more
-        # at the double nearest it, 2.1e-20 past; weights 7e-14 off in
-        # relative terms put the panels 9.5e-15 from it
+        # few 1e-8 of u = x, where u(t) = x + log(t) / lambda_sd spreads it
+        # over all of t in [0, 1].  The convolution at 30 digits is
+        # 0.0021216283976809336077 at x = 1e-3 and 4.4e-20 more at the
+        # double nearest it, 2.1e-20 past; the panels are 1.1e-16 from it
         p = ChannelParams(gamma=100.0, lambda_sd=1e8, lambda_sr=1.0, lambda_rd=1.0)
         x = 1e-3
         with mpmath.workdps(30):
