@@ -9,9 +9,10 @@ numbers and ratios of gamma functions.  Unlike a fixed power series, the
 whole coefficient set depends on the truncation depth k: deepening the
 expansion reshuffles every polynomial coefficient, not just the tail.
 
-The representation is valid for real order nu > 0 excluding half-integers
-(1/2, 3/2, ...), where the gamma factors hit poles.  K_0 is reachable
-through the downward three-term recurrence, see :func:`evaluate_k0`.
+The representation is valid for real order nu > 0 excluding the exact
+half-integers (1/2, 3/2, ...), where the gamma factors hit poles, and orders
+past the double range (nu > ~150); :func:`term_coeff` refuses both.  K_0 is
+reachable through the downward three-term recurrence, see :func:`evaluate_k0`.
 
 Coefficient magnitudes and signs are handled in the log-gamma domain so
 that negative gamma arguments (for example Gamma(-1/2) = -2*sqrt(pi)) do
@@ -40,20 +41,12 @@ __all__ = [
 # against an extended-precision recomputation up to this depth.
 K_MAX = 30
 
-_HALF_INT_TOL = 1e-12
-
 
 def _check_order(nu: float) -> float:
-    """Validate a series order: positive real, not a half-integer."""
+    """Validate a series order: a positive finite real (term_coeff refuses the rest)."""
     nu = float(nu)
     if not math.isfinite(nu) or nu <= 0.0:
         raise ValueError(f"series order must be a positive real, got {nu!r}")
-    twice = 2.0 * nu
-    if abs(twice - round(twice)) < _HALF_INT_TOL and round(twice) % 2 == 1:
-        raise ValueError(
-            f"half-integer order unsupported: the gamma factors of the "
-            f"expansion are singular at nu={nu!r}"
-        )
     return nu
 
 
@@ -87,6 +80,9 @@ def term_coeff(nu: float, n: int, i: int) -> float:
     sign * exp(log magnitude) with the gamma factors split into log-modulus
     (scipy.special.gammaln) and sign (scipy.special.gammasgn); the sign
     bookkeeping matters because two of the gamma arguments go negative.
+    It is the one place a series order is refused: a ValueError where the
+    log magnitude is not finite (a gamma pole, at a half-integer or where
+    0.5 - nu rounds to an integer) or its exponential overflows.
     """
     # imported on first use: importing the package does not load scipy,
     # and the coefficient cache keeps this off every evaluation path
@@ -96,18 +92,24 @@ def term_coeff(nu: float, n: int, i: int) -> float:
     L = lah(n, i)
     if L == 0:
         return 0.0
+    # summed as Python floats, so a pole's inf - inf reads nan silently
     log_mag = (
         0.5 * math.log(math.pi)
-        + gammaln(2.0 * nu)
-        + gammaln(0.5 + n - nu)
+        + float(gammaln(2.0 * nu))
+        + float(gammaln(0.5 + n - nu))
         + math.log(L)
         - (nu - i) * math.log(2.0)
-        - gammaln(0.5 - nu)
-        - gammaln(0.5 + n + nu)
+        - float(gammaln(0.5 - nu))
+        - float(gammaln(0.5 + n + nu))
         - math.lgamma(n + 1.0)
     )
     sign = (-1.0) ** (i % 2) * gammasgn(0.5 + n - nu) * gammasgn(0.5 - nu)
-    return sign * math.exp(log_mag)
+    if math.isfinite(log_mag):
+        try:
+            return sign * math.exp(log_mag)
+        except OverflowError:
+            pass
+    raise ValueError(f"half-integer order unsupported, as is one past the double range: nu={nu!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,8 +152,8 @@ def series_coeffs(nu: float, k: int) -> CoefficientTable:
     """Collapsed polynomial coefficients a_0..a_k of the depth-k truncation,
     built once per (nu, k): every call returns the same table.
 
-    Raises ValueError for nu = 0 and half-integer nu, where the expansion
-    is undefined.
+    Raises ValueError for nu <= 0, exact half-integers and orders past the
+    double range (from nu ~ 150.4 at depth 30, ~ 151.1 at depth 0).
     """
     return _table(_check_order(nu), _check_depth(k))
 

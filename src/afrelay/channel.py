@@ -124,9 +124,15 @@ class ChannelParams:
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
         lam_p = self.lambda_sr * self.lambda_rd
         lam_s = self.lambda_sr + self.lambda_rd
+        lam_srd = lam_s + 2.0 * math.sqrt(lam_p)
+        if not all(math.isfinite(v) and v > 0.0 for v in (lam_p, lam_s, lam_srd)):
+            raise ValueError(
+                f"lambda_sr={self.lambda_sr!r} and lambda_rd={self.lambda_rd!r} give "
+                f"a lambda_p, lambda_s or lambda_srd outside the positive doubles"
+            )
         object.__setattr__(self, "lambda_p", lam_p)
         object.__setattr__(self, "lambda_s", lam_s)
-        object.__setattr__(self, "lambda_srd", lam_s + 2.0 * math.sqrt(lam_p))
+        object.__setattr__(self, "lambda_srd", lam_srd)
 
 
 @dataclass(frozen=True, eq=False)

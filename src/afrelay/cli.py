@@ -54,8 +54,6 @@ def _parse_grid(text: str) -> np.ndarray:
     """Parse 'start:stop:count' (inclusive linspace) or 'v1,v2,...' of
     finite values."""
     s = text.strip()
-    if not s:
-        raise ValueError("empty grid")
     if ":" in s:
         parts = s.split(":")
         if len(parts) != 3:
@@ -320,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True, metavar="command")
 
     sp = sub.add_parser("coeffs", help="series coefficient table for one (order, depth)")
-    sp.add_argument("--nu", type=float, required=True, help="series order (not 0 or half-integer)")
+    sp.add_argument("--nu", type=float, required=True, help="order in (0, ~150), not a half-integer")
     sp.add_argument("--k", type=int, default=10, help="truncation depth")
     sp.add_argument("--format", choices=("csv", "json", "table1"), default="csv",
                     help="table1 rounds to 4 significant digits")

@@ -240,26 +240,23 @@ def _map_blocks(fn, blocks, workers: int):
         return list(pool.map(lambda bm: fn(*bm), blocks))
 
 
-def _run(params: ChannelParams, cfg: SimConfig, requests, workers: int) -> list[tuple]:
+def _run(params: ChannelParams, cfg: SimConfig, requests, workers, minbound=False) -> list[tuple]:
     """The block kernel: one pass over the streams for every request.
 
     requests holds (r, gamma, reduce) triples with 1 <= r <= cfg.relays.
     Per chunk, links 0..max r are drawn once.  For each distinct gamma the
     running total D + S_1 + ... + S_r is built in relay order, and every
     request with that gamma is reduced, reduce(total, gamma), when the
-    total reaches its relay count.  gamma None stands for the min-of-hops
-    bound, S_r = min(X_r, Y_r); a call asks for the bound or for the
-    model, not both.  Returns each request's partial over all samples:
-    the chunks' partials joined in _pairwise's tree within a block, then
-    the blocks' in block order.
+    total reaches its relay count.  With minbound every S_r is the
+    min-of-hops bound min(X_r, Y_r) instead of the model's relay term.
+    Returns each request's partial over all samples: the chunks' partials
+    joined in _pairwise's tree within a block, then the blocks' in block
+    order.
     """
     plan: dict = {}  # gamma -> {relay count -> [(request index, reduce)]}
     for i, (r, gamma, reduce) in enumerate(requests):
         plan.setdefault(gamma, {}).setdefault(r, []).append((i, reduce))
     depth = max(r for r, _, _ in requests)
-    minbound = None in plan
-    if minbound and len(plan) > 1:
-        raise ValueError("the min-of-hops bound and the model are separate calls")
     hop_rates = (params.lambda_sr, params.lambda_rd)
 
     def block(b, m):
@@ -285,10 +282,7 @@ def _run(params: ChannelParams, cfg: SimConfig, requests, workers: int) -> list[
             for gamma, at in plan.items():
                 for r in range(1, max(at) + 1):
                     h = hops[r - 1]
-                    if minbound:
-                        s_r = h[:n]
-                    else:
-                        s_r = _relay_term(h[:n], h[n : 2 * n], 1.0 / gamma, t)
+                    s_r = h[:n] if minbound else _relay_term(h[:n], h[n : 2 * n], 1.0 / gamma, t)
                     np.add(d if r == 1 else s, s_r, out=s)
                     for i, reduce in at.get(r, ()):
                         out[i] = reduce(s, gamma)
@@ -466,6 +460,6 @@ def histogram_at_edges(
         raise ValueError("edges must be nonnegative (powers are nonnegative)")
 
     reduce, finish = _histogram(edges, cfg.samples)
-    request = (1, None, reduce) if minbound else (cfg.relays, params.gamma, reduce)
-    [partial] = _run(params, cfg, [request], workers)
+    request = (1 if minbound else cfg.relays, params.gamma, reduce)
+    [partial] = _run(params, cfg, [request], workers, minbound)
     return finish(*partial)

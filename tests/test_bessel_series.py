@@ -1,7 +1,9 @@
 """Series construction: Lah numbers, term coefficients, collapsed tables,
 truncated evaluation and the reciprocal-exponential derivative."""
 
+import hashlib
 import math
+import warnings
 
 import mpmath as mp
 import pytest
@@ -18,6 +20,24 @@ from afrelay.bessel_series import (
 )
 from afrelay.reference import bessel_k
 from afrelay.validation import _exp_reciprocal_fd
+
+
+def collapsed_mp(nu: float, k: int):
+    """The depth-k table of the double order nu, summed at 60 significant
+    digits from the term formula."""
+    v, half = mp.mpf(nu), mp.mpf(1) / 2
+
+    def term(n, i):
+        L = lah(n, i)
+        if L == 0:
+            return mp.mpf(0)
+        num = (-1) ** i * mp.sqrt(mp.pi) * mp.gamma(2 * v) * mp.gamma(half + n - v) * L
+        den = mp.mpf(2) ** (v - i) * mp.gamma(half - v) * mp.gamma(half + n + v) * mp.factorial(n)
+        return num / den
+
+    with mp.workdps(60):
+        return [+mp.fsum(term(l, q) for l in range(q, k + 1)) for q in range(k + 1)]
+
 
 def lah_recurrence(n_max: int):
     """Triangle of Lah numbers from L(n+1,i) = L(n,i-1) + (n+i) L(n,i)."""
@@ -89,27 +109,21 @@ class TestSeriesCoeffs:
         # recompute the collapsed coefficients at 60 significant digits;
         # the double-precision build stays within 1e-12 up to the depth cap
         # (measured worst 1.9e-14 at k = 30)
-        mp.mp.dps = 60
-        one = mp.mpf(1)
-
-        def term_mp(n, i):
-            L = lah(n, i)
-            if L == 0:
-                return mp.mpf(0)
-            num = (-1) ** i * mp.sqrt(mp.pi) * mp.gamma(2 * one) * mp.gamma(one / 2 + n - one) * L
-            den = (
-                mp.mpf(2) ** (one - i)
-                * mp.gamma(one / 2 - one)
-                * mp.gamma(one / 2 + n + one)
-                * mp.factorial(n)
-            )
-            return num / den
-
         for k in (5, 10, 30):
             a = series_coeffs(1.0, k).a
-            for q in range(k + 1):
-                ref = mp.fsum(term_mp(l, q) for l in range(q, k + 1))
-                assert abs((mp.mpf(float(a[q])) - ref) / ref) < 1e-12, (k, q)
+            for q, ref in enumerate(collapsed_mp(1.0, k)):
+                assert abs((mp.mpf(a[q]) - ref) / ref) < 1e-12, (k, q)
+
+    @pytest.mark.parametrize("k", (2, 10, 30))
+    @pytest.mark.parametrize("nu", [n + 0.5 + s for n in range(4) for s in (-1e-13, 1e-13)])
+    def test_near_half_integer_against_extended_precision(self, nu, k):
+        # only the exact half-integers are poles: 1e-13 away the table
+        # holds within 1e-14 of its largest entry (measured worst 4.4e-15)
+        a = series_coeffs(nu, k).a
+        ref = collapsed_mp(nu, k)
+        scale = max(abs(r) for r in ref)
+        for q in range(k + 1):
+            assert abs(mp.mpf(a[q]) - ref[q]) < 1e-14 * scale, (nu, k, q)
 
     def test_depth_cap(self):
         with pytest.raises(ValueError):
@@ -122,6 +136,30 @@ class TestSeriesCoeffs:
             series_coeffs(0.5, 2)
         with pytest.raises(ValueError):
             series_coeffs(0.0, 2)
+
+    @pytest.mark.parametrize("nu", (0.5, 1.5, 2.5, 151.2, 170.0, 1e16, 1e300))
+    def test_refused_where_a_term_leaves_the_doubles(self, nu):
+        # the gamma poles, an overflowing exp and 0.5 - nu rounding to an
+        # integer all refuse with one ValueError: no OverflowError, nan
+        # table or numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (0, 10, 30):
+                with pytest.raises(ValueError, match="half-integer order unsupported"):
+                    series_coeffs(nu, k)
+                with pytest.raises(ValueError, match="past the double range"):
+                    evaluate(nu, k, 1.0)
+
+    def test_finite_tables_keep_their_bits(self):
+        # the gate has no margin: 150.25 at depth 30 is just inside the
+        # double range, and every table here is pinned to the bit
+        h = hashlib.sha256()
+        for nu in (0.25, 1.0, 2.0, 3.7, 7.25, 150.25):
+            for k in (0, 2, 10, 30):
+                h.update(" ".join(map(float.hex, series_coeffs(nu, k).a)).encode() + b"\n")
+        assert h.hexdigest() == (
+            "c60cd2717764cfcf7a5ebc841b7cebd055b92433ecc366f42edde86a7b2ebcb2"
+        )
 
     def test_table_is_the_cached_tuple(self):
         # the coefficients are a tuple of Python floats, the depth is read

@@ -59,6 +59,12 @@ class TestChannelParams:
             with pytest.raises(ValueError):
                 ChannelParams(**kw)
 
+    @pytest.mark.parametrize("sr,rd", [(1e155, 1e155), (1e-200, 1e-200), (1e308, 1e308)])
+    def test_rejects_rates_whose_combinations_leave_the_doubles(self, sr, rd):
+        # lambda_p overflows, lambda_p underflows, lambda_s overflows
+        with pytest.raises(ValueError, match="lambda_sr=.* and lambda_rd=.*"):
+            ChannelParams(gamma=1.0, lambda_sd=1.0, lambda_sr=sr, lambda_rd=rd)
+
     def test_derived_combinations(self):
         p = ChannelParams(gamma=10.0, lambda_sd=1.0, lambda_sr=2.0, lambda_rd=0.5)
         assert p.lambda_p == pytest.approx(1.0)

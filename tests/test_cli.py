@@ -75,6 +75,17 @@ class TestParseGrid:
             assert (code, out) == (2, ""), argv
             assert "grid values must be finite" in err, argv
 
+    def test_comma_only_grid_is_usage_error(self, capsys):
+        for argv in (("dist", "--x-grid", ","), ("bessel", "--beta-list", " , ,")):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert "empty grid" in err, argv
+
+    def test_negative_linear_snr_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "perf", "--gamma-linear-grid", "0,-1,2")
+        assert (code, out) == (2, "")
+        assert "linear SNR values must be >= 0" in err
+
 
 class TestManifest:
     def test_csv_checksum_covers_body(self, capsys):
@@ -179,6 +190,24 @@ class TestCoeffs:
         assert code == 2
         assert "half-integer" in err
 
+    def test_order_past_the_double_range_is_usage_error(self, capsys):
+        # an overflowing term and 0.5 - nu rounding to an integer refuse
+        # as the half-integers do, with no traceback or nan table
+        for argv in (
+            ("coeffs", "--nu", "170", "--k", "3"),
+            ("coeffs", "--nu", "1e16", "--k", "2"),
+            ("bessel", "--nu", "200", "--x-grid", "1"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert "past the double range" in err, argv
+
+    def test_near_half_integer_order_is_served(self, capsys):
+        code, out, _ = run_cli(capsys, "coeffs", "--nu", "0.5000000000001", "--k", "3")
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        assert all(math.isfinite(float(a)) for _, a in rows)
+
 
 class TestBessel:
     def test_series_and_oracle_columns(self, capsys):
@@ -258,6 +287,15 @@ class TestDist:
     def test_descending_grid_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "dist", "--x", "2,1,3")
         assert code == 2
+
+    def test_hop_rates_past_the_double_range_are_usage_error(self, capsys):
+        # lambda_p = lambda_sr lambda_rd overflows or underflows
+        for rate in ("1e155", "1e-200"):
+            code, out, err = run_cli(
+                capsys, "dist", "--lambda-sr", rate, "--lambda-rd", rate, "--x-grid", "0:1:3"
+            )
+            assert (code, out) == (2, ""), rate
+            assert "lambda_sr" in err and "lambda_rd" in err, rate
 
     def test_one_point_grid_with_sampling_is_usage_error(self, capsys):
         # one grid point gives no bin width; refused before any work
