@@ -171,8 +171,8 @@ def combined_cdf_coeffs(
     them from those tables.  The table must be for order nu = 1 (the CDF
     of S involves K_1 only).  Raises DegenerateParameterError when
     lambda_srd is within relative 1e-9 of lambda_sd, where the coefficients
-    blow up; perturbing lambda_sd by one part in 1e6 moves off the
-    singularity.
+    blow up; one part in 1e6 off it the series CDF is still off by orders
+    of magnitude, so that band needs combined_cdf_exact or Monte Carlo.
     """
     if table.nu != 1.0:
         raise ValueError(f"coefficients need the order-1 table, got nu={table.nu}")
@@ -181,8 +181,8 @@ def combined_cdf_coeffs(
         raise DegenerateParameterError(
             f"lambda_srd={params.lambda_srd!r} and lambda_sd={params.lambda_sd!r} "
             f"coincide to within {DEGENERATE_REL_TOL:g} relative; the series "
-            f"CDF has a removable singularity there. Perturb lambda_sd by "
-            f"~1e-6 relative to evaluate nearby."
+            f"CDF has a removable singularity there and is far off near it. "
+            f"Use combined_cdf_exact or Monte Carlo in this band."
         )
     two_root_p = 2.0 * math.sqrt(params.lambda_p)
     d_pow = [d**m for m in range(1, table.k + 2)]  # d_pow[m] = d^(m+1)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 
 from .channel import ChannelParams, SeriesCdfCoeffs, combined_cdf, combined_pdf
-from .reference import QuadratureSpec, adaptive_quad
+from .reference import adaptive_quad
 
 __all__ = [
     "e1_scaled",
@@ -148,7 +148,7 @@ def _t_single(mu: float, c: int) -> float:
         return math.exp(c * math.log(w) - w - lgf) / (1.0 + w / mu)
 
     hi = c + 40.0 * math.sqrt(c + 1.0) + 40.0
-    q = adaptive_quad(h, 0.0, hi, QuadratureSpec(1e-15, 5e-14, 300))
+    q = adaptive_quad(h, 0.0, hi, abs_tol=1e-15, rel_tol=5e-14, limit=300)
     return math.exp(lgf - (c + 1) * math.log(mu)) * q
 
 

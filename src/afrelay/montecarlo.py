@@ -115,7 +115,7 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimEstimate:
-    """Point estimate with its standard error and the sample count used."""
+    """Point estimate, its standard error (nan for a one-sample mean) and sample count."""
 
     value: float
     std_error: float
@@ -295,7 +295,8 @@ def _run(params: ChannelParams, cfg: SimConfig, requests, workers, minbound=Fals
 
 def _mean_estimate(total: float, total_sq: float, n: int) -> SimEstimate:
     mean = total / n
-    var = max(total_sq - n * mean * mean, 0.0) / max(n - 1, 1)
+    # one sample has no spread to estimate: its standard error is undefined
+    var = max(total_sq - n * mean * mean, 0.0) / (n - 1) if n > 1 else math.nan
     return SimEstimate(value=mean, std_error=math.sqrt(var / n), samples_used=n)
 
 

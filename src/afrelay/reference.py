@@ -16,22 +16,21 @@ table, on panels graded geometrically toward one end, t = 0, of [0, 1]
 (_panel_rule), with an error estimate from the Legendre tail of each
 panel's interpolant (_panel_tail).
 
-scipy.integrate is imported by adaptive_quad on its first call, so
-importing this module (and the package) does not load it.
+adaptive_quad passes its tolerances and budget to scipy.integrate.quad as
+they are, so scipy's ValueError refuses invalid ones; it imports
+scipy.integrate on its first call, so importing the package does not.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "QuadratureError",
-    "QuadratureSpec",
     "adaptive_quad",
     "bessel_k",
     "fractional_integral",
@@ -48,41 +47,22 @@ class QuadratureError(RuntimeError):
         self.estimate = estimate
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and subdivision budget for the adaptive integrator."""
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
-            raise ValueError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-
-
-DEFAULT_SPEC = QuadratureSpec()
-_BESSEL_SPEC = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-12)
-
-
-def adaptive_quad(f: Callable[[float], float], lo: float, hi: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """Adaptive quadrature of f over [lo, hi] under the spec's tolerances.
+def adaptive_quad(
+    f: Callable[[float], float], lo: float, hi: float,
+    abs_tol: float = 1e-12, rel_tol: float = 1e-10, limit: int = 200,
+) -> float:
+    """Adaptive quadrature of f over [lo, hi] by scipy.integrate.quad, to
+    max(abs_tol, rel_tol * |result|) in at most limit subdivisions.
 
     Raises QuadratureError (with the achieved error estimate attached)
-    when the subdivision budget is exhausted before convergence.
+    when the subdivision budget is exhausted before convergence, and
+    scipy's ValueError for settings it refuses (both tolerances 0, or a
+    limit below 1).
     """
     from scipy import integrate
 
     out = integrate.quad(
-        f,
-        lo,
-        hi,
-        epsabs=spec.abs_tol,
-        epsrel=spec.rel_tol,
-        limit=spec.max_subdivisions,
-        full_output=1,
+        f, lo, hi, epsabs=abs_tol, epsrel=rel_tol, limit=limit, full_output=1
     )
     if len(out) > 3:
         # quad appends an explanation message when it could not converge
@@ -114,7 +94,9 @@ def bessel_k(nu: float, z: float) -> float:
             return 0.0
         return math.exp(u) * math.cosh(nu * t)
 
-    return math.exp(-z) * adaptive_quad(integrand, 0.0, min(cut + 1.0, 705.0), _BESSEL_SPEC)
+    return math.exp(-z) * adaptive_quad(
+        integrand, 0.0, min(cut + 1.0, 705.0), abs_tol=0.0, rel_tol=1e-12
+    )
 
 
 def fractional_integral(f: Callable[[float], float], s: float, x: float) -> float:

@@ -32,7 +32,7 @@ from afrelay.channel import (
     srd_pdf,
 )
 from afrelay.montecarlo import SimConfig, relay_power, simulate
-from afrelay.reference import QuadratureError, QuadratureSpec, adaptive_quad
+from afrelay.reference import QuadratureError, adaptive_quad
 
 UNIT = ChannelParams(gamma=1000.0, lambda_sd=1.0, lambda_sr=1.0, lambda_rd=1.0)
 TABLE10 = series_coeffs(1.0, 10)
@@ -141,7 +141,9 @@ class TestSrdPdf:
             lambda x: srd_pdf(UNIT, x) if x > 0 else 0.0,
             0.0,
             40.0,
-            QuadratureSpec(1e-10, 1e-9, 300),
+            abs_tol=1e-10,
+            rel_tol=1e-9,
+            limit=300,
         )
         assert abs(total - 1.0) < 1e-6
 
@@ -195,7 +197,7 @@ class TestSeriesCdfCoeffs:
     def test_degenerate_rates_rejected_with_hint(self):
         # lambda_srd = 4 collides with lambda_sd = 4
         p = ChannelParams(gamma=100.0, lambda_sd=4.0, lambda_sr=1.0, lambda_rd=1.0)
-        with pytest.raises(DegenerateParameterError, match="Perturb lambda_sd"):
+        with pytest.raises(DegenerateParameterError, match="Use combined_cdf_exact or Monte Carlo"):
             combined_cdf_coeffs(p, TABLE10)
 
     @pytest.mark.parametrize("rates", ((1.0, 1.0, 1.0), (0.7, 2.0, 0.3)))
@@ -440,7 +442,9 @@ class TestCombinedPdf:
                 lambda v: combined_pdf(UNIT, co, v),
                 0.0,
                 200.0,
-                QuadratureSpec(1e-13, 1e-12, 300),
+                abs_tol=1e-13,
+                rel_tol=1e-12,
+                limit=300,
             )
             assert abs(total - 1.0) < 1e-9, k
 

@@ -414,6 +414,20 @@ class TestPerf:
         assert rec["mc_bep_se"] > 0
         assert abs(rec["mc_bep"] - rec["bep"]) < 5 * rec["mc_bep_se"]
 
+    def test_one_sample_standard_error_is_undefined(self, capsys):
+        # one sample has no spread to estimate: the standard error prints
+        # as nan in csv and null in json, not as an exact 0
+        argv = ("perf", "--with-mc", "--samples", "1", "--gamma-db-grid", "10")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        _, columns, rows = parse_csv(out)
+        for name in ("mc_bep_se", "mc_capacity_nats_se"):
+            assert column(rows, columns, name) == ["nan"], name
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        rec = json.loads(out)["records"][0]
+        assert (rec["mc_bep_se"], rec["mc_capacity_nats_se"]) == (None, None)
+
     def test_unknown_metric_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "perf", "--metrics", "outage,nope")
         assert code == 2
@@ -518,6 +532,22 @@ class TestValidate:
         )
         assert "[PASS]" in report and "[FAIL]" in report
         assert report.rstrip().splitlines()[-1].startswith("result: ")
+
+
+    def test_all_checks_passing_exits_zero(self, capsys, monkeypatch):
+        passing = [validation.CheckResult(name, True, ()) for name in validation.CHECK_NAMES]
+        monkeypatch.setattr(validation, "run_all", lambda **_: passing)
+        code, out, err = run_cli(capsys, "validate", "--samples", "1000")
+        assert code == 0
+        assert out.rstrip().splitlines()[-1] == "result: 8/8 checks passed"
+        assert "failed" not in err
+
+    def test_one_sample_reports_an_undefined_z(self, capsys):
+        # a nan standard error makes every z nan: the capacity check fails
+        # and reports its worst |z| as nan
+        code, out, _ = run_cli(capsys, "validate", "--samples", "1")
+        assert code == 1
+        assert "[FAIL] capacity-vs-mc\n    worst |z| over the grid: nan (gate 3)" in out
 
 
 class TestHarness:

@@ -91,3 +91,14 @@ def test_readme_imports_resolve():
             # a package-level import is of a documented name, not a submodule
             missing = [a.name for a in node.names if a.name not in afrelay.__all__]
             assert not missing, missing
+
+
+def test_readme_module_list_matches_exports():
+    # each "What is inside" bullet names its module's exports, no more
+    # and no fewer, and every submodule has a bullet
+    inside = README.read_text().split("## What is inside", 1)[1].split("\n## ", 1)[0]
+    bullets = re.findall(r"^- `afrelay\.(\w+)` \((.*?)\)", inside, re.M | re.S)
+    assert sorted(m for m, _ in bullets) == SUBMODULES
+    for module, names in bullets:
+        exports = importlib.import_module(f"afrelay.{module}").__all__
+        assert sorted(re.findall(r"`(\w+)`", names)) == sorted(exports), module

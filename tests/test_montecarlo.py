@@ -212,6 +212,13 @@ class TestSimulate:
         assert est.value == 1.0
         assert est.std_error == 0.0
 
+    def test_one_sample_mean_has_no_standard_error(self):
+        # one sample has no spread to estimate: nan, not an exact 0
+        for metric in ("bep", "capacity"):
+            est = simulate(UNIT, SimConfig(seed=42, samples=1), metric)
+            assert math.isfinite(est.value), metric
+            assert math.isnan(est.std_error), metric
+
     def test_counting_metrics_are_exact_fractions(self):
         n = 12_345
         est = simulate(UNIT, SimConfig(seed=3, samples=n), "cdf", x=1.0)

@@ -12,7 +12,6 @@ from afrelay.channel import ChannelParams, combined_cdf_exact
 from afrelay.reference import (
     _GAUSS_LEGENDRE,
     QuadratureError,
-    QuadratureSpec,
     adaptive_quad,
     bessel_k,
     fractional_integral,
@@ -73,25 +72,27 @@ class TestAdaptiveQuad:
         got = adaptive_quad(lambda t: 3 * t * t, 0.0, 2.0)
         assert got == pytest.approx(8.0, rel=1e-12)
 
-    def test_respects_spec_object(self):
-        spec = QuadratureSpec(abs_tol=1e-8, rel_tol=1e-6, max_subdivisions=50)
-        got = adaptive_quad(math.exp, 0.0, 1.0, spec)
+    def test_respects_tolerances(self):
+        got = adaptive_quad(math.exp, 0.0, 1.0, abs_tol=1e-8, rel_tol=1e-6, limit=50)
         assert got == pytest.approx(math.e - 1.0, rel=1e-6)
 
     def test_budget_exhaustion_raises(self):
         # an integrand with a dense comb of narrow spikes cannot converge
         # on a one-interval budget
-        spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=1)
         f = lambda t: math.sin(1000.0 * t) ** 2
         with pytest.raises(QuadratureError) as err:
-            adaptive_quad(f, 0.0, 50.0, spec)
+            adaptive_quad(f, 0.0, 50.0, abs_tol=1e-13, rel_tol=1e-13, limit=1)
         assert math.isfinite(err.value.estimate)
 
-    def test_spec_validation(self):
+    def test_settings_checked_by_scipy(self):
+        # scipy refuses no tolerance at all and an empty budget; an
+        # absolute-only tolerance is a valid setting
         with pytest.raises(ValueError):
-            QuadratureSpec(abs_tol=0.0)
+            adaptive_quad(math.exp, 0.0, 1.0, abs_tol=0.0, rel_tol=0.0)
         with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=0)
+            adaptive_quad(math.exp, 0.0, 1.0, limit=0)
+        got = adaptive_quad(math.exp, 0.0, 1.0, abs_tol=1e-12, rel_tol=0.0)
+        assert got == pytest.approx(math.e - 1.0, rel=1e-12)
 
 
 class TestFractionalIntegral:
