@@ -181,15 +181,23 @@ def evaluate(nu: float, k: int, z: float) -> TruncatedValue:
     """Depth-k truncated series value of K_nu(z) for z > 0.
 
     The error estimate is the difference against the depth-(k+1)
-    evaluation; it is a heuristic, not a bound.
+    evaluation; it is a heuristic, not a bound.  Raises ValueError where
+    either evaluation leaves the doubles: z**(-nu) overflows at small z,
+    and at large z an underflowed exp(-z) z**(-nu) meets an overflowed
+    polynomial.
     """
     nu = _check_order(nu)
     k = _check_depth(k)
     z = float(z)
     if not z > 0.0:
         raise ValueError(f"series argument must be positive, got {z!r}")
-    value = _eval_poly_form(_table(nu, k).a, nu, z)
-    value_next = _eval_poly_form(_table(nu, k + 1).a, nu, z)
+    try:
+        value = _eval_poly_form(_table(nu, k).a, nu, z)
+        value_next = _eval_poly_form(_table(nu, k + 1).a, nu, z)
+    except OverflowError:
+        value = value_next = math.inf
+    if not (math.isfinite(value) and math.isfinite(value_next)):
+        raise ValueError(f"the depth-{k} series of K_nu leaves the doubles at nu={nu!r}, z={z!r}")
     return TruncatedValue(value=value, epsilon_estimate=abs(value - value_next))
 
 

@@ -173,6 +173,9 @@ def combined_cdf_coeffs(
     lambda_srd is within relative 1e-9 of lambda_sd, where the coefficients
     blow up; one part in 1e6 off it the series CDF is still off by orders
     of magnitude, so that band needs combined_cdf_exact or Monte Carlo.
+    Raises ValueError where a power of d or of 2 sqrt(lambda_p) leaves the
+    doubles, as at a rate of 1e30 with the others at 1, or at depth 30
+    with every rate 1e-20.
     """
     if table.nu != 1.0:
         raise ValueError(f"coefficients need the order-1 table, got nu={table.nu}")
@@ -185,17 +188,23 @@ def combined_cdf_coeffs(
             f"Use combined_cdf_exact or Monte Carlo in this band."
         )
     two_root_p = 2.0 * math.sqrt(params.lambda_p)
-    d_pow = [d**m for m in range(1, table.k + 2)]  # d_pow[m] = d^(m+1)
-    fact = []  # fact[c] = c!, the running product in floats
-    q_fact = 1.0
-    cols = [0.0] * (table.k + 2)  # cols[k+1] = 0 pads the density's top term
-    for q, a_q in enumerate(table.a):
-        if q > 0:
-            q_fact *= q
-        fact.append(q_fact)
-        base = params.lambda_sd * two_root_p**q * q_fact * a_q
-        for c in range(q + 1):
-            cols[c] += base / (fact[c] * d_pow[q - c])
+    try:
+        d_pow = [d**m for m in range(1, table.k + 2)]  # d_pow[m] = d^(m+1)
+        fact = []  # fact[c] = c!, the running product in floats
+        q_fact = 1.0
+        cols = [0.0] * (table.k + 2)  # cols[k+1] = 0 pads the density's top term
+        for q, a_q in enumerate(table.a):
+            if q > 0:
+                q_fact *= q
+            fact.append(q_fact)
+            base = params.lambda_sd * two_root_p**q * q_fact * a_q
+            for c in range(q + 1):
+                cols[c] += base / (fact[c] * d_pow[q - c])
+    except (OverflowError, ZeroDivisionError):  # a power of d overflowed, or underflowed to 0
+        raise ValueError(
+            f"lambda_sd={params.lambda_sd!r} and lambda_srd={params.lambda_srd!r} give "
+            f"series coefficients outside the double range at depth {table.k}"
+        ) from None
     # pdf[c] = (c + 1) cols[c+1] - lambda_srd cols[c]; at c = 0 that is exactly
     # -A lambda_sd, as cols[1] - d cols[0] + lambda_sd = lambda_sd (1 - a_0) = 0
     pdf = [(c + 1) * cols[c + 1] - params.lambda_srd * cols[c] for c in range(table.k + 1)]

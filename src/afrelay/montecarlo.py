@@ -186,17 +186,17 @@ def relay_power(x, y, inv_gamma: float):
     """Equivalent power of one relayed path given the two hop powers.
 
     Exact product form x*y/(x + y + 1/gamma), no high-SNR shortcut.
-    Zero on either hop gives zero (the path is down).  The kernel runs
-    _relay_term; this form is timed by perfbench's relay_power probe.
+    Zero on either hop gives zero (the path is down).  It is _relay_term
+    of x*y and x + y, the formula the kernel runs; a float64 for scalars.
     """
-    return x * y / (x + y + inv_gamma)
+    xpy = np.add(x, y)  # an array result reuses the sum's buffer: two temporaries, not four
+    return _relay_term(x * y, xpy, inv_gamma, xpy if xpy.ndim else None)
 
 
-def _relay_term(xy: np.ndarray, xpy: np.ndarray, inv_gamma: float, out: np.ndarray):
-    # relay_power(x, y, inv_gamma) from its gamma-free parts x*y and x + y,
-    # written to out; the same operations, so the same bits
-    np.add(xpy, inv_gamma, out=out)
-    return np.divide(xy, out, out=out)
+def _relay_term(xy, xpy, inv_gamma: float, out: np.ndarray | None = None):
+    # xy / (xpy + inv_gamma), in out when given: the one relayed-power formula,
+    # which the kernel runs on each sample's gamma-free parts x*y and x + y
+    return np.divide(xy, np.add(xpy, inv_gamma, out=out), out=out)
 
 
 def _pairwise(lo: int, hi: int, leaf, join):
@@ -345,23 +345,34 @@ def _reducer(metric: str, cfg: SimConfig, x, threshold):
         from scipy.special import erfc
 
     def reduce(s, gamma):
-        # v = 0.5*erfc(sqrt(gamma*s)) or 0.5*log1p(gamma*s), in one buffer
+        # v = erfc(sqrt(gamma*s)) or log1p(gamma*s), in one buffer; halved at finish
         v = np.multiply(s, gamma)
         if metric == "bep":
             erfc(np.sqrt(v, out=v), out=v)
         else:
             np.log1p(v, out=v)
-        v *= 0.5
         total = float(v.sum())
         return total, float(np.square(v, out=v).sum())
 
-    return reduce, lambda total, total_sq: _mean_estimate(total, total_sq, n)
+    # halving commutes with each rounding of a sum of normal doubles: the sums of 0.5*v
+    return reduce, lambda total, total_sq: _mean_estimate(0.5 * total, 0.25 * total_sq, n)
+
+
+def _axis(name: str, value, one_type) -> tuple[tuple, bool]:
+    # (values, many): a one_type value is an axis of one, not nested; else a sequence
+    if isinstance(value, one_type):
+        return (value,), False
+    values = tuple(value)
+    if not values:
+        raise ValueError(f"{name} sequence is empty")
+    return values, True
 
 
 def _nest(flat: list, axes):
-    # flat results in row-major order over axes, given as (length, is a
-    # sequence) pairs; an axis the caller gave as a scalar is not nested
-    for n, many in reversed(axes):
+    # flat results in row-major order over axes, given as _axis's
+    # (values, many) pairs; an axis the caller gave as a scalar is not nested
+    for values, many in reversed(axes):
+        n = len(values)
         flat = [flat[i : i + n] if many else flat[i] for i in range(0, len(flat), n)]
     return flat[0]
 
@@ -401,16 +412,10 @@ def simulate(
     ``simulate(grid, cfg, ("bep", "capacity"), relays=(1, 2))[1][0][i]``
     is ``simulate(grid[i], cfg, "bep")``.
     """
-    many_params = not isinstance(params, ChannelParams)
-    grid = list(params) if many_params else [params]
-    if not grid:
-        raise ValueError("params sequence is empty")
+    grid, many_params = _axis("params", params, ChannelParams)
     if len({(p.lambda_sd, p.lambda_sr, p.lambda_rd) for p in grid}) > 1:
         raise ValueError("params in one simulate call may differ only in gamma")
-    many_metrics = not isinstance(metric, str)
-    metrics = tuple(metric) if many_metrics else (metric,)
-    if not metrics:
-        raise ValueError("metric sequence is empty")
+    metrics, many_metrics = _axis("metric", metric, str)
     for m in metrics:
         if m not in _METRICS:
             raise ValueError(f"metric must be one of {_METRICS}, got {m!r}")
@@ -419,12 +424,7 @@ def simulate(
         raise ValueError(f"metric 'cdf' needs x, got {x!r}")
     if "outage" in metrics and (threshold is None or not threshold > 0.0):
         raise ValueError(f"metric 'outage' needs a positive threshold, got {threshold!r}")
-    if relays is None:
-        relays = cfg.relays
-    many_relays = not isinstance(relays, numbers.Number)
-    counts = tuple(relays) if many_relays else (relays,)
-    if not counts:
-        raise ValueError("relays sequence is empty")
+    counts, many_relays = _axis("relays", cfg.relays if relays is None else relays, numbers.Number)
     for r in counts:
         _require_count("relays", r, 1, cfg.relays)
 
@@ -432,10 +432,7 @@ def simulate(
     jobs = [(r, p.gamma, red) for r in counts for red in reducers for p in grid]
     partials = _run(grid[0], cfg, [(r, g, reduce) for r, g, (reduce, _) in jobs], workers)
     flat = [finish(*part) for (_, _, (_, finish)), part in zip(jobs, partials)]
-    return _nest(
-        flat,
-        ((len(counts), many_relays), (len(metrics), many_metrics), (len(grid), many_params)),
-    )
+    return _nest(flat, ((counts, many_relays), (metrics, many_metrics), (grid, many_params)))
 
 
 def histogram_at_edges(

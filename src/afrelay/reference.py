@@ -8,7 +8,11 @@ K_nu comes from the exponentially decaying integral representation
 which has no oscillation, so plain adaptive quadrature on a truncated
 interval is reliable; scaled by exp(z), the integrand is 1 at t = 0 for
 every z, never subnormal, and is integrated to relative 1e-12 with no
-absolute floor.  The series module never calls into this one; the
+absolute floor.  At large orders cosh(nu t) alone overflows where the
+integrand does not, so from nu t = 700 on it is split into exponentials
+that take the decay first; where exp(z) K_nu(z) overflows, exp(-z) moves
+into the integrand, so only a K_nu(z) past the doubles is refused.
+The series module never calls into this one; the
 two stay independent so each can audit the other.
 
 The fixed rule is 20-node Gauss-Legendre, from a correctly rounded
@@ -73,7 +77,10 @@ def adaptive_quad(
 
 
 def bessel_k(nu: float, z: float) -> float:
-    """Reference K_nu(z) for real nu >= 0, z > 0, by adaptive quadrature."""
+    """Reference K_nu(z) for real nu >= 0, z > 0, by adaptive quadrature.
+
+    Raises ValueError where K_nu(z) is past the doubles.
+    """
     nu = float(nu)
     z = float(z)
     if not math.isfinite(z) or z <= 0.0:
@@ -89,14 +96,26 @@ def bessel_k(nu: float, z: float) -> float:
         cut = max(1.0, math.acosh(1.0 + (c + max(nu, 1.0) * cut) / z))
 
     def integrand(t: float) -> float:
-        u = -2.0 * z * math.sinh(0.5 * t) ** 2  # -z (cosh t - 1), no cancellation
+        u = -2.0 * z * math.sinh(0.5 * t) ** 2 - shift  # -z (cosh t - 1) - shift, no cancellation
         if u < -745.0:  # exp underflows anyway; avoids inf * 0 at large t
             return 0.0
-        return math.exp(u) * math.cosh(nu * t)
+        nt = nu * t
+        if nt < 700.0:
+            return math.exp(u) * math.cosh(nt)
+        # cosh(nt) alone would overflow: its exponentials take u first
+        return 0.5 * (math.exp(u + nt) + math.exp(u - nt))
 
-    return math.exp(-z) * adaptive_quad(
-        integrand, 0.0, min(cut + 1.0, 705.0), abs_tol=0.0, rel_tol=1e-12
-    )
+    # integrand reads shift: exp(z) K_nu(z), or K_nu(z) itself where that overflows
+    for shift in (0.0, z):
+        try:
+            k = math.exp(shift - z) * adaptive_quad(
+                integrand, 0.0, min(cut + 1.0, 705.0), abs_tol=0.0, rel_tol=1e-12
+            )
+        except OverflowError:
+            continue
+        if math.isfinite(k):
+            return k
+    raise ValueError(f"K_nu(z) leaves the doubles at nu={nu!r}, z={z!r}")
 
 
 def fractional_integral(f: Callable[[float], float], s: float, x: float) -> float:

@@ -199,6 +199,13 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(1.5, 2, 1.0)
 
+    @pytest.mark.parametrize("nu, k, z", ((100.0, 5, 1e-8), (149.0, 2, 743.0), (149.0, 30, 300.0)))
+    def test_value_past_the_doubles_is_refused(self, nu, k, z):
+        # z**(-nu) overflows at small z; at large z an underflowed
+        # exp(-z) z**(-nu) times an overflowed polynomial reads nan
+        with pytest.raises(ValueError, match="leaves the doubles"):
+            evaluate(nu, k, z)
+
     def test_deeper_is_better_small_argument(self):
         # monotone improvement holds where the expansion converges well
         for z in (0.1, 0.5, 1.0):

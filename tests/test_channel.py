@@ -200,6 +200,16 @@ class TestSeriesCdfCoeffs:
         with pytest.raises(DegenerateParameterError, match="Use combined_cdf_exact or Monte Carlo"):
             combined_cdf_coeffs(p, TABLE10)
 
+    @pytest.mark.parametrize(
+        "rates, k",
+        (((1e30, 1.0, 1.0), 10), ((1.0, 1e300, 1.0), 10), ((1e-20, 1e-20, 1e-20), 30)),
+    )
+    def test_powers_past_the_doubles_are_refused(self, rates, k):
+        # d**m or (2 sqrt(lambda_p))**q overflows, or d**m underflows to 0
+        p = ChannelParams(1.0, *rates)
+        with pytest.raises(ValueError, match=f"outside the double range at depth {k}"):
+            combined_cdf_coeffs(p, series_coeffs(1.0, k))
+
     @pytest.mark.parametrize("rates", ((1.0, 1.0, 1.0), (0.7, 2.0, 0.3)))
     def test_independent_of_gamma(self, rates):
         # gamma enters only where the coefficients are evaluated, so one

@@ -6,8 +6,10 @@ subprocess test pins the module entry point.
 """
 
 import hashlib
+import itertools
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -234,6 +236,15 @@ class TestBessel:
         code, _, err = run_cli(capsys, "bessel", "--nu", "1", "--beta", "-1", "--x", "1")
         assert code == 2
         assert "positive" in err
+
+    def test_large_order_row(self, capsys):
+        # K_100(1) = 5.90e185: the oracle's cosh(nu t) alone would overflow
+        code, out, _ = run_cli(
+            capsys, "bessel", "--nu", "100", "--k", "5", "--beta-list", "1", "--x-grid", "1"
+        )
+        assert code == 0
+        _, columns, [row] = parse_csv(out)
+        assert float(column([row], columns, "oracle")[0]) == pytest.approx(5.900333e185, rel=1e-6)
 
     def test_oracle_underflow_is_usage_error(self, capsys):
         # from z = beta*x ~ 745 on the oracle K_nu(z) is 0.0, and the
@@ -548,6 +559,47 @@ class TestValidate:
         code, out, _ = run_cli(capsys, "validate", "--samples", "1")
         assert code == 1
         assert "[FAIL] capacity-vs-mc\n    worst |z| over the grid: nan (gate 3)" in out
+
+
+def _contract_sweep():
+    """bessel over orders, depths and arguments; dist and perf at depths 10
+    and 30 with one rate or all three at each of six magnitudes, at each of
+    five SNRs from -300 to 300 dB."""
+    for nu, k, x in itertools.product(
+        ("0", "0.25", "1", "2.5000001", "7.25", "60", "100", "149", "1e-300"),
+        ("0", "2", "30"),
+        ("1e-300", "1e-8", "1e-3", "1", "300", "743", "1000", "1e300"),
+    ):
+        yield ["bessel", "--nu", nu, "--k", k, "--beta-list", "1", "--x-grid", x]
+    flag_sets = (("--lambda-sd",), ("--lambda-sr",), ("--lambda-rd",),
+                 ("--lambda-sd", "--lambda-sr", "--lambda-rd"))
+    for cmd, k, flags, v, db in itertools.product(
+        (("dist", "--gamma-db"), ("perf", "--gamma-db-grid")),
+        ("10", "30"),
+        flag_sets,
+        ("1e-300", "1e-20", "1e-8", "1e8", "1e20", "1e300"),
+        ("-300", "-50", "0", "50", "300"),
+    ):
+        yield [cmd[0], f"{cmd[1]}={db}", "--k", k, *(a for f in flags for a in (f, v))]
+
+
+class TestExitContract:
+    def test_no_run_escapes_the_exit_codes(self, capsys):
+        # every run answers (0) or refuses (2 domain, 3 numerical): no
+        # exception escapes main, and no answer holds a nan or inf cell
+        bad = []
+        for argv in _contract_sweep():
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    code, out, _ = run_cli(capsys, *argv)
+            except Exception as exc:
+                bad.append((argv, repr(exc)))
+                continue
+            body = out.split("\n", 1)[-1]
+            if code not in (0, 2, 3) or (code == 0 and re.search(r"\b(nan|inf)\b", body)):
+                bad.append((argv, code, body))
+        assert bad == []
 
 
 class TestHarness:

@@ -155,7 +155,8 @@ class TestRelayPower:
     @pytest.mark.parametrize("inv_gamma", (0.0, 1e-3, 1.0, 7.3))
     def test_hoisted_term_is_bit_identical(self, inv_gamma):
         # the kernel computes x*y and x + y once per sample and the term per
-        # gamma from them; seeded draws with dead hops mixed in (and, at
+        # gamma from them, in the buffer it reuses, with the bits of the
+        # model's formula; seeded draws with dead hops mixed in (and, at
         # inv_gamma = 0, the 0/0 of two dead hops)
         x, y = np.empty(10_000), np.empty(10_000)
         _exponentials(_stream(3, 1, 0), np.empty(20_000), (0.7, 1.9), (x, y))
@@ -163,8 +164,9 @@ class TestRelayPower:
         y[::89] = 0.0
         with np.errstate(invalid="ignore"):
             got = _relay_term(x * y, x + y, inv_gamma, np.empty(len(x)))
-            want = relay_power(x, y, inv_gamma)
-        assert got.tobytes() == want.tobytes()
+            want = x * y / (x + y + inv_gamma)
+            public = relay_power(x, y, inv_gamma)
+        assert got.tobytes() == want.tobytes() == public.tobytes()
 
 
 class TestSimulate:

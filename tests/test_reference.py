@@ -6,7 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import kve
+from scipy.special import kv, kve
 
 from afrelay.channel import ChannelParams, combined_cdf_exact
 from afrelay.reference import (
@@ -57,6 +57,20 @@ class TestBesselK:
         for z in np.geomspace(1e-8, 700.0, 400).tolist() + [690.0, 705.0]:
             want = kve(nu, z) * math.exp(-z)
             assert abs(bessel_k(nu, z) - want) <= 1e-13 * want, z
+
+    @pytest.mark.parametrize(
+        "nu, z", ((100, 0.5), (100, 1), (120, 2), (140, 5), (149, 10), (300, 22))
+    )
+    def test_large_orders(self, nu, z):
+        # cosh(nu t) alone overflows from nu t ~ 710, though K_nu(z) is a
+        # double (5.90e185 at (100, 1)); at (300, 22) K = 1.3e299 is one
+        # and exp(z) K is not; measured worst 8.3e-14
+        assert abs(bessel_k(nu, z) / kv(nu, z) - 1.0) <= 1e-12
+
+    def test_value_past_the_doubles_is_refused(self):
+        # K_140(0.5) is past the largest double
+        with pytest.raises(ValueError, match=r"nu=140\.0, z=0\.5"):
+            bessel_k(140.0, 0.5)
 
     def test_domain(self):
         with pytest.raises(ValueError):
