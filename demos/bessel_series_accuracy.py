@@ -9,7 +9,7 @@ the package's quadrature oracle across the argument range.
 
 import numpy as np
 
-from afrelay.bessel_series import evaluate, evaluate_k0, series_coeffs
+from afrelay.bessel_series import evaluate, series_coeffs
 from afrelay.reference import bessel_k
 
 # -----------------------------------------------------------------------
@@ -42,11 +42,11 @@ for z in zs:
 print()
 
 # -----------------------------------------------------------------------
-# the zeroth order is excluded from the expansion itself and comes from
-# the two-term recurrence instead
+# the zeroth order is excluded from the expansion itself: evaluate takes
+# it from the recurrence K_0 = K_2 - (2/z) K_1 instead
 
 for z in (0.5, 1.0, 2.0):
-    tv = evaluate_k0(10, z)
+    tv = evaluate(0.0, 10, z)
     oracle = bessel_k(0.0, z)
     print(
         f"K_0({z}): recurrence {tv.value:.8f}  oracle {oracle:.8f}  "

@@ -11,8 +11,9 @@ expansion reshuffles every polynomial coefficient, not just the tail.
 
 The representation is valid for real order nu > 0 excluding the exact
 half-integers (1/2, 3/2, ...), where the gamma factors hit poles, and orders
-past the double range (nu > ~150); :func:`term_coeff` refuses both.  K_0 is
-reachable through the downward three-term recurrence, see :func:`evaluate_k0`.
+past the double range (nu > ~150); :func:`term_coeff` refuses both.
+:func:`evaluate` reaches K_0 through the three-term recurrence
+K_0 = K_2 - (2/z) K_1 (DLMF 10.29.1).
 
 Coefficient magnitudes and signs are handled in the log-gamma domain so
 that negative gamma arguments (for example Gamma(-1/2) = -2*sqrt(pi)) do
@@ -22,6 +23,7 @@ not lose their sign or overflow.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -33,7 +35,6 @@ __all__ = [
     "term_coeff",
     "series_coeffs",
     "evaluate",
-    "evaluate_k0",
     "exp_reciprocal_deriv",
 ]
 
@@ -50,11 +51,19 @@ def _check_order(nu: float) -> float:
     return nu
 
 
-def _check_depth(k: int) -> int:
-    k = int(k)
-    if k < 0 or k > K_MAX:
-        raise ValueError(f"truncation depth must be in [0, {K_MAX}], got {k}")
-    return k
+def _require_count(name: str, value, lo: int, hi: int | None = None) -> int:
+    """value as an int in [lo, hi] (hi inclusive, when given), or a
+    ValueError naming it: the package's one integer gate.  operator.index
+    takes ints and numpy integers and refuses floats, strings and numpy
+    bools; a bool is an int but never a count."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or isinstance(value, bool) or n < lo or (hi is not None and n > hi):
+        bounds = f"in [{lo}, {hi}]" if hi is not None else f">= {lo}"
+        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+    return n
 
 
 def lah(n: int, i: int) -> int:
@@ -64,8 +73,8 @@ def lah(n: int, i: int) -> int:
     L(0, 0) = 1 and L(n, 0) = 0 for n > 0.  Arguments outside 0 <= i <= n
     are rejected rather than returned as zero so that index bugs surface.
     """
-    if n < 0 or i < 0 or i > n:
-        raise ValueError(f"lah numbers need 0 <= i <= n, got n={n}, i={i}")
+    n = _require_count("lah n", n, 0)
+    i = _require_count("lah i", i, 0, n)
     if n == 0:
         return 1
     if i == 0:
@@ -129,7 +138,7 @@ class CoefficientTable:
 class TruncatedValue:
     """A truncated-series value together with a truncation-error estimate.
 
-    The return value of evaluate and evaluate_k0, read by the bessel
+    The return value of evaluate, read by the bessel
     command and demos/bessel_series_accuracy.py.
     """
 
@@ -155,7 +164,7 @@ def series_coeffs(nu: float, k: int) -> CoefficientTable:
     Raises ValueError for nu <= 0, exact half-integers and orders past the
     double range (from nu ~ 150.4 at depth 30, ~ 151.1 at depth 0).
     """
-    return _table(_check_order(nu), _check_depth(k))
+    return _table(_check_order(nu), _require_count("truncation depth k", k, 0, K_MAX))
 
 
 def _horner(c, x):
@@ -178,16 +187,25 @@ def _eval_poly_form(a, nu: float, z: float) -> float:
 
 
 def evaluate(nu: float, k: int, z: float) -> TruncatedValue:
-    """Depth-k truncated series value of K_nu(z) for z > 0.
+    """Depth-k truncated series value of K_nu(z) for nu >= 0 and z > 0.
 
     The error estimate is the difference against the depth-(k+1)
-    evaluation; it is a heuristic, not a bound.  Raises ValueError where
-    either evaluation leaves the doubles: z**(-nu) overflows at small z,
-    and at large z an underflowed exp(-z) z**(-nu) meets an overflowed
-    polynomial.
+    evaluation; it is a heuristic, not a bound.  The series is undefined
+    at nu = 0, so K_0 is K_2 - (2/z) K_1 from the two depth-k series, and
+    its estimate is the legs' estimates summed (the triangle inequality).
+    Raises ValueError where an evaluation leaves the doubles: z**(-nu)
+    overflows at small z, and at large z an underflowed exp(-z) z**(-nu)
+    meets an overflowed polynomial.
     """
+    if nu == 0.0:
+        t2, t1 = evaluate(2.0, k, z), evaluate(1.0, k, z)
+        w = 2.0 / z  # after the legs, which refuse z <= 0
+        return TruncatedValue(
+            value=t2.value - w * t1.value,
+            epsilon_estimate=t2.epsilon_estimate + w * t1.epsilon_estimate,
+        )
     nu = _check_order(nu)
-    k = _check_depth(k)
+    k = _require_count("truncation depth k", k, 0, K_MAX)
     z = float(z)
     if not z > 0.0:
         raise ValueError(f"series argument must be positive, got {z!r}")
@@ -201,22 +219,6 @@ def evaluate(nu: float, k: int, z: float) -> TruncatedValue:
     return TruncatedValue(value=value, epsilon_estimate=abs(value - value_next))
 
 
-def evaluate_k0(k: int, z: float) -> TruncatedValue:
-    """Truncated K_0(z) through the recurrence K_0 = K_2 - (2/z) K_1.
-
-    The expansion itself is undefined at nu = 0, so the zeroth order is
-    assembled from the two valid integer orders.  Error estimates of the
-    two legs are combined by the triangle inequality.
-    """
-    t2 = evaluate(2.0, k, z)
-    t1 = evaluate(1.0, k, z)
-    w = 2.0 / z
-    return TruncatedValue(
-        value=t2.value - w * t1.value,
-        epsilon_estimate=t2.epsilon_estimate + w * t1.epsilon_estimate,
-    )
-
-
 def exp_reciprocal_deriv(n: int, beta: float, x: float) -> float:
     """n-th derivative of exp(-beta/x) with respect to x, in closed form.
 
@@ -224,8 +226,7 @@ def exp_reciprocal_deriv(n: int, beta: float, x: float) -> float:
     exp(-beta/x) * ((-1)**n / x**n) * sum_i (-1)**i L(n, i) (beta/x)**i,
     which is where Lah numbers enter the series construction.
     """
-    if n < 0:
-        raise ValueError(f"derivative order must be >= 0, got {n}")
+    n = _require_count("derivative order n", n, 0)
     beta = float(beta)
     x = float(x)
     if beta <= 0.0 or x <= 0.0:

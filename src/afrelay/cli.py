@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import metrics, reference
-from .bessel_series import evaluate, evaluate_k0, series_coeffs
+from .bessel_series import _require_count, evaluate, series_coeffs
 from .channel import (
     ChannelParams,
     DegenerateParameterError,
@@ -58,10 +58,8 @@ def _parse_grid(text: str) -> np.ndarray:
         parts = s.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid must be start:stop:count, got {text!r}")
-        start, stop, count = _grid_value(parts[0]), _grid_value(parts[1]), int(parts[2])
-        if count < 1:
-            raise ValueError("grid count must be >= 1")
-        return np.linspace(start, stop, count)
+        start, stop = _grid_value(parts[0]), _grid_value(parts[1])
+        return np.linspace(start, stop, _require_count("grid count", int(parts[2]), 1))
     vals = [_grid_value(v) for v in s.split(",") if v.strip()]
     if not vals:
         raise ValueError("empty grid")
@@ -164,7 +162,7 @@ def _cmd_bessel(args) -> int:
     for beta in betas:
         for x in xs:
             z = float(beta * x)
-            tv = evaluate_k0(args.k, z) if args.nu == 0 else evaluate(args.nu, args.k, z)
+            tv = evaluate(args.nu, args.k, z)
             oracle = reference.bessel_k(args.nu, z)
             if oracle == 0.0:
                 raise ValueError(
@@ -327,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bessel", help="truncated series vs quadrature oracle over a grid")
     sp.add_argument("--nu", type=float, default=1.0,
-                    help="order; 0 selects the recurrence-based evaluation")
+                    help="order; 0 is reached through K_0 = K_2 - (2/z) K_1")
     sp.add_argument("--k", type=int, default=10)
     sp.add_argument("--beta-list", default="0.5,1,2", help="comma list of scale factors")
     sp.add_argument("--x-grid", default="0.5:8:16", help="start:stop:count or comma list")
@@ -390,8 +388,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         # refused before any work, as SimConfig refuses a bad seed
-        if getattr(args, "workers", 1) < 1:
-            raise ValueError(f"workers must be >= 1, got {args.workers!r}")
+        _require_count("workers", getattr(args, "workers", 1), 1)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

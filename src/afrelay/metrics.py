@@ -142,9 +142,7 @@ def _t_single(mu: float, c: int) -> float:
     # working scale is O(1) whatever the magnitudes of mu**c and c!
     lgf = math.lgamma(c + 1)
 
-    def h(w: float) -> float:
-        if w <= 0.0:
-            return 1.0 if c == 0 else 0.0
+    def h(w: float) -> float:  # the Kronrod rule never evaluates the endpoint w = 0
         return math.exp(c * math.log(w) - w - lgf) / (1.0 + w / mu)
 
     hi = c + 40.0 * math.sqrt(c + 1.0) + 40.0

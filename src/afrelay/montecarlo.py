@@ -53,6 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bessel_series import _require_count
 from .channel import ChannelParams
 
 __all__ = [
@@ -77,18 +78,6 @@ _METRICS = ("cdf", "pdf", "outage", "bep", "capacity")
 _PDF_EDGES = (0.0, 8.0, 81)
 
 
-def _require_count(name: str, value, lo: int, hi: int | None = None) -> None:
-    # bool is an Integral but never a count; hi, when given, is inclusive
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Integral)
-        or value < lo
-        or (hi is not None and value > hi)
-    ):
-        bounds = f"in [{lo}, {hi}]" if hi is not None else f">= {lo}"
-        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Stream seed, sample budget and relay count.
@@ -103,12 +92,8 @@ class SimConfig:
 
     def __post_init__(self):
         # the seed is one 64-bit Philox key word; masking it instead would
-        # give -1 and 2**64 - 1 the same stream; a bool is an Integral but
-        # never a seed
-        if isinstance(self.seed, bool) or not (
-            isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2**64
-        ):
-            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        # give -1 and 2**64 - 1 the same stream
+        _require_count("seed", self.seed, 0, 2**64 - 1)
         _require_count("samples", self.samples, 1)
         _require_count("relays", self.relays, 1)
 

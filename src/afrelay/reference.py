@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from typing import Callable
 
 import numpy as np
@@ -108,9 +109,10 @@ def bessel_k(nu: float, z: float) -> float:
     # integrand reads shift: exp(z) K_nu(z), or K_nu(z) itself where that overflows
     for shift in (0.0, z):
         try:
-            k = math.exp(shift - z) * adaptive_quad(
-                integrand, 0.0, min(cut + 1.0, 705.0), abs_tol=0.0, rel_tol=1e-12
-            )
+            q = adaptive_quad(integrand, 0.0, min(cut + 1.0, 705.0), abs_tol=0.0, rel_tol=1e-12)
+            # in logs where exp(shift - z) is subnormal (z > 708.4) and would round the product
+            scale = math.exp(shift - z)
+            k = scale * q if scale >= sys.float_info.min else math.exp(math.log(q) + shift - z)
         except OverflowError:
             continue
         if math.isfinite(k):

@@ -1,23 +1,26 @@
 """Series construction: Lah numbers, term coefficients, collapsed tables,
-truncated evaluation and the reciprocal-exponential derivative."""
+truncated evaluation and the reciprocal-exponential derivative, and the
+integer gate every module shares."""
 
 import hashlib
 import math
 import warnings
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from afrelay.bessel_series import (
     K_MAX,
     CoefficientTable,
     evaluate,
-    evaluate_k0,
     exp_reciprocal_deriv,
     lah,
     series_coeffs,
     term_coeff,
 )
+from afrelay.channel import ChannelParams
+from afrelay.montecarlo import SimConfig, simulate
 from afrelay.reference import bessel_k
 from afrelay.validation import _exp_reciprocal_fd
 
@@ -194,6 +197,9 @@ class TestEvaluate:
     def test_domain(self):
         with pytest.raises(ValueError):
             evaluate(1.0, 2, 0.0)
+        # order 0: the legs refuse z <= 0 before 2/z is formed
+        with pytest.raises(ValueError, match="series argument must be positive"):
+            evaluate(0.0, 2, 0.0)
         with pytest.raises(ValueError):
             evaluate(1.0, 2, -1.0)
         with pytest.raises(ValueError):
@@ -217,7 +223,7 @@ class TestEvaluate:
 
 class TestEvaluateK0:
     def test_value_at_one(self):
-        tv = evaluate_k0(10, 1.0)
+        tv = evaluate(0.0, 10, 1.0)
         assert tv.value == pytest.approx(0.4209461971179045, rel=1e-12)
         oracle = bessel_k(0.0, 1.0)
         assert oracle == pytest.approx(0.4210244382407084, rel=1e-10)
@@ -227,7 +233,7 @@ class TestEvaluateK0:
         # the recurrence subtracts two nearly equal depth-10 values here;
         # cancellation leaves ~9.1e-3 relative against the oracle (pinned,
         # measured), an order above the small-argument accuracy
-        tv = evaluate_k0(10, 5.0)
+        tv = evaluate(0.0, 10, 5.0)
         assert tv.value == pytest.approx(0.0037245907816652914, rel=1e-12)
         oracle = bessel_k(0.0, 5.0)
         assert abs(tv.value - oracle) / oracle < 1e-2
@@ -235,18 +241,64 @@ class TestEvaluateK0:
     def test_definitional_identity_exact(self):
         # k0 + (2/z) k1 - k2 == 0 holds exactly: it is the defining formula
         for z in (0.3, 1.0, 4.0):
-            k0 = evaluate_k0(8, z).value
+            k0 = evaluate(0.0, 8, z).value
             k1 = evaluate(1.0, 8, z).value
             k2 = evaluate(2.0, 8, z).value
             assert k0 + (2.0 / z) * k1 - k2 == 0.0, z
 
     def test_error_estimate_combines_legs(self):
-        tv = evaluate_k0(6, 2.0)
+        tv = evaluate(0.0, 6, 2.0)
         t1 = evaluate(1.0, 6, 2.0)
         t2 = evaluate(2.0, 6, 2.0)
         assert tv.epsilon_estimate == pytest.approx(
             t2.epsilon_estimate + t1.epsilon_estimate, rel=1e-14
         )
+
+    def test_keeps_its_bits(self):
+        # golden: value and estimate as float.hex, recorded from
+        # evaluate_k0(k, z), the order-0 function evaluate took over
+        h = hashlib.sha256()
+        for k in (0, 2, 5, 10, 30):
+            for z in np.geomspace(1e-3, 50.0, 50).tolist():
+                tv = evaluate(0.0, k, z)
+                h.update(f"{tv.value.hex()} {tv.epsilon_estimate.hex()}\n".encode())
+        assert h.hexdigest() == (
+            "cdb3fd63ec69e796da38cd1889de3598f52ab1391ee91705c01ccda9b51a1520"
+        )
+
+
+_UNIT = ChannelParams(gamma=1000.0, lambda_sd=1.0, lambda_sr=1.0, lambda_rd=1.0)
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    (
+        ("truncation depth k", lambda v: series_coeffs(1.0, v)),
+        ("truncation depth k", lambda v: evaluate(1.0, v, 1.0)),
+        ("truncation depth k", lambda v: evaluate(0.0, v, 1.0)),
+        ("seed", lambda v: SimConfig(seed=v, samples=10)),
+        ("samples", lambda v: SimConfig(seed=1, samples=v)),
+        ("relays", lambda v: SimConfig(seed=1, samples=10, relays=v)),
+        ("relays", lambda v: simulate(_UNIT, SimConfig(1, 10, 3), "capacity", relays=v)),
+        ("workers", lambda v: simulate(_UNIT, SimConfig(1, 10), "capacity", workers=v)),
+        ("lah n", lambda v: lah(v, 1)),
+        ("lah i", lambda v: lah(3, v)),
+        ("derivative order n", lambda v: exp_reciprocal_deriv(v, 1.0, 1.0)),
+    ),
+    ids=(
+        "series_coeffs-k", "evaluate-k", "evaluate-order-0-k", "SimConfig-seed",
+        "SimConfig-samples", "SimConfig-relays", "simulate-relays", "simulate-workers",
+        "lah-n", "lah-i", "exp_reciprocal_deriv-n",
+    ),
+)
+def test_one_refusal_for_every_integer_argument(name, call):
+    # one gate: a float, a bool or a string is refused by name, never
+    # truncated, read as 0 or 1, or left to raise a TypeError; a numpy
+    # integer is an integer
+    for bad in (2.5, True, "3"):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call(bad)
+    call(np.int64(3))
 
 
 def test_rowwise_equals_collapsed():

@@ -246,6 +246,25 @@ class TestBessel:
         _, columns, [row] = parse_csv(out)
         assert float(column([row], columns, "oracle")[0]) == pytest.approx(5.900333e185, rel=1e-6)
 
+    # goldens: the artifact_checksum of each command when order 0 had a
+    # function of its own; the first is perfbench's call
+    @pytest.mark.parametrize(
+        "argv, checksum",
+        (
+            (("--nu", "0", "--k", "5", "--x-grid", "0.5:4:4"),
+             "4263d741eeb7997093199c45f2935168d39863c388bbd676a67a2a96d24ce1a6"),
+            (("--nu", "0", "--k", "10", "--beta-list", "1", "--x-grid", "1e-3,0.1,1,5"),
+             "97a54b4527ca7b62cafcbf129791035b8b8f1bd0e20d1f16c223103784f6fce2"),
+            (("--nu", "1", "--k", "10"),
+             "9d99c49c270d7e95c27afa092311cc5a166b6fd8a5b6c3f21ce42e37b2548a25"),
+        ),
+    )
+    def test_pinned_artifact(self, capsys, argv, checksum):
+        code, out, _ = run_cli(capsys, "bessel", *argv)
+        assert code == 0
+        manifest, _, _ = parse_csv(out)
+        assert manifest["artifact_checksum"] == checksum
+
     def test_oracle_underflow_is_usage_error(self, capsys):
         # from z = beta*x ~ 745 on the oracle K_nu(z) is 0.0, and the
         # relative error would divide by it
@@ -483,7 +502,7 @@ class TestPerf:
         ):
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (2, ""), argv
-            assert "workers must be >= 1" in err, argv
+            assert "workers must be an integer >= 1" in err, argv
 
     # golden: the artifact_checksum of this command before the SNR grid was
     # simulated in one pass; three dB points, two relays, 1000500 samples

@@ -75,6 +75,7 @@ class TestSimConfig:
         # onto another seed's stream; a bool is refused as for the counts
         SimConfig(seed=0, samples=1)
         SimConfig(seed=2**64 - 1, samples=1)
+        SimConfig(seed=np.uint64(2**64 - 1), samples=1)
         for bad in (-1, 2**64, 1.5, True, False):
             with pytest.raises(ValueError, match="seed"):
                 SimConfig(seed=bad, samples=1)

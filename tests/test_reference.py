@@ -67,6 +67,23 @@ class TestBesselK:
         # and exp(z) K is not; measured worst 8.3e-14
         assert abs(bessel_k(nu, z) / kv(nu, z) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "nu, z, want",
+        (
+            (800, 800, 2.7776697308507987e-187),
+            (400, 760, 2.020358423891651e-287),
+            (1000, 800, 2.1873066580240859e-103),
+            (300, 740, 2.1561268599342166e-297),
+            (150, 720, 5.423830909321909e-308),
+            (100, 709, 6.507518580408543e-307),
+        ),
+    )
+    def test_past_the_scaled_underflow(self, nu, z, want):
+        # exp(-z) is subnormal from z = 708.4 and 0 from 745.1, where
+        # K_nu(z) is still a normal double (want: 40-digit mpmath.besselk,
+        # rounded); measured worst 5.6e-14
+        assert abs(bessel_k(nu, z) - want) <= 1e-13 * want
+
     def test_value_past_the_doubles_is_refused(self):
         # K_140(0.5) is past the largest double
         with pytest.raises(ValueError, match=r"nu=140\.0, z=0\.5"):
