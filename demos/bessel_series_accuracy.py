@@ -33,9 +33,7 @@ print("      z     oracle K_1      rel err k=2   rel err k=5   rel err k=10")
 for z in zs:
     z = float(z)
     oracle = bessel_k(1.0, z)
-    errs = [
-        abs(evaluate(1.0, k, z).value - oracle) / oracle for k in (2, 5, 10)
-    ]
+    errs = [abs(evaluate(1.0, k, z) - oracle) / oracle for k in (2, 5, 10)]
     print(
         f"  {z:7.3f}  {oracle:13.6e}  {errs[0]:12.2e}  {errs[1]:12.2e}  {errs[2]:13.2e}"
     )
@@ -43,13 +41,13 @@ print()
 
 # -----------------------------------------------------------------------
 # the zeroth order is excluded from the expansion itself: evaluate takes
-# it from the recurrence K_0 = K_2 - (2/z) K_1 instead
+# it from the recurrence K_0 = K_2 - (2/z) K_1 instead.  At small z the
+# two terms cancel, so z = 0.001 is far outside the recurrence's reach.
 
-for z in (0.5, 1.0, 2.0):
-    tv = evaluate(0.0, 10, z)
+for z in (0.001, 0.5, 1.0, 2.0):
+    value = evaluate(0.0, 10, z)
     oracle = bessel_k(0.0, z)
     print(
-        f"K_0({z}): recurrence {tv.value:.8f}  oracle {oracle:.8f}  "
-        f"rel err {abs(tv.value - oracle) / oracle:.2e}  "
-        f"(internal estimate {tv.epsilon_estimate:.1e})"
+        f"K_0({z}): recurrence {value:.8f}  oracle {oracle:.8f}  "
+        f"rel err {abs(value - oracle) / oracle:.2e}"
     )

@@ -15,6 +15,29 @@ past the double range (nu > ~150); :func:`term_coeff` refuses both.
 :func:`evaluate` reaches K_0 through the three-term recurrence
 K_0 = K_2 - (2/z) K_1 (DLMF 10.29.1).
 
+The series reaches only part of the z axis.  Measured reach: the longest
+run of z on which the relative error against scipy.special.kve stays below
+1e-2, on 600 geometric z in [1e-3, 300] (tests/test_bessel_series.py
+regenerates it):
+
+    nu      depth 10         depth 30
+    0       [0.29, 5.0]      [0.034, 8.4]
+    0.25    [0.075, 0.093]   [0.023, 0.036]
+    1       [0.001, 4.5]     [0.001, 7.1]
+    2       [0.001, 11.5]    [0.001, 16]
+    3.7     [0.001, 18]      [0.001, 28]
+    10      [0.001, 56]      [0.001, 59]
+    100     [0.067, 0.25]    [0.067, 54]
+
+Past a run's upper end the error grows, crossing zero at isolated z (nu = 1
+at depth 10 is within 1e-2 again near z = 6.1), so one accurate point is no
+reach.  At nu < 1 the small-z end fails because K_nu's z**(2 nu) term has no
+polynomial form.  Below z = 0.067, K_100 is past the doubles.  Order 0
+keeps the recurrence, and with it the cancellation of K_2 against
+(2/z) K_1 at small z: its value there is returned, not refused, and is off
+by orders of magnitude (relative error 13 at z = 1e-3 and 5e5 at
+z = 1e-8, depth 10).
+
 Coefficient magnitudes and signs are handled in the log-gamma domain so
 that negative gamma arguments (for example Gamma(-1/2) = -2*sqrt(pi)) do
 not lose their sign or overflow.
@@ -24,13 +47,13 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 __all__ = [
     "K_MAX",
     "CoefficientTable",
-    "TruncatedValue",
     "lah",
     "term_coeff",
     "series_coeffs",
@@ -134,18 +157,6 @@ class CoefficientTable:
         object.__setattr__(self, "k", len(self.a) - 1)
 
 
-@dataclass(frozen=True)
-class TruncatedValue:
-    """A truncated-series value together with a truncation-error estimate.
-
-    The return value of evaluate, read by the bessel
-    command and demos/bessel_series_accuracy.py.
-    """
-
-    value: float
-    epsilon_estimate: float
-
-
 @lru_cache(maxsize=None)
 def _table(nu: float, k: int) -> CoefficientTable:
     # Column sums of the triangular term array: a_q = sum_{l=q..k} coeff(l, q).
@@ -182,41 +193,32 @@ def _horner(c, x):
     return p
 
 
-def _eval_poly_form(a, nu: float, z: float) -> float:
-    return math.exp(-z) * z ** (-nu) * _horner(a, z)
-
-
-def evaluate(nu: float, k: int, z: float) -> TruncatedValue:
+def evaluate(nu: float, k: int, z: float) -> float:
     """Depth-k truncated series value of K_nu(z) for nu >= 0 and z > 0.
 
-    The error estimate is the difference against the depth-(k+1)
-    evaluation; it is a heuristic, not a bound.  The series is undefined
-    at nu = 0, so K_0 is K_2 - (2/z) K_1 from the two depth-k series, and
-    its estimate is the legs' estimates summed (the triangle inequality).
-    Raises ValueError where an evaluation leaves the doubles: z**(-nu)
-    overflows at small z, and at large z an underflowed exp(-z) z**(-nu)
-    meets an overflowed polynomial.
+    No error estimate comes with it: the module docstring states where the
+    series reaches.  The series is undefined at nu = 0, so K_0 is
+    K_2 - (2/z) K_1 from the two depth-k series.  Raises ValueError where
+    an evaluation leaves the doubles: z**(-nu) overflows at small z, and at
+    large z exp(-z) z**(-nu) underflows below the normal doubles (K_100(300)
+    is 5.4e-125, but exp(-300) 300**(-100) underflows to 0).
     """
     if nu == 0.0:
-        t2, t1 = evaluate(2.0, k, z), evaluate(1.0, k, z)
-        w = 2.0 / z  # after the legs, which refuse z <= 0
-        return TruncatedValue(
-            value=t2.value - w * t1.value,
-            epsilon_estimate=t2.epsilon_estimate + w * t1.epsilon_estimate,
-        )
+        k2 = evaluate(2.0, k, z)  # the legs refuse z <= 0 before 2/z is formed
+        return k2 - 2.0 / z * evaluate(1.0, k, z)
     nu = _check_order(nu)
     k = _require_count("truncation depth k", k, 0, K_MAX)
     z = float(z)
     if not z > 0.0:
         raise ValueError(f"series argument must be positive, got {z!r}")
     try:
-        value = _eval_poly_form(_table(nu, k).a, nu, z)
-        value_next = _eval_poly_form(_table(nu, k + 1).a, nu, z)
+        scale = math.exp(-z) * z ** (-nu)
     except OverflowError:
-        value = value_next = math.inf
-    if not (math.isfinite(value) and math.isfinite(value_next)):
+        scale = math.inf
+    value = scale * _horner(_table(nu, k).a, z)
+    if not (scale >= sys.float_info.min and math.isfinite(value)):
         raise ValueError(f"the depth-{k} series of K_nu leaves the doubles at nu={nu!r}, z={z!r}")
-    return TruncatedValue(value=value, epsilon_estimate=abs(value - value_next))
+    return value
 
 
 def exp_reciprocal_deriv(n: int, beta: float, x: float) -> float:

@@ -162,15 +162,12 @@ def _cmd_bessel(args) -> int:
     for beta in betas:
         for x in xs:
             z = float(beta * x)
-            tv = evaluate(args.nu, args.k, z)
+            # the series refuses z past 708.4, where exp(-z) is subnormal,
+            # so the oracle is never 0 here (it underflows from z ~ 745)
+            value = evaluate(args.nu, args.k, z)
             oracle = reference.bessel_k(args.nu, z)
-            if oracle == 0.0:
-                raise ValueError(
-                    f"the oracle K_nu(z) underflows to 0 at z = beta*x = {z!r}, "
-                    f"where the relative error has no value"
-                )
             rows.append(
-                (float(beta), float(x), tv.value, oracle, abs(tv.value - oracle) / abs(oracle))
+                (float(beta), float(x), value, oracle, abs(value - oracle) / abs(oracle))
             )
     _deliver(_render(args, ("beta", "x", "series", "oracle", "rel_error"), rows), args.out)
     return 0

@@ -126,8 +126,8 @@ def check_series_accuracy_grid() -> CheckResult:
     worst2 = worst10 = 0.0
     for z in zs:
         oracle = reference.bessel_k(1.0, z)
-        r2 = abs(evaluate(1.0, 2, z).value - oracle) / oracle
-        r10 = abs(evaluate(1.0, 10, z).value - oracle) / oracle
+        r2 = abs(evaluate(1.0, 2, z) - oracle) / oracle
+        r10 = abs(evaluate(1.0, 10, z) - oracle) / oracle
         worst2, worst10 = max(worst2, r2), max(worst10, r10)
         if r2 > 0.05:
             bad5.append(f"z={_f(z)}: depth-2 rel {_f(r2)}")

@@ -265,12 +265,18 @@ class TestBessel:
         manifest, _, _ = parse_csv(out)
         assert manifest["artifact_checksum"] == checksum
 
-    def test_oracle_underflow_is_usage_error(self, capsys):
-        # from z = beta*x ~ 745 on the oracle K_nu(z) is 0.0, and the
-        # relative error would divide by it
-        code, out, err = run_cli(capsys, "bessel", "--beta-list", "100", "--x-grid", "8")
+    @pytest.mark.parametrize(
+        "argv, where",
+        ((("--beta-list", "100", "--x-grid", "8"), "nu=1.0, z=800.0"),
+         (("--nu", "100", "--k", "5", "--beta-list", "1", "--x-grid", "300"), "nu=100.0, z=300.0")),
+    )
+    def test_series_underflow_is_usage_error(self, capsys, argv, where):
+        # exp(-z) z**(-nu) underflows: at z = 800 the oracle K_1 is 0.0
+        # too, and the relative error would divide by it; K_100(300) =
+        # 5.41e-125, where the series read 0.0
+        code, out, err = run_cli(capsys, "bessel", *argv)
         assert (code, out) == (2, "")
-        assert "z = beta*x = 800.0" in err
+        assert f"leaves the doubles at {where}" in err
 
 
 class TestDist:
