@@ -13,7 +13,9 @@ The representation is valid for real order nu > 0 excluding the exact
 half-integers (1/2, 3/2, ...), where the gamma factors hit poles, and orders
 past the double range (nu > ~150); :func:`term_coeff` refuses both.
 :func:`evaluate` reaches K_0 through the three-term recurrence
-K_0 = K_2 - (2/z) K_1 (DLMF 10.29.1).
+K_0 = K_2 - (2/z) K_1 (DLMF 10.29.1).  _require_positive gates every positive
+real argument of the package (an order, an argument, a fading rate, the SNR)
+as _require_count gates every integer, each refusing by the argument's name.
 
 The series reaches only part of the z axis.  Measured reach: the longest
 run of z on which the relative error against scipy.special.kve stays below
@@ -46,6 +48,7 @@ not lose their sign or overflow.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import sys
 from dataclasses import dataclass, field
@@ -66,14 +69,6 @@ __all__ = [
 K_MAX = 30
 
 
-def _check_order(nu: float) -> float:
-    """Validate a series order: a positive finite real (term_coeff refuses the rest)."""
-    nu = float(nu)
-    if not math.isfinite(nu) or nu <= 0.0:
-        raise ValueError(f"series order must be a positive real, got {nu!r}")
-    return nu
-
-
 def _require_count(name: str, value, lo: int, hi: int | None = None) -> int:
     """value as an int in [lo, hi] (hi inclusive, when given), or a
     ValueError naming it: the package's one integer gate.  operator.index
@@ -87,6 +82,19 @@ def _require_count(name: str, value, lo: int, hi: int | None = None) -> int:
         bounds = f"in [{lo}, {hi}]" if hi is not None else f">= {lo}"
         raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
     return n
+
+
+def _require_positive(name: str, value, zero: bool = False) -> float:
+    """value as a finite float > 0 (>= 0 where zero is set), or a ValueError naming
+    it.  Ints and numpy reals pass; bools, strings, None and 0-d arrays do not."""
+    real = isinstance(value, float) or isinstance(value, numbers.Real) and type(value) is not bool
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # an int past the doubles
+        x = math.inf
+    if (x >= 0.0 if zero else x > 0.0) and x < math.inf:
+        return x
+    raise ValueError(f"{name} must be a finite real {'>=' if zero else '>'} 0, got {value!r}")
 
 
 def lah(n: int, i: int) -> int:
@@ -112,15 +120,15 @@ def term_coeff(nu: float, n: int, i: int) -> float:
     sign * exp(log magnitude) with the gamma factors split into log-modulus
     (scipy.special.gammaln) and sign (scipy.special.gammasgn); the sign
     bookkeeping matters because two of the gamma arguments go negative.
-    It is the one place a series order is refused: a ValueError where the
-    log magnitude is not finite (a gamma pole, at a half-integer or where
-    0.5 - nu rounds to an integer) or its exponential overflows.
+    Past the gate, it is the one place a series order is refused: a ValueError
+    where the log magnitude is not finite (a gamma pole, at a half-integer or
+    where 0.5 - nu rounds to an integer) or its exponential overflows.
     """
     # imported on first use: importing the package does not load scipy,
     # and the coefficient cache keeps this off every evaluation path
     from scipy.special import gammaln, gammasgn
 
-    nu = _check_order(nu)
+    nu = _require_positive("series order nu", nu)
     L = lah(n, i)
     if L == 0:
         return 0.0
@@ -175,7 +183,8 @@ def series_coeffs(nu: float, k: int) -> CoefficientTable:
     Raises ValueError for nu <= 0, exact half-integers and orders past the
     double range (from nu ~ 150.4 at depth 30, ~ 151.1 at depth 0).
     """
-    return _table(_check_order(nu), _require_count("truncation depth k", k, 0, K_MAX))
+    nu = _require_positive("series order nu", nu)
+    return _table(nu, _require_count("truncation depth k", k, 0, K_MAX))
 
 
 def _horner(c, x):
@@ -203,14 +212,11 @@ def evaluate(nu: float, k: int, z: float) -> float:
     large z exp(-z) z**(-nu) underflows below the normal doubles (K_100(300)
     is 5.4e-125, but exp(-300) 300**(-100) underflows to 0).
     """
+    nu = _require_positive("series order nu", nu, zero=True)
+    z = _require_positive("series argument z", z)
     if nu == 0.0:
-        k2 = evaluate(2.0, k, z)  # the legs refuse z <= 0 before 2/z is formed
-        return k2 - 2.0 / z * evaluate(1.0, k, z)
-    nu = _check_order(nu)
+        return evaluate(2.0, k, z) - 2.0 / z * evaluate(1.0, k, z)
     k = _require_count("truncation depth k", k, 0, K_MAX)
-    z = float(z)
-    if not z > 0.0:
-        raise ValueError(f"series argument must be positive, got {z!r}")
     try:
         scale = math.exp(-z) * z ** (-nu)
     except OverflowError:
@@ -229,10 +235,8 @@ def exp_reciprocal_deriv(n: int, beta: float, x: float) -> float:
     which is where Lah numbers enter the series construction.
     """
     n = _require_count("derivative order n", n, 0)
-    beta = float(beta)
-    x = float(x)
-    if beta <= 0.0 or x <= 0.0:
-        raise ValueError("beta and x must be positive")
+    beta = _require_positive("beta", beta)
+    x = _require_positive("x", x)
     r = beta / x
     s = math.fsum((-1.0) ** (i % 2) * lah(n, i) * r**i for i in range(n + 1))
     return math.exp(-r) * (-1.0) ** (n % 2) / x**n * s

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bessel_series
-from .bessel_series import _horner
+from .bessel_series import _horner, _require_positive
 from .reference import _PANEL_RATIO, QuadratureError, _panel_rule, _panel_tail
 
 __all__ = [
@@ -102,7 +102,7 @@ class DegenerateParameterError(RuntimeError):
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Transmit SNR (linear) and the three exponential fading rates.
+    """Transmit SNR (linear) and three exponential fading rates, finite floats > 0.
 
     The rate combinations that recur in every closed form are attributes
     computed once on construction, not fields, so equality, hash, repr and
@@ -119,9 +119,7 @@ class ChannelParams:
 
     def __post_init__(self):
         for name in ("gamma", "lambda_sd", "lambda_sr", "lambda_rd"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {v!r}")
+            object.__setattr__(self, name, _require_positive(name, getattr(self, name)))
         lam_p = self.lambda_sr * self.lambda_rd
         lam_s = self.lambda_sr + self.lambda_rd
         lam_srd = lam_s + 2.0 * math.sqrt(lam_p)

@@ -59,7 +59,11 @@ def _parse_grid(text: str) -> np.ndarray:
         if len(parts) != 3:
             raise ValueError(f"grid must be start:stop:count, got {text!r}")
         start, stop = _grid_value(parts[0]), _grid_value(parts[1])
-        return np.linspace(start, stop, _require_count("grid count", int(parts[2]), 1))
+        try:
+            count = int(parts[2])
+        except ValueError:  # '2.5' or '1e1': refused below, by the count's name
+            count = parts[2]
+        return np.linspace(start, stop, _require_count("grid count", count, 1))
     vals = [_grid_value(v) for v in s.split(",") if v.strip()]
     if not vals:
         raise ValueError("empty grid")
@@ -161,7 +165,7 @@ def _cmd_bessel(args) -> int:
     rows = []
     for beta in betas:
         for x in xs:
-            z = float(beta * x)
+            z = beta * x
             # the series refuses z past 708.4, where exp(-z) is subnormal,
             # so the oracle is never 0 here (it underflows from z ~ 745)
             value = evaluate(args.nu, args.k, z)
@@ -242,7 +246,7 @@ def _cmd_perf(args) -> int:
     # the series CDF coefficients depend only on the fading rates, not on gamma
     co = combined_cdf_coeffs(_channel_params(args, 1.0), series_coeffs(1.0, args.k))
     # one point per SNR, None at zero SNR; the rest form the model's grid
-    points = [None if g == 0.0 else _channel_params(args, float(g)) for g in gammas]
+    points = [None if g == 0.0 else _channel_params(args, g) for g in gammas]
     grid = [p for p in points if p is not None]
     # one pass over the streams for every metric over the whole SNR grid
     mc = dict(zip(wanted, run_simulation(

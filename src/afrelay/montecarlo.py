@@ -100,7 +100,7 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimEstimate:
-    """Point estimate, its standard error (nan for a one-sample mean) and sample count."""
+    """Point estimate, its standard error (nan from one sample) and sample count."""
 
     value: float
     std_error: float
@@ -287,9 +287,8 @@ def _mean_estimate(total: float, total_sq: float, n: int) -> SimEstimate:
 
 def _count_estimate(hits: int, n: int) -> SimEstimate:
     p = hits / n
-    return SimEstimate(
-        value=p, std_error=math.sqrt(p * (1.0 - p) / n), samples_used=n
-    )
+    se = math.sqrt(p * (1.0 - p) / n) if n > 1 else math.nan  # as in _mean_estimate
+    return SimEstimate(value=p, std_error=se, samples_used=n)
 
 
 def _bin(powers: np.ndarray, edges: np.ndarray):

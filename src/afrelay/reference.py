@@ -12,8 +12,8 @@ absolute floor.  At large orders cosh(nu t) alone overflows where the
 integrand does not, so from nu t = 700 on it is split into exponentials
 that take the decay first; where exp(z) K_nu(z) overflows, exp(-z) moves
 into the integrand, so only a K_nu(z) past the doubles is refused.
-The series module never calls into this one; the
-two stay independent so each can audit the other.
+The series module never calls into this one, which borrows only its argument
+gate (_require_positive), not its math, so each can audit the other.
 
 The fixed rule is 20-node Gauss-Legendre, from a correctly rounded
 table, on panels graded geometrically toward one end, t = 0, of [0, 1]
@@ -33,6 +33,8 @@ import sys
 from typing import Callable
 
 import numpy as np
+
+from .bessel_series import _require_positive
 
 __all__ = [
     "QuadratureError",
@@ -82,12 +84,8 @@ def bessel_k(nu: float, z: float) -> float:
 
     Raises ValueError where K_nu(z) is past the doubles.
     """
-    nu = float(nu)
-    z = float(z)
-    if not math.isfinite(z) or z <= 0.0:
-        raise ValueError(f"argument must be positive, got {z!r}")
-    if not math.isfinite(nu) or nu < 0.0:
-        raise ValueError(f"order must be >= 0, got {nu!r}")
+    nu = _require_positive("order nu", nu, zero=True)
+    z = _require_positive("argument z", z)
     # Cut at T with exp(-z (cosh T - 1) + nu T) * (1 + 1/z) below 1e-17 of
     # 1/sqrt(1 + z) <= exp(z) K_nu(z); the 1/z factor covers the tail-mass
     # amplification at small arguments.
@@ -130,12 +128,8 @@ def fractional_integral(f: Callable[[float], float], s: float, x: float) -> floa
 
         integral = (1/s) * integral_0^{x**s} f(x - u**(1/s)) du.
     """
-    s = float(s)
-    x = float(x)
-    if not s > 0.0:
-        raise ValueError(f"fractional order must be positive, got {s!r}")
-    if not x > 0.0:
-        raise ValueError(f"evaluation point must be positive, got {x!r}")
+    s = _require_positive("fractional order s", s)
+    x = _require_positive("evaluation point x", x)
     inv_s = 1.0 / s
 
     def g(u: float) -> float:

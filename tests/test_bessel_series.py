@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import kve
 
-from afrelay import bessel_series
+from afrelay import bessel_series, validation
 from afrelay.bessel_series import (
     K_MAX,
     CoefficientTable,
@@ -24,7 +24,7 @@ from afrelay.bessel_series import (
 )
 from afrelay.channel import ChannelParams
 from afrelay.montecarlo import SimConfig, simulate
-from afrelay.reference import bessel_k
+from afrelay.reference import bessel_k, fractional_integral
 from afrelay.validation import _exp_reciprocal_fd
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -179,6 +179,17 @@ class TestSeriesCoeffs:
         assert CoefficientTable(nu=2.0, a=(1.0, 0.5)).k == 1
 
 
+def test_coefficient_table_check_names_a_mismatch(monkeypatch):
+    # one printed value off by far more than its last digit: the check
+    # fails and prints the entry's k=... q=... line
+    (k, q, printed, digits), *rest = validation._PRINTED
+    monkeypatch.setattr(validation, "_PRINTED", [(k, q, 2.0 * printed, digits), *rest])
+    result = validation.check_coefficient_table()
+    assert not result.passed
+    assert result.lines[0] == f"printed-value mismatches: 1 of {len(validation._PRINTED)}"
+    assert result.lines[1].startswith(f"k={k} q={q}: computed ")
+
+
 class TestEvaluate:
     def test_shallow_depth_small_argument(self):
         # depth 2 at z = 0.1: value pinned, ~1% off the quadrature oracle
@@ -201,8 +212,8 @@ class TestEvaluate:
     def test_domain(self):
         with pytest.raises(ValueError):
             evaluate(1.0, 2, 0.0)
-        # order 0: the legs refuse z <= 0 before 2/z is formed
-        with pytest.raises(ValueError, match="series argument must be positive"):
+        # order 0: z <= 0 is refused before 2/z is formed
+        with pytest.raises(ValueError, match="series argument z must be"):
             evaluate(0.0, 2, 0.0)
         with pytest.raises(ValueError):
             evaluate(1.0, 2, -1.0)
@@ -334,6 +345,56 @@ def test_one_refusal_for_every_integer_argument(name, call):
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             call(bad)
     call(np.int64(3))
+
+
+@pytest.mark.parametrize(
+    "name, zero, call",
+    (
+        ("series order nu", False, lambda v: term_coeff(v, 1, 1)),
+        ("series order nu", False, lambda v: series_coeffs(v, 2)),
+        ("series order nu", True, lambda v: evaluate(v, 2, 1.0)),
+        ("series argument z", False, lambda v: evaluate(1.0, 2, v)),
+        ("beta", False, lambda v: exp_reciprocal_deriv(1, v, 1.0)),
+        ("x", False, lambda v: exp_reciprocal_deriv(1, 1.0, v)),
+        ("order nu", True, lambda v: bessel_k(v, 1.0)),
+        ("argument z", False, lambda v: bessel_k(1.0, v)),
+        ("fractional order s", False, lambda v: fractional_integral(math.exp, v, 1.0)),
+        ("evaluation point x", False, lambda v: fractional_integral(math.exp, 0.5, v)),
+        ("gamma", False, lambda v: ChannelParams(v, 1.0, 1.0, 1.0)),
+        ("lambda_sd", False, lambda v: ChannelParams(1.0, v, 1.0, 1.0)),
+        ("lambda_sr", False, lambda v: ChannelParams(1.0, 1.0, v, 1.0)),
+        ("lambda_rd", False, lambda v: ChannelParams(1.0, 1.0, 1.0, v)),
+    ),
+    ids=(
+        "term_coeff-nu", "series_coeffs-nu", "evaluate-nu", "evaluate-z",
+        "exp_reciprocal_deriv-beta", "exp_reciprocal_deriv-x", "bessel_k-nu",
+        "bessel_k-z", "fractional_integral-s", "fractional_integral-x",
+        "ChannelParams-gamma", "ChannelParams-lambda_sd", "ChannelParams-lambda_sr",
+        "ChannelParams-lambda_rd",
+    ),
+)
+def test_one_refusal_for_every_positive_real_argument(name, zero, call):
+    # one gate: nan, an infinity, a value at or below 0 (0 is an order
+    # where the caller serves K_0), a bool, a string and None are refused
+    # by name; an int and a numpy float are the float they equal
+    for bad in (math.nan, math.inf, -math.inf, -1.0, True, "1", None, *(() if zero else (0.0,))):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite real"):
+            call(bad)
+    if zero:
+        call(0.0)
+
+    def bits(out):
+        # the type and hex of every float a result holds: a value, or the
+        # fields and attributes of a table or a ChannelParams
+        if isinstance(out, float):
+            return type(out), out.hex()
+        if isinstance(out, tuple):
+            return [bits(v) for v in out]
+        return {k: bits(v) for k, v in vars(out).items()} if hasattr(out, "__dict__") else out
+
+    want = bits(call(2.0))
+    assert bits(call(2)) == want
+    assert bits(call(np.float64(2.0))) == want
 
 
 def test_rowwise_equals_collapsed():

@@ -10,7 +10,6 @@ import itertools
 import json
 import math
 import re
-import shutil
 import subprocess
 import sys
 import warnings
@@ -61,6 +60,12 @@ class TestParseGrid:
             "0,nan,2", "0:inf:3", "-inf:0:3", "1, -inf", "nan",
         ):
             with pytest.raises(ValueError):
+                _parse_grid(bad)
+
+    def test_non_integer_count_is_refused_by_name(self):
+        # not int()'s "invalid literal" message
+        for bad in ("0:1:2.5", "0:1:1e1"):
+            with pytest.raises(ValueError, match="grid count"):
                 _parse_grid(bad)
 
     def test_non_finite_grid_is_usage_error(self, capsys):
@@ -457,12 +462,13 @@ class TestPerf:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         _, columns, rows = parse_csv(out)
-        for name in ("mc_bep_se", "mc_capacity_nats_se"):
+        names = ("mc_outage_se", "mc_bep_se", "mc_capacity_nats_se")
+        for name in names:
             assert column(rows, columns, name) == ["nan"], name
         code, out, _ = run_cli(capsys, *argv, "--format", "json")
         assert code == 0
         rec = json.loads(out)["records"][0]
-        assert (rec["mc_bep_se"], rec["mc_capacity_nats_se"]) == (None, None)
+        assert [rec[name] for name in names] == [None, None, None]
 
     def test_unknown_metric_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "perf", "--metrics", "outage,nope")
@@ -656,11 +662,10 @@ class TestHarness:
         assert "\x1b[" not in err
 
     def test_module_entry_point(self, tmp_path, child_env):
-        exe = shutil.which("afrelay")
-        cmd = [exe] if exe else [sys.executable, "-m", "afrelay.cli"]
-        proc = subprocess.run(
-            [*cmd, "coeffs", "--nu", "1", "--k", "2"],
-            capture_output=True, text=True, cwd=tmp_path, env=child_env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("# ")
+        for module in ("afrelay", "afrelay.cli"):
+            proc = subprocess.run(
+                [sys.executable, "-m", module, "coeffs", "--nu", "1", "--k", "2"],
+                capture_output=True, text=True, cwd=tmp_path, env=child_env,
+            )
+            assert proc.returncode == 0, (module, proc.stderr)
+            assert proc.stdout.startswith("# "), module

@@ -216,9 +216,10 @@ class TestSimulate:
         assert est.std_error == 0.0
 
     def test_one_sample_mean_has_no_standard_error(self):
-        # one sample has no spread to estimate: nan, not an exact 0
-        for metric in ("bep", "capacity"):
-            est = simulate(UNIT, SimConfig(seed=42, samples=1), metric)
+        # one sample has no spread to estimate: nan, not an exact 0, for a
+        # mean and for a count
+        for metric in ("bep", "capacity", "outage", "cdf"):
+            est = simulate(UNIT, SimConfig(seed=42, samples=1), metric, x=1.0, threshold=1.0)
             assert math.isfinite(est.value), metric
             assert math.isnan(est.std_error), metric
 
