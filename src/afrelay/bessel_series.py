@@ -13,9 +13,8 @@ The representation is valid for real order nu > 0 excluding the exact
 half-integers (1/2, 3/2, ...), where the gamma factors hit poles, and orders
 past the double range (nu > ~150); :func:`term_coeff` refuses both.
 :func:`evaluate` reaches K_0 through the three-term recurrence
-K_0 = K_2 - (2/z) K_1 (DLMF 10.29.1).  _require_positive gates every positive
-real argument of the package (an order, an argument, a fading rate, the SNR)
-as _require_count gates every integer, each refusing by the argument's name.
+K_0 = K_2 - (2/z) K_1 (DLMF 10.29.1).  The package's three gates live here:
+_require_positive, _require_count (arguments) and _past_doubles (results).
 
 The series reaches only part of the z axis.  Measured reach: the longest
 run of z on which the relative error against scipy.special.kve stays below
@@ -95,6 +94,12 @@ def _require_positive(name: str, value, zero: bool = False) -> float:
     if (x >= 0.0 if zero else x > 0.0) and x < math.inf:
         return x
     raise ValueError(f"{name} must be a finite real {'>=' if zero else '>'} 0, got {value!r}")
+
+
+def _past_doubles(what: str, **named) -> ValueError:
+    """ValueError("{what} leaves the doubles at name=value, ..."), by repr."""
+    at = ", ".join(f"{name}={value!r}" for name, value in named.items())
+    return ValueError(f"{what} leaves the doubles at {at}")
 
 
 def lah(n: int, i: int) -> int:
@@ -219,11 +224,11 @@ def evaluate(nu: float, k: int, z: float) -> float:
     k = _require_count("truncation depth k", k, 0, K_MAX)
     try:
         scale = math.exp(-z) * z ** (-nu)
-    except OverflowError:
-        scale = math.inf
+    except ArithmeticError:  # z**(-nu) overflows
+        scale = 0.0
     value = scale * _horner(_table(nu, k).a, z)
     if not (scale >= sys.float_info.min and math.isfinite(value)):
-        raise ValueError(f"the depth-{k} series of K_nu leaves the doubles at nu={nu!r}, z={z!r}")
+        raise _past_doubles("the truncated series of K_nu", nu=nu, z=z, k=k)
     return value
 
 
@@ -238,5 +243,11 @@ def exp_reciprocal_deriv(n: int, beta: float, x: float) -> float:
     beta = _require_positive("beta", beta)
     x = _require_positive("x", x)
     r = beta / x
-    s = math.fsum((-1.0) ** (i % 2) * lah(n, i) * r**i for i in range(n + 1))
-    return math.exp(-r) * (-1.0) ** (n % 2) / x**n * s
+    try:
+        s = math.fsum((-1.0) ** (i % 2) * lah(n, i) * r**i for i in range(n + 1))
+        value = math.exp(-r) * (-1.0) ** (n % 2) / x**n * s
+        if math.isfinite(value):
+            return value
+    except (ArithmeticError, ValueError):  # ValueError: fsum met inf and -inf
+        pass
+    raise _past_doubles("the derivative of exp(-beta/x)", n=n, beta=beta, x=x)

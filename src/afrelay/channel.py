@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bessel_series
-from .bessel_series import _horner, _require_positive
+from .bessel_series import _horner, _past_doubles, _require_positive
 from .reference import _PANEL_RATIO, QuadratureError, _panel_rule, _panel_tail
 
 __all__ = [
@@ -120,14 +120,11 @@ class ChannelParams:
     def __post_init__(self):
         for name in ("gamma", "lambda_sd", "lambda_sr", "lambda_rd"):
             object.__setattr__(self, name, _require_positive(name, getattr(self, name)))
-        lam_p = self.lambda_sr * self.lambda_rd
-        lam_s = self.lambda_sr + self.lambda_rd
+        sr, rd = self.lambda_sr, self.lambda_rd
+        lam_p, lam_s = sr * rd, sr + rd
         lam_srd = lam_s + 2.0 * math.sqrt(lam_p)
         if not all(math.isfinite(v) and v > 0.0 for v in (lam_p, lam_s, lam_srd)):
-            raise ValueError(
-                f"lambda_sr={self.lambda_sr!r} and lambda_rd={self.lambda_rd!r} give "
-                f"a lambda_p, lambda_s or lambda_srd outside the positive doubles"
-            )
+            raise _past_doubles("lambda_p, lambda_s or lambda_srd", lambda_sr=sr, lambda_rd=rd)
         object.__setattr__(self, "lambda_p", lam_p)
         object.__setattr__(self, "lambda_s", lam_s)
         object.__setattr__(self, "lambda_srd", lam_srd)
@@ -172,8 +169,7 @@ def combined_cdf_coeffs(
     blow up; one part in 1e6 off it the series CDF is still off by orders
     of magnitude, so that band needs combined_cdf_exact or Monte Carlo.
     Raises ValueError where a power of d or of 2 sqrt(lambda_p) leaves the
-    doubles, as at a rate of 1e30 with the others at 1, or at depth 30
-    with every rate 1e-20.
+    doubles: a rate of 1e30 with the others at 1, or depth 30 at rates 1e-20.
     """
     if table.nu != 1.0:
         raise ValueError(f"coefficients need the order-1 table, got nu={table.nu}")
@@ -198,10 +194,9 @@ def combined_cdf_coeffs(
             base = params.lambda_sd * two_root_p**q * q_fact * a_q
             for c in range(q + 1):
                 cols[c] += base / (fact[c] * d_pow[q - c])
-    except (OverflowError, ZeroDivisionError):  # a power of d overflowed, or underflowed to 0
-        raise ValueError(
-            f"lambda_sd={params.lambda_sd!r} and lambda_srd={params.lambda_srd!r} give "
-            f"series coefficients outside the double range at depth {table.k}"
+    except ArithmeticError:  # a power of d overflowed, or underflowed to 0
+        raise _past_doubles(
+            "the series CDF", lambda_sd=params.lambda_sd, lambda_srd=params.lambda_srd, k=table.k
         ) from None
     # pdf[c] = (c + 1) cols[c+1] - lambda_srd cols[c]; at c = 0 that is exactly
     # -A lambda_sd, as cols[1] - d cols[0] + lambda_sd = lambda_sd (1 - a_0) = 0
@@ -449,7 +444,7 @@ def minbound_cdf(params: ChannelParams, x):
 
 
 def minbound_pdf(params: ChannelParams, x):
-    """Density of the min-of-hops bound (derivative of minbound_cdf):
-    f(v) = a b exp(-a v) g(v)."""
+    """Density of the min-of-hops bound (derivative of minbound_cdf): f(v) =
+    b (a exp(-a v) g(v)), whose inner factor is at most 1/e, so never overflows."""
     v, a, b, eg = _hypoexp(params, x)
-    return _result(a * b * eg, v)
+    return _result(b * (a * eg), v)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 
+from .bessel_series import _past_doubles
 from .channel import ChannelParams, SeriesCdfCoeffs, combined_cdf, combined_pdf
 from .reference import adaptive_quad
 
@@ -38,9 +39,8 @@ __all__ = [
 ]
 
 
-# Gamma(c + 1/2) for every c where it is a finite double (c <= 171); the
-# BEP sum reads its terms from here, and from c = 172 on it refuses as
-# math.gamma's OverflowError did.
+# Gamma(c + 1/2) for every c where it is a finite double (c <= 171): the BEP
+# sum's factors; from c = 172 on it refuses as past the doubles.
 _HALF_GAMMAS = tuple(math.gamma(c + 0.5) for c in range(172))
 
 
@@ -69,15 +69,6 @@ def e1_scaled(x: float) -> float:
     return total
 
 
-def _out_of_range(metric: str, params: ChannelParams, coeffs: SeriesCdfCoeffs) -> ValueError:
-    # the c-th term of a closed form scales like gamma**c, so at high SNR
-    # the deepest terms leave the double range before the sum does
-    return ValueError(
-        f"closed-form {metric} leaves the double range at gamma={params.gamma!r} "
-        f"with series depth {coeffs.k}; use a shallower depth at this SNR"
-    )
-
-
 def outage(params: ChannelParams, coeffs: SeriesCdfCoeffs, snr_threshold: float) -> float:
     """Probability that the total receive SNR falls below snr_threshold.
 
@@ -101,20 +92,19 @@ def bit_error_prob(params: ChannelParams, coeffs: SeriesCdfCoeffs) -> float:
     """
     g = params.gamma
     g_srd = g + params.lambda_srd
-    if coeffs.k >= len(_HALF_GAMMAS):
-        raise _out_of_range("bit error probability", params, coeffs)
     try:
         s = math.fsum(
             col * gh / g_srd ** (c + 0.5)
             for c, (col, gh) in enumerate(zip(coeffs.cols, _HALF_GAMMAS))
         )
-    except OverflowError:
-        raise _out_of_range("bit error probability", params, coeffs) from None
-    return 0.5 * (
-        1.0
-        - coeffs.A * math.sqrt(g / (g + params.lambda_sd))
-        + math.sqrt(g / math.pi) * s
-    )
+        p = 0.5 * (1.0 - coeffs.A * math.sqrt(g / (g + params.lambda_sd))
+                   + math.sqrt(g / math.pi) * s)
+        if coeffs.k < len(_HALF_GAMMAS) and math.isfinite(p):
+            return p
+    except (ArithmeticError, ValueError):  # ValueError: fsum met inf and -inf
+        pass
+    # the c-th term scales like gamma**c: at high SNR the deepest leave the doubles first
+    raise _past_doubles("the closed-form bit error probability", gamma=g, k=coeffs.k)
 
 
 def bit_error_prob_quadrature(params: ChannelParams, coeffs: SeriesCdfCoeffs) -> float:
@@ -173,18 +163,17 @@ def capacity(params: ChannelParams, coeffs: SeriesCdfCoeffs) -> float:
     bits.
     """
     g = params.gamma
-    t_direct = e1_scaled(params.lambda_sd / g)
     try:
+        t_direct = e1_scaled(params.lambda_sd / g)
         t_relay = _t_moments(params.lambda_srd / g, coeffs.k)
-        relay_part = math.fsum(
-            col * t_relay[c] / g**c for c, col in enumerate(coeffs.cols)
-        )
-    except (OverflowError, ZeroDivisionError, ValueError):
-        # g**c overflows, mu**c underflows to 0, or fsum meets inf and -inf
-        relay_part = math.nan
-    if not math.isfinite(relay_part):
-        raise _out_of_range("capacity", params, coeffs)
-    return 0.5 * (coeffs.A * t_direct - relay_part)
+        relay_part = math.fsum(col * t_relay[c] / g**c for c, col in enumerate(coeffs.cols))
+        nats = 0.5 * (coeffs.A * t_direct - relay_part)
+        if math.isfinite(nats):
+            return nats
+    except (ArithmeticError, ValueError):
+        # g**c overflows, mu**c or a rate over g underflows to 0, or fsum meets inf and -inf
+        pass
+    raise _past_doubles("the closed-form capacity", gamma=g, k=coeffs.k)
 
 
 def capacity_quadrature(params: ChannelParams, coeffs: SeriesCdfCoeffs) -> float:

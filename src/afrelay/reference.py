@@ -12,8 +12,8 @@ absolute floor.  At large orders cosh(nu t) alone overflows where the
 integrand does not, so from nu t = 700 on it is split into exponentials
 that take the decay first; where exp(z) K_nu(z) overflows, exp(-z) moves
 into the integrand, so only a K_nu(z) past the doubles is refused.
-The series module never calls into this one, which borrows only its argument
-gate (_require_positive), not its math, so each can audit the other.
+The series module never calls into this one, which borrows only its gates
+(_require_positive, _past_doubles), not its math, so each can audit the other.
 
 The fixed rule is 20-node Gauss-Legendre, from a correctly rounded
 table, on panels graded geometrically toward one end, t = 0, of [0, 1]
@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bessel_series import _require_positive
+from .bessel_series import _past_doubles, _require_positive
 
 __all__ = [
     "QuadratureError",
@@ -82,7 +82,7 @@ def adaptive_quad(
 def bessel_k(nu: float, z: float) -> float:
     """Reference K_nu(z) for real nu >= 0, z > 0, by adaptive quadrature.
 
-    Raises ValueError where K_nu(z) is past the doubles.
+    A K_nu(z) past the largest double is a ValueError; one below the least is 0.0.
     """
     nu = _require_positive("order nu", nu, zero=True)
     z = _require_positive("argument z", z)
@@ -108,14 +108,14 @@ def bessel_k(nu: float, z: float) -> float:
     for shift in (0.0, z):
         try:
             q = adaptive_quad(integrand, 0.0, min(cut + 1.0, 705.0), abs_tol=0.0, rel_tol=1e-12)
-            # in logs where exp(shift - z) is subnormal (z > 708.4) and would round the product
+            # in logs where exp(shift - z) is subnormal (z > 708.4), unless q is 0
             scale = math.exp(shift - z)
-            k = scale * q if scale >= sys.float_info.min else math.exp(math.log(q) + shift - z)
-        except OverflowError:
+            k = scale * q if scale >= sys.float_info.min or not q else math.exp(math.log(q) + shift - z)
+        except ArithmeticError:
             continue
         if math.isfinite(k):
             return k
-    raise ValueError(f"K_nu(z) leaves the doubles at nu={nu!r}, z={z!r}")
+    raise _past_doubles("K_nu(z)", nu=nu, z=z)
 
 
 def fractional_integral(f: Callable[[float], float], s: float, x: float) -> float:
@@ -138,8 +138,13 @@ def fractional_integral(f: Callable[[float], float], s: float, x: float) -> floa
             t = 0.0
         return f(t)
 
-    val = adaptive_quad(g, 0.0, x**s)
-    return val / (s * math.gamma(s))
+    try:
+        value = adaptive_quad(g, 0.0, x**s) / (s * math.gamma(s))
+        if math.isfinite(value):
+            return value
+    except ArithmeticError:  # Gamma(s), x**s or f overflows
+        pass
+    raise _past_doubles("the fractional integral", s=s, x=x)
 
 
 # The 20-node Gauss-Legendre rule on [-1, 1]: its ten positive nodes, rising,

@@ -1,9 +1,10 @@
 """Series construction: Lah numbers, term coefficients, collapsed tables,
 truncated evaluation and the reciprocal-exponential derivative, and the
-integer gate every module shares."""
+argument gates and the refusal past the doubles that every module shares."""
 
 import hashlib
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -22,7 +23,8 @@ from afrelay.bessel_series import (
     series_coeffs,
     term_coeff,
 )
-from afrelay.channel import ChannelParams
+from afrelay.channel import ChannelParams, SeriesCdfCoeffs, combined_cdf_coeffs
+from afrelay.metrics import bit_error_prob, capacity
 from afrelay.montecarlo import SimConfig, simulate
 from afrelay.reference import bessel_k, fractional_integral
 from afrelay.validation import _exp_reciprocal_fd
@@ -395,6 +397,50 @@ def test_one_refusal_for_every_positive_real_argument(name, zero, call):
     want = bits(call(2.0))
     assert bits(call(2)) == want
     assert bits(call(np.float64(2.0))) == want
+
+
+def _at_depth(metric, params, k):
+    return metric(params, combined_cdf_coeffs(params, series_coeffs(1.0, k)))
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    (
+        (lambda: evaluate(100.0, 5, 1e-8), dict(nu=100.0, z=1e-8, k=5)),
+        (lambda: bessel_k(140.0, 0.5), dict(nu=140.0, z=0.5)),
+        (lambda: combined_cdf_coeffs(ChannelParams(1.0, 1e30, 1.0, 1.0), series_coeffs(1.0, 10)),
+         dict(lambda_sd=1e30, lambda_srd=4.0, k=10)),
+        (lambda: ChannelParams(1.0, 1.0, 1e155, 1e155), dict(lambda_sr=1e155, lambda_rd=1e155)),
+        (lambda: _at_depth(bit_error_prob, ChannelParams(1e-30, 1.0, 1e-20, 1e-20), 30),
+         dict(gamma=1e-30, k=30)),
+        (lambda: bit_error_prob(ChannelParams(1e-3, 1.0, 1e-6, 1e-6),
+                                SeriesCdfCoeffs([1.7e308, -1.7e308], [0.0, 0.0])),
+         dict(gamma=1e-3, k=1)),
+        (lambda: _at_depth(capacity, ChannelParams(1e11, 1.0, 1.0, 1.0), 30), dict(gamma=1e11, k=30)),
+        (lambda: _at_depth(capacity, ChannelParams(1e300, 1e-30, 1.0, 1.0), 0),
+         dict(gamma=1e300, k=0)),
+        (lambda: fractional_integral(math.exp, 200.0, 1.0), dict(s=200.0, x=1.0)),
+        (lambda: fractional_integral(math.exp, 0.5, 1e300), dict(s=0.5, x=1e300)),
+        (lambda: exp_reciprocal_deriv(200, 1.0, 1e-3), dict(n=200, beta=1.0, x=1e-3)),
+        (lambda: exp_reciprocal_deriv(1, 1e300, 1e-300), dict(n=1, beta=1e300, x=1e-300)),
+        (lambda: exp_reciprocal_deriv(5, 1e-300, 1e-300), dict(n=5, beta=1e-300, x=1e-300)),
+        (lambda: exp_reciprocal_deriv(2, 1e300, 1e-300), dict(n=2, beta=1e300, x=1e-300)),
+    ),
+    ids=(
+        "evaluate", "bessel_k", "combined_cdf_coeffs", "ChannelParams",
+        "bit_error_prob-underflow", "bit_error_prob-inf-minus-inf", "capacity-overflow",
+        "capacity-direct-underflow", "fractional_integral-gamma", "fractional_integral-integrand",
+        "exp_reciprocal_deriv-lah", "exp_reciprocal_deriv-nan",
+        "exp_reciprocal_deriv-underflow", "exp_reciprocal_deriv-inf-minus-inf",
+    ),
+)
+def test_one_refusal_for_every_result_past_the_doubles(call, named):
+    # an overflow, an underflow to 0 under a division, a nan or an inf is
+    # refused by one ValueError that names the point: never an
+    # OverflowError, a ZeroDivisionError, fsum's own ValueError or a nan
+    at = ", ".join(f"{name}={value!r}" for name, value in named.items())
+    with pytest.raises(ValueError, match=f" leaves the doubles at {re.escape(at)}$"):
+        call()
 
 
 def test_rowwise_equals_collapsed():

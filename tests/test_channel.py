@@ -9,6 +9,7 @@ acceptance suite.
 
 import dataclasses
 import math
+import re
 import warnings
 
 import mpmath as mp
@@ -62,7 +63,8 @@ class TestChannelParams:
     @pytest.mark.parametrize("sr,rd", [(1e155, 1e155), (1e-200, 1e-200), (1e308, 1e308)])
     def test_rejects_rates_whose_combinations_leave_the_doubles(self, sr, rd):
         # lambda_p overflows, lambda_p underflows, lambda_s overflows
-        with pytest.raises(ValueError, match="lambda_sr=.* and lambda_rd=.*"):
+        at = f"lambda_sr={sr!r}, lambda_rd={rd!r}"
+        with pytest.raises(ValueError, match=re.escape(f"leaves the doubles at {at}")):
             ChannelParams(gamma=1.0, lambda_sd=1.0, lambda_sr=sr, lambda_rd=rd)
 
     def test_derived_combinations(self):
@@ -207,7 +209,8 @@ class TestSeriesCdfCoeffs:
     def test_powers_past_the_doubles_are_refused(self, rates, k):
         # d**m or (2 sqrt(lambda_p))**q overflows, or d**m underflows to 0
         p = ChannelParams(1.0, *rates)
-        with pytest.raises(ValueError, match=f"outside the double range at depth {k}"):
+        at = f"lambda_sd={p.lambda_sd!r}, lambda_srd={p.lambda_srd!r}, k={k}"
+        with pytest.raises(ValueError, match=re.escape(f"leaves the doubles at {at}")):
             combined_cdf_coeffs(p, series_coeffs(1.0, k))
 
     @pytest.mark.parametrize("rates", ((1.0, 1.0, 1.0), (0.7, 2.0, 0.3)))
@@ -798,6 +801,20 @@ class TestMinboundBaseline:
                 assert abs(cdfs[i] - cdf) <= 5e-13 * cdf, (rel, x)
                 assert abs(pdfs[i] - pdf) <= 2e-15 * pdf, (rel, x)
                 assert (minbound_cdf(p, x), minbound_pdf(p, x)) == (cdfs[i], pdfs[i])
+
+    def test_pdf_at_rates_whose_product_overflows(self):
+        # lambda_sd = lambda_s = 1e200: the Erlang(2) density a**2 x exp(-a x)
+        # is a double, 1e100 at x = 1e-300, where a * b = 1e400 overflowed to
+        # inf (inf * 0 = nan at x = 0); by 50-digit mpmath, rounded
+        p = ChannelParams(1.0, 1e200, 1e200, 1.0)
+        xs = [0.0, 1e-300, 1e-200, 1.0]
+        with mp.workdps(50):
+            a = mp.mpf(p.lambda_sd)
+            want = [float(a * a * x * mp.exp(-a * x)) for x in xs]
+        got = minbound_pdf(p, np.array(xs)).tolist()
+        assert got == [minbound_pdf(p, x) for x in xs]
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 2e-15 * w, (g, w)
 
     def test_ends_at_one_and_zero(self):
         assert (minbound_cdf(UNIT, math.inf), minbound_pdf(UNIT, math.inf)) == (1.0, 0.0)

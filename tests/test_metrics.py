@@ -193,7 +193,7 @@ class TestBitErrorProb:
         co = SeriesCdfCoeffs([1e-3] * 173, [0.0] * 173)
         with pytest.raises(OverflowError):
             self._per_term(p, co)
-        with pytest.raises(ValueError, match="with series depth 172"):
+        with pytest.raises(ValueError, match=re.escape(f"leaves the doubles at gamma={p.gamma!r}, k=172")):
             bit_error_prob(p, co)
 
 
@@ -265,7 +265,7 @@ def test_double_range_overflow_names_gamma_and_depth(metric, k, gamma_db):
     # OverflowError or ZeroDivisionError or returned inf
     p = unit_params(10 ** (gamma_db / 10))
     co = combined_cdf_coeffs(p, series_coeffs(1.0, k))
-    with pytest.raises(ValueError, match=re.escape(f"gamma={p.gamma!r} with series depth {k}")):
+    with pytest.raises(ValueError, match=re.escape(f"leaves the doubles at gamma={p.gamma!r}, k={k}")):
         metric(p, co)
 
 

@@ -84,6 +84,12 @@ class TestBesselK:
         # rounded); measured worst 5.6e-14
         assert abs(bessel_k(nu, z) - want) <= 1e-13 * want
 
+    @pytest.mark.parametrize("nu, z", ((1.0, 745.0), (1.0, 1e20), (0.0, 1e300)))
+    def test_below_the_least_double_reads_zero(self, nu, z):
+        # K_nu(z) rounds to 0; from z ~ 1e20 the quadrature itself reads 0,
+        # where the scaled path's log of it raised a math domain error
+        assert bessel_k(nu, z) == 0.0
+
     def test_value_past_the_doubles_is_refused(self):
         # K_140(0.5) is past the largest double
         with pytest.raises(ValueError, match=r"nu=140\.0, z=0\.5"):
