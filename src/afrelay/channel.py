@@ -13,9 +13,11 @@ so the total receive SNR is gamma * (D + S).
 
 Closed forms implemented here:
 
-* exact CDF/PDF of S (srd_cdf / srd_pdf), valid at any gamma, with K_0/K_1
-  from scipy.special (the quadrature oracle reference.bessel_k audits them
-  in the tests), imported where they are called;
+* exact CDF/PDF of S (srd_cdf / srd_pdf), valid at any gamma whose 1/gamma
+  is a double (gamma >= 5.56e-309; below, they and combined_cdf_exact
+  refuse with a ValueError naming gamma), with K_0/K_1 from scipy.special
+  (the quadrature oracle reference.bessel_k audits them in the tests),
+  imported where they are called;
 * a high-SNR series CDF/PDF of D + S (combined_cdf / combined_pdf) built
   from the truncated Bessel-K series, in the exponential-polynomial form
 
@@ -89,6 +91,9 @@ EXACT_ABS_TOL = 1e-12
 _PANEL_LEVELS = 17
 _LOW_REACH = 1e7
 _EXTRA_LEVELS = 32
+
+# The smallest normal double; see _bessel_argument.
+_TINY = sys.float_info.min
 
 # Grid points per pass of combined_cdf_exact on the 19 panels of the base
 # rule, fewer in proportion on more panels: bounds its temporaries to a few
@@ -286,10 +291,28 @@ def combined_pdf(params: ChannelParams, coeffs: SeriesCdfCoeffs, x):
     return _expoly(params, _powers(x), 0.0, coeffs.A * params.lambda_sd, coeffs.pdf)
 
 
+def _require_inverse_gamma(params: ChannelParams) -> None:
+    """Refuse a gamma whose reciprocal leaves the doubles (gamma below
+    1/DBL_MAX, about 5.56e-309): the exact model of S reads 1/gamma."""
+    if math.isinf(1.0 / params.gamma):
+        raise _past_doubles("1/gamma", gamma=params.gamma)
+
+
 def _bessel_argument(params: ChannelParams, u):
     """z = 2 sqrt(lambda_p u (u + 1/gamma)) and exp(-lambda_s u): the Bessel
-    argument and the decay in the CDF and PDF of S at powers u."""
-    z = 2.0 * np.sqrt(params.lambda_p * u * (u + 1.0 / params.gamma))
+    argument and the decay in the CDF and PDF of S at powers u.  Where
+    lambda_p u or the product under the root falls below the normal
+    doubles at u > 0, so that it loses bits or reads 0, z is formed as
+    2 sqrt(lambda_p) sqrt(u) sqrt(u + 1/gamma), each root a normal double;
+    every other z keeps the one formula."""
+    inv_gamma = 1.0 / params.gamma
+    lam_u = params.lambda_p * u
+    product = lam_u * (u + inv_gamma)
+    z = 2.0 * np.sqrt(product)
+    under = (np.fmin(lam_u, product) < _TINY) & (u > 0.0)
+    if under.any():
+        roots = 2.0 * math.sqrt(params.lambda_p) * np.sqrt(u) * np.sqrt(u + inv_gamma)
+        z = np.where(under, roots, z)
     return z, np.exp(-params.lambda_s * u)
 
 
@@ -317,8 +340,10 @@ def srd_cdf(params: ChannelParams, x):
     x = inf.  combined_cdf_exact integrates the same survival function.
     A scalar runs the array formula on a 0-d array and comes back a float.
     The paper's exact statistic of S; the tests check it against the
-    bessel_k quadrature oracle.
+    bessel_k quadrature oracle.  Refuses gamma < 5.56e-309, whose 1/gamma
+    leaves the doubles, with a ValueError naming gamma.
     """
+    _require_inverse_gamma(params)
     v = _powers(x)
     return _result(1.0 - _survival(params, np.asarray(v)), v)
 
@@ -330,10 +355,16 @@ def srd_pdf(params: ChannelParams, x):
     + lambda_s zeta K_1(2 zeta)), with K_0/K_1 from scipy.special; 0 where
     exp(-lambda_s x) is 0, as at x = inf.  A scalar runs the array formula
     on a 0-d array and comes back a float.  The paper's exact statistic of
-    S; the tests check it against the bessel_k quadrature oracle.
+    S; the tests check it against the bessel_k quadrature oracle.  Like
+    srd_cdf it refuses gamma < 5.56e-309.  zeta K_1(2 zeta) is capped at
+    its limit 1/2, which it takes where K_1 overflows, as in _survival.  It
+    never returns nan or inf: where another term leaves the doubles
+    (lambda_p / gamma past them, or a Bessel argument below the subnormals)
+    it raises a ValueError naming the point.
     """
     from scipy.special import k0, k1
 
+    _require_inverse_gamma(params)
     v = _powers(x)
     u = np.asarray(v)
     if (u == 0.0).any():
@@ -342,9 +373,13 @@ def srd_pdf(params: ChannelParams, x):
         z, decay = _bessel_argument(params, u)
         density = 2.0 * decay * (
             params.lambda_p * (2.0 * u + 1.0 / params.gamma) * k0(z)
-            + params.lambda_s * (0.5 * z) * k1(z)
+            + params.lambda_s * np.fmin((0.5 * z) * k1(z), 0.5)
         )
-        return _result(np.where(decay == 0.0, 0.0, density), v)
+        density = np.where(decay == 0.0, 0.0, density)
+    bad = ~np.isfinite(density) & ~np.isnan(u)  # a nan power maps to nan
+    if bad.any():
+        raise _past_doubles("the density of S", gamma=params.gamma, x=float(u[bad].flat[0]))
+    return _result(density, v)
 
 
 def _exact_cdf_block(params: ChannelParams, x: np.ndarray, grow: np.ndarray, low: int):
@@ -401,8 +436,9 @@ def combined_cdf_exact(params: ChannelParams, x):
     estimate attached instead of a value returned.  The CDF is exactly 0
     at x = 0 and 1 where the direct path and S have no mass a double can
     hold, as at x = inf.  Grid points are evaluated 1024 at a time on the
-    base panels.
+    base panels.  Like srd_cdf it refuses gamma < 5.56e-309.
     """
+    _require_inverse_gamma(params)
     v = _powers(x)
     flat = np.array(v, dtype=float).reshape(-1)
     lam = params.lambda_sd

@@ -8,6 +8,12 @@ are every flag the parser gave a value except the seed and the output
 path, which have fields of their own, and the worker count, which cannot
 change the bytes.
 
+Flags that several commands share are declared once, each group in a
+parent parser: --out on every command; --format csv|json on bessel, dist
+and perf (coeffs has its own, with table1); --k on coeffs and bessel, and
+with the three --lambda-* rates on dist and perf; and --seed, --samples
+and --workers on dist, perf and validate.
+
 Exit codes: 0 success, 1 validation checks failed, 2 usage or domain
 error, 3 numerical failure (quadrature non-convergence or degenerate
 parameters).
@@ -237,8 +243,6 @@ def _cmd_perf(args) -> int:
     else:
         gammas = _db_to_linear("--gamma-db-grid", _parse_grid(args.gamma_db_grid))
     snr_threshold = _db_to_linear("--snr-threshold-db", args.snr_threshold_db)
-    cap_scale = 1.0 / _LN2 if args.bits else 1.0
-    cap_name = "capacity_bits" if args.bits else "capacity_nats"
     # built before any work so a bad seed, sample or relay count is
     # refused whether or not Monte Carlo is asked for
     cfg = SimConfig(seed=args.seed, samples=args.samples, relays=args.relays)
@@ -255,24 +259,22 @@ def _cmd_perf(args) -> int:
     closed = {
         "outage": lambda p: metrics.outage(p, co, snr_threshold),
         "bep": lambda p: metrics.bit_error_prob(p, co),
-        "capacity": lambda p: cap_scale * metrics.capacity(p, co),
+        "capacity": lambda p: metrics.capacity(p, co),
     }
+    # one lookup of each metric's scale and column name for all its columns:
+    # --bits turns nats into bits, and 1.0 times another metric is exact
+    units = {"capacity": (1.0 / _LN2, "capacity_bits") if args.bits else (1.0, "capacity_nats")}
     columns = {
         "gamma_db": [-math.inf if p is None else 10 * math.log10(p.gamma) for p in points]
     }
     for m in wanted:
-        name = cap_name if m == "capacity" else m
-        columns[name] = [_LIMITS[m] if p is None else closed[m](p) for p in points]
+        scale, name = units.get(m, (1.0, m))
+        columns[name] = [_LIMITS[m] if p is None else scale * closed[m](p) for p in points]
         if args.with_mc:
-            scale = cap_scale if m == "capacity" else 1.0
-            ests = iter(mc.get(m, ()))
-            per_point = [None if p is None else next(ests) for p in points]
-            columns[f"mc_{name}"] = [
-                _LIMITS[m] if e is None else scale * e.value for e in per_point
-            ]
-            columns[f"mc_{name}_se"] = [
-                0.0 if e is None else scale * e.std_error for e in per_point
-            ]
+            it = iter(mc.get(m, ()))
+            ests = [None if p is None else next(it) for p in points]
+            columns[f"mc_{name}"] = [_LIMITS[m] if e is None else scale * e.value for e in ests]
+            columns[f"mc_{name}_se"] = [0.0 if e is None else scale * e.std_error for e in ests]
 
     _deliver(_render(args, tuple(columns), zip(*columns.values())), args.out)
     return 0
@@ -302,13 +304,24 @@ class _Replaces(argparse.Action):
         setattr(namespace, self.const, None)
 
 
-def _add_lambda_flags(sp) -> None:
-    sp.add_argument("--lambda-sd", type=float, default=1.0, help="direct-link fading parameter")
-    sp.add_argument("--lambda-sr", type=float, default=1.0, help="first-hop fading parameter")
-    sp.add_argument("--lambda-rd", type=float, default=1.0, help="second-hop fading parameter")
-
-
 def _build_parser() -> argparse.ArgumentParser:
+    # each flag that commands share is declared once, in a parent parser
+    def parent(*parents):
+        return argparse.ArgumentParser(add_help=False, parents=parents)
+
+    out, fmt, depth, sim = parent(), parent(), parent(), parent()
+    out.add_argument("--out", help="output file (default stdout)")
+    fmt.add_argument("--format", choices=("csv", "json"), default="csv")
+    depth.add_argument("--k", type=int, default=10, help="truncation depth")
+    rates = parent(depth)  # --k with the three fading rates
+    rates.add_argument("--lambda-sd", type=float, default=1.0, help="direct-link fading parameter")
+    rates.add_argument("--lambda-sr", type=float, default=1.0, help="first-hop fading parameter")
+    rates.add_argument("--lambda-rd", type=float, default=1.0, help="second-hop fading parameter")
+    sim.add_argument("--seed", type=int, default=42)
+    sim.add_argument("--samples", type=int, default=10**7)
+    sim.add_argument("--workers", type=int, default=1,
+                     help="Monte Carlo threads; they never change the bytes")
+
     ap = argparse.ArgumentParser(
         prog="afrelay",
         description="Closed-form and Monte Carlo analysis of two-hop "
@@ -316,67 +329,48 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="cmd", required=True, metavar="command")
 
-    sp = sub.add_parser("coeffs", help="series coefficient table for one (order, depth)")
+    sp = sub.add_parser("coeffs", parents=[depth, out],
+                        help="series coefficient table for one (order, depth)")
     sp.add_argument("--nu", type=float, required=True, help="order in (0, ~150), not a half-integer")
-    sp.add_argument("--k", type=int, default=10, help="truncation depth")
     sp.add_argument("--format", choices=("csv", "json", "table1"), default="csv",
                     help="table1 rounds to 4 significant digits")
-    sp.add_argument("--out", help="output file (default stdout)")
     sp.set_defaults(func=_cmd_coeffs)
 
-    sp = sub.add_parser("bessel", help="truncated series vs quadrature oracle over a grid")
+    sp = sub.add_parser("bessel", parents=[depth, fmt, out],
+                        help="truncated series vs quadrature oracle over a grid")
     sp.add_argument("--nu", type=float, default=1.0,
                     help="order; 0 is reached through K_0 = K_2 - (2/z) K_1")
-    sp.add_argument("--k", type=int, default=10)
     sp.add_argument("--beta-list", default="0.5,1,2", help="comma list of scale factors")
     sp.add_argument("--x-grid", default="0.5:8:16", help="start:stop:count or comma list")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--out")
     sp.set_defaults(func=_cmd_bessel)
 
-    sp = sub.add_parser("dist", help="combined-power CDF/PDF curves with optional Monte Carlo")
+    sp = sub.add_parser("dist", parents=[rates, sim, fmt, out],
+                        help="combined-power CDF/PDF curves with optional Monte Carlo")
     g = sp.add_mutually_exclusive_group()
     g.add_argument("--gamma-db", type=float, default=30.0, help="transmit SNR in dB")
     g.add_argument("--gamma-linear", type=float, action=_Replaces, const="gamma_db",
                    help="transmit SNR, linear scale")
-    _add_lambda_flags(sp)
-    sp.add_argument("--k", type=int, default=10)
     sp.add_argument("--x-grid", default="0:6:61")
     sp.add_argument("--with-mc", action="store_true", help="add a Monte Carlo density column")
     sp.add_argument("--with-minbound", action="store_true",
                     help="add the min-of-hops baseline density column")
-    sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--samples", type=int, default=10**7)
-    sp.add_argument("--workers", type=int, default=1)
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--out")
     sp.set_defaults(func=_cmd_dist)
 
-    sp = sub.add_parser("perf", help="outage / bit error probability / capacity over an SNR grid")
+    sp = sub.add_parser("perf", parents=[rates, sim, fmt, out],
+                        help="outage / bit error probability / capacity over an SNR grid")
     g = sp.add_mutually_exclusive_group()
     g.add_argument("--gamma-db-grid", default="-5:35:9")
     g.add_argument("--gamma-linear-grid", action=_Replaces, const="gamma_db_grid",
                    help="linear SNR grid; a 0 entry emits the analytic zero-SNR limits")
-    _add_lambda_flags(sp)
-    sp.add_argument("--k", type=int, default=10)
     sp.add_argument("--metrics", default="outage,bep,capacity")
     sp.add_argument("--snr-threshold-db", type=float, default=0.0,
                     help="absolute outage SNR threshold in dB (linear threshold 10^(dB/10))")
     sp.add_argument("--bits", action="store_true", help="report capacity in bits instead of nats")
     sp.add_argument("--with-mc", action="store_true")
     sp.add_argument("--relays", type=int, default=1, help="relay count for the Monte Carlo columns")
-    sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--samples", type=int, default=10**7)
-    sp.add_argument("--workers", type=int, default=1)
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--out")
     sp.set_defaults(func=_cmd_perf)
 
-    sp = sub.add_parser("validate", help="run the full self-check suite")
-    sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--samples", type=int, default=10**7)
-    sp.add_argument("--workers", type=int, default=1)
-    sp.add_argument("--out")
+    sp = sub.add_parser("validate", parents=[sim, out], help="run the full self-check suite")
     sp.set_defaults(func=_cmd_validate)
     return ap
 

@@ -20,6 +20,7 @@ behavior.  A failing check is reported, never silently relaxed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -194,9 +195,11 @@ def _unit(gamma_db: float) -> ChannelParams:
     )
 
 
+@functools.cache
 def _unit_coeffs():
     """Depth-10 series coefficients at unit fading rates.  They depend on
-    the rates alone, not on gamma, so one build serves every SNR."""
+    the rates alone, not on gamma or on anything a round varies, so one
+    build per process serves every SNR and every check."""
     return combined_cdf_coeffs(_unit(0.0), series_coeffs(1.0, 10))
 
 

@@ -8,6 +8,7 @@ acceptance suite.
 """
 
 import dataclasses
+import itertools
 import math
 import re
 import warnings
@@ -164,6 +165,80 @@ class TestSrdPdf:
             srd_pdf(UNIT, 0.0)
 
 
+class TestExactModelAtTheDoubleEdges:
+    """The exact model answers or refuses with the one past-the-doubles
+    ValueError; it never returns nan."""
+
+    @pytest.mark.parametrize("form", (srd_cdf, srd_pdf, combined_cdf_exact))
+    @pytest.mark.parametrize("x", (0.5, np.array([0.5, 2.0])))
+    def test_gamma_whose_reciprocal_leaves_the_doubles_is_refused(self, form, x):
+        # 1/1e-310 is inf, where z K_1(z) read inf * 0 and capped to 1:
+        # srd_cdf read 0.632 at 0.5 for a true 1.0, srd_pdf nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^1/gamma leaves the doubles at gamma=1e-310$"):
+                form(ChannelParams(1e-310, 1.0, 1.0, 1.0), x)
+
+    def test_smallest_served_gamma_reads_the_zero_snr_limit(self):
+        # gamma -> 0: S -> 0 and D + S -> D ~ Exp(1)
+        assert srd_cdf(ChannelParams(5.57e-309, 1.0, 1.0, 1.0), 0.5) == 1.0
+        p = ChannelParams(1e-300, 1.0, 1.0, 1.0)
+        assert srd_cdf(p, 0.5) == 1.0
+        assert combined_cdf_exact(p, 2.0) == pytest.approx(-math.expm1(-2.0), rel=1e-15)
+
+    @staticmethod
+    def _density(p: ChannelParams, x: float) -> float:
+        with mp.workdps(50):
+            x = mp.mpf(x)
+            inv_gamma = 1 / mp.mpf(p.gamma)
+            z = 2 * mp.sqrt(p.lambda_p * x * (x + inv_gamma))
+            return float(2 * mp.exp(-p.lambda_s * x) * (
+                p.lambda_p * (2 * x + inv_gamma) * mp.besselk(0, z)
+                + p.lambda_s * (z / 2) * mp.besselk(1, z)
+            ))
+
+    @pytest.mark.parametrize("gamma, xs", (
+        (1e3, (1e-200, 1e-310, 5e-324)),
+        (1e308, (1e-300, 1e-154, 5e-324)),
+    ))
+    def test_density_where_the_root_product_underflows(self, gamma, xs):
+        # lambda_p x (x + 1/gamma) underflows to 0 (or to a subnormal) at
+        # x > 0: the density read nan at 5e-324 (gamma 1e3) and below about
+        # 1e-154 (gamma 1e308); measured within 1.2e-16 of 50-digit mpmath
+        p = ChannelParams(gamma, 1.0, 1.0, 1.0)
+        got = srd_pdf(p, np.array(xs))
+        assert got.tolist() == [srd_pdf(p, x) for x in xs]
+        for x, f in zip(xs, got.tolist()):
+            assert f == pytest.approx(self._density(p, x), rel=1e-15), x
+
+    def test_density_refuses_where_a_term_leaves_the_doubles(self):
+        # lambda_p / gamma = 1e310 overflows, and inf times K_0 = 0 read nan
+        p = ChannelParams(1e-300, 1.0, 1e5, 1e5)
+        with pytest.raises(ValueError, match=r"^the density of S leaves the doubles at "
+                                             r"gamma=1e-300, x=1e-05$"):
+            srd_pdf(p, np.array([1.0, 1e-5]))
+
+    def test_density_is_finite_or_refused_across_the_doubles(self):
+        xs = np.array([5e-324, 1e-310, 1e-300, 1e-154, 1e-20, 1.0, 1e20, 1e300])
+        rates = (1e-300, 1e-20, 1.0, 1e20, 1e300)
+        answered = 0
+        for gamma in (5.57e-309, 1e-300, 1e-20, 1.0, 1e20, 1e308):
+            for sr, rd in itertools.product(rates, rates):
+                try:
+                    p = ChannelParams(gamma, 1.0, sr, rd)
+                except ValueError:
+                    continue
+                for x in (xs, *xs):
+                    try:
+                        f = srd_pdf(p, x)
+                    except ValueError as exc:
+                        assert "leaves the doubles" in str(exc)
+                        continue
+                    assert np.isfinite(f).all() and (np.asarray(f) >= 0.0).all(), (p, x)
+                    answered += 1
+        assert answered > 500
+
+
 class TestSeriesCdfCoeffs:
     def test_reference_scenario_leading_coefficient(self):
         # k = 2, unit fading: lambda_srd = 4 and the closed form gives
@@ -223,6 +298,14 @@ class TestSeriesCdfCoeffs:
         for poly in ("cols", "pdf"):
             bits = {np.array(getattr(co, poly)).tobytes() for co in built}
             assert len(bits) == 1, poly
+
+    def test_validation_builds_the_unit_coefficients_once(self):
+        # they depend on nothing a validate round varies: one build per process
+        from afrelay import validation
+
+        co = validation._unit_coeffs()
+        assert validation._unit_coeffs() is co
+        assert (co.cols, co.pdf) == (unit_coeffs().cols, unit_coeffs().pdf)
 
     def test_wrong_order_table_rejected(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ Commands run in process through main(argv) with captured streams; one
 subprocess test pins the module entry point.
 """
 
+import argparse
 import hashlib
 import itertools
 import json
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from afrelay import validation
-from afrelay.cli import _parse_grid, main
+from afrelay.cli import _build_parser, _parse_grid, main
 
 
 def run_cli(capsys, *argv):
@@ -394,6 +395,24 @@ class TestDist:
         quad = [float(v) for v in column(rows, columns, "cdf_quadrature")]
         assert quad[0] == 0.0 and 0.0 < quad[1] < quad[2] < 1.0
 
+    def test_gamma_whose_reciprocal_leaves_the_doubles_is_usage_error(self, capsys):
+        # 1/1e-310 is inf: refused naming gamma, before any numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "dist", "--gamma-linear", "1e-310", "--x-grid", "0:6:4"
+            )
+        assert (code, out) == (2, "")
+        assert err == "error: 1/gamma leaves the doubles at gamma=1e-310\n"
+
+    def test_smallest_gamma_reads_the_zero_snr_limit(self, capsys):
+        # as gamma -> 0, S -> 0 and D + S -> D: cdf_quadrature at x = 2 is
+        # 1 - exp(-2)
+        code, out, _ = run_cli(capsys, "dist", "--gamma-linear", "1e-300", "--x-grid", "0:6:4")
+        assert code == 0
+        _, columns, rows = parse_csv(out)
+        assert column(rows, columns, "cdf_quadrature")[1] == "0.864664716763"
+
     def test_pinned_artifact(self, capsys):
         # golden: covers the array path of the series CDF/PDF and of the
         # exact CDF; re-recorded when pdf_eq at x = 0 went from
@@ -442,6 +461,20 @@ class TestPerf:
         cap_bits = [float(v) for v in column(rows, columns, "capacity_bits")]
         assert cap_bits[1] == pytest.approx(0.552256030862, rel=1e-9)
         assert cap_bits[2] == pytest.approx(3.32231138959, rel=1e-9)
+
+    def test_bits_scale_every_capacity_column_alone(self, capsys):
+        # --bits renames the closed-form, mc_ and mc_..._se capacity columns
+        # and multiplies each by 1/ln 2; the other metrics keep their bytes
+        argv = ("perf", "--gamma-linear-grid", "0,1,100", "--with-mc", "--samples", "1000",
+                "--format", "json")
+        code, nats, _ = run_cli(capsys, *argv)
+        code_bits, bits, _ = run_cli(capsys, *argv, "--bits")
+        assert code == code_bits == 0
+        for rec, rec_bits in zip(json.loads(nats)["records"], json.loads(bits)["records"]):
+            for col in ("{}", "mc_{}", "mc_{}_se"):
+                cap_bits = rec_bits.pop(col.format("capacity_bits"))
+                assert cap_bits == rec.pop(col.format("capacity_nats")) * (1.0 / math.log(2.0))
+            assert rec_bits == rec
 
     def test_monte_carlo_columns(self, capsys):
         # 20 dB: the high-SNR truncation bias of the closed form is far
@@ -631,6 +664,92 @@ class TestExitContract:
             if code not in (0, 2, 3) or (code == 0 and re.search(r"\b(nan|inf)\b", body)):
                 bad.append((argv, code, body))
         assert bad == []
+
+
+class TestParser:
+    # each command's flags as (option strings, default, type, choices), by
+    # dest, recorded from the parser in which every command declared each
+    # of its flags itself, before the shared ones moved to parent parsers
+    FLAGS = {
+        "coeffs": {
+            "format": (("--format",), "csv", None, ("csv", "json", "table1")),
+            "k": (("--k",), 10, int, None),
+            "nu": (("--nu",), None, float, None),
+            "out": (("--out",), None, None, None),
+        },
+        "bessel": {
+            "beta_list": (("--beta-list",), "0.5,1,2", None, None),
+            "format": (("--format",), "csv", None, ("csv", "json")),
+            "k": (("--k",), 10, int, None),
+            "nu": (("--nu",), 1.0, float, None),
+            "out": (("--out",), None, None, None),
+            "x_grid": (("--x-grid",), "0.5:8:16", None, None),
+        },
+        "dist": {
+            "format": (("--format",), "csv", None, ("csv", "json")),
+            "gamma_db": (("--gamma-db",), 30.0, float, None),
+            "gamma_linear": (("--gamma-linear",), None, float, None),
+            "k": (("--k",), 10, int, None),
+            "lambda_rd": (("--lambda-rd",), 1.0, float, None),
+            "lambda_sd": (("--lambda-sd",), 1.0, float, None),
+            "lambda_sr": (("--lambda-sr",), 1.0, float, None),
+            "out": (("--out",), None, None, None),
+            "samples": (("--samples",), 10000000, int, None),
+            "seed": (("--seed",), 42, int, None),
+            "with_mc": (("--with-mc",), False, None, None),
+            "with_minbound": (("--with-minbound",), False, None, None),
+            "workers": (("--workers",), 1, int, None),
+            "x_grid": (("--x-grid",), "0:6:61", None, None),
+        },
+        "perf": {
+            "bits": (("--bits",), False, None, None),
+            "format": (("--format",), "csv", None, ("csv", "json")),
+            "gamma_db_grid": (("--gamma-db-grid",), "-5:35:9", None, None),
+            "gamma_linear_grid": (("--gamma-linear-grid",), None, None, None),
+            "k": (("--k",), 10, int, None),
+            "lambda_rd": (("--lambda-rd",), 1.0, float, None),
+            "lambda_sd": (("--lambda-sd",), 1.0, float, None),
+            "lambda_sr": (("--lambda-sr",), 1.0, float, None),
+            "metrics": (("--metrics",), "outage,bep,capacity", None, None),
+            "out": (("--out",), None, None, None),
+            "relays": (("--relays",), 1, int, None),
+            "samples": (("--samples",), 10000000, int, None),
+            "seed": (("--seed",), 42, int, None),
+            "snr_threshold_db": (("--snr-threshold-db",), 0.0, float, None),
+            "with_mc": (("--with-mc",), False, None, None),
+            "workers": (("--workers",), 1, int, None),
+        },
+        "validate": {
+            "out": (("--out",), None, None, None),
+            "samples": (("--samples",), 10000000, int, None),
+            "seed": (("--seed",), 42, int, None),
+            "workers": (("--workers",), 1, int, None),
+        },
+    }
+
+    @staticmethod
+    def _commands():
+        parser = _build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return parser, sub.choices
+
+    def test_every_command_has_its_recorded_flags(self):
+        _, commands = self._commands()
+        assert list(commands) == list(self.FLAGS)
+        for name, sp in commands.items():
+            table = {
+                a.dest: (tuple(a.option_strings), a.default, a.type, a.choices)
+                for a in sp._actions if not isinstance(a, argparse._HelpAction)
+            }
+            assert table == self.FLAGS[name], name
+
+    def test_default_namespace_is_the_recorded_defaults(self):
+        parser, _ = self._commands()
+        for name, flags in self.FLAGS.items():
+            required = {"nu": 1.0} if name == "coeffs" else {}
+            ns = vars(parser.parse_args([name, *(["--nu", "1"] if required else [])]))
+            assert ns.pop("func").__name__ == f"_cmd_{name}"
+            assert ns == {"cmd": name, **{d: row[1] for d, row in flags.items()}, **required}
 
 
 class TestHarness:
