@@ -128,7 +128,8 @@ class ChannelParams:
         sr, rd = self.lambda_sr, self.lambda_rd
         lam_p, lam_s = sr * rd, sr + rd
         lam_srd = lam_s + 2.0 * math.sqrt(lam_p)
-        if not all(math.isfinite(v) and v > 0.0 for v in (lam_p, lam_s, lam_srd)):
+        # a subnormal holds too few bits to stand for the rate
+        if not all(math.isfinite(v) and v >= _TINY for v in (lam_p, lam_s, lam_srd)):
             raise _past_doubles("lambda_p, lambda_s or lambda_srd", lambda_sr=sr, lambda_rd=rd)
         object.__setattr__(self, "lambda_p", lam_p)
         object.__setattr__(self, "lambda_s", lam_s)
@@ -302,17 +303,18 @@ def _bessel_argument(params: ChannelParams, u):
     """z = 2 sqrt(lambda_p u (u + 1/gamma)) and exp(-lambda_s u): the Bessel
     argument and the decay in the CDF and PDF of S at powers u.  Where
     lambda_p u or the product under the root falls below the normal
-    doubles at u > 0, so that it loses bits or reads 0, z is formed as
-    2 sqrt(lambda_p) sqrt(u) sqrt(u + 1/gamma), each root a normal double;
-    every other z keeps the one formula."""
+    doubles at u > 0, so that it loses bits or reads 0, or the product
+    overflows at a finite u > 0 (1/gamma near the largest double), z is
+    formed as 2 sqrt(lambda_p) sqrt(u) sqrt(u + 1/gamma), each root a
+    double; every other z keeps the one formula."""
     inv_gamma = 1.0 / params.gamma
     lam_u = params.lambda_p * u
     product = lam_u * (u + inv_gamma)
     z = 2.0 * np.sqrt(product)
-    under = (np.fmin(lam_u, product) < _TINY) & (u > 0.0)
-    if under.any():
+    edge = ((np.fmin(lam_u, product) < _TINY) | (product == np.inf)) & (u > 0.0) & (u < np.inf)
+    if edge.any():
         roots = 2.0 * math.sqrt(params.lambda_p) * np.sqrt(u) * np.sqrt(u + inv_gamma)
-        z = np.where(under, roots, z)
+        z = np.where(edge, roots, z)
     return z, np.exp(-params.lambda_s * u)
 
 
@@ -442,11 +444,12 @@ def combined_cdf_exact(params: ChannelParams, x):
     v = _powers(x)
     flat = np.array(v, dtype=float).reshape(-1)
     lam = params.lambda_sd
-    with np.errstate(over="ignore"):
-        grow = np.expm1(lam * flat)
     rate = max(params.lambda_srd, params.lambda_p / params.gamma)
     steps = _LOW_REACH * _PANEL_RATIO ** -np.arange(_EXTRA_LEVELS)
-    low = _PANEL_LEVELS + (rate * grow[:, None] / lam > steps).sum(axis=1)
+    # overflows read inf, past every step: expm1 from lambda_sd x = 709.8, rate u'(0)
+    with np.errstate(over="ignore"):
+        grow = np.expm1(lam * flat)
+        low = _PANEL_LEVELS + (rate * grow[:, None] / lam > steps).sum(axis=1)
     out = np.empty_like(flat)
     for lo in np.unique(low).tolist():
         at = np.flatnonzero(low == lo)

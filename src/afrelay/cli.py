@@ -252,10 +252,11 @@ def _cmd_perf(args) -> int:
     # one point per SNR, None at zero SNR; the rest form the model's grid
     points = [None if g == 0.0 else _channel_params(args, g) for g in gammas]
     grid = [p for p in points if p is not None]
-    # one pass over the streams for every metric over the whole SNR grid
-    mc = dict(zip(wanted, run_simulation(
-        grid, cfg, tuple(wanted), threshold=snr_threshold, workers=args.workers
-    ))) if args.with_mc and grid else {}
+    # one pass over the streams: a request per metric and SNR, metric by metric
+    mc = iter(run_simulation(
+        grid * len(wanted), cfg, [m for m in wanted for _ in grid],
+        threshold=snr_threshold, workers=args.workers,
+    ) if args.with_mc and grid else ())
     closed = {
         "outage": lambda p: metrics.outage(p, co, snr_threshold),
         "bep": lambda p: metrics.bit_error_prob(p, co),
@@ -271,8 +272,7 @@ def _cmd_perf(args) -> int:
         scale, name = units.get(m, (1.0, m))
         columns[name] = [_LIMITS[m] if p is None else scale * closed[m](p) for p in points]
         if args.with_mc:
-            it = iter(mc.get(m, ()))
-            ests = [None if p is None else next(it) for p in points]
+            ests = [None if p is None else next(mc) for p in points]
             columns[f"mc_{name}"] = [_LIMITS[m] if e is None else scale * e.value for e in ests]
             columns[f"mc_{name}_se"] = [0.0 if e is None else scale * e.std_error for e in ests]
 

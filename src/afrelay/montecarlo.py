@@ -24,9 +24,9 @@ draws each link once per block and reduces the block at every requested
   D + S_1 + S_2, ..., so the total for r relays is a prefix of the total
   for more relays, on the same streams.
 
-So `simulate` over an SNR grid, a tuple of metrics and a tuple of relay
-counts is one pass, and each of its results is bit-identical to the call
-that asks for that one result alone.
+So a `simulate` call is one pass however many (relay count, gamma,
+metric) requests it holds, and each of its results is bit-identical to
+the call that asks for that one result alone.
 
 Chunks: a block runs in chunks of at most _CHUNK samples, so every
 per-sample array is chunk-sized and stays in cache; no array is as long
@@ -343,22 +343,13 @@ def _reducer(metric: str, cfg: SimConfig, x, threshold):
 
 
 def _axis(name: str, value, one_type) -> tuple[tuple, bool]:
-    # (values, many): a one_type value is an axis of one, not nested; else a sequence
+    # (values, many): a one_type value is one value shared by every request; else a sequence
     if isinstance(value, one_type):
         return (value,), False
     values = tuple(value)
     if not values:
         raise ValueError(f"{name} sequence is empty")
     return values, True
-
-
-def _nest(flat: list, axes):
-    # flat results in row-major order over axes, given as _axis's
-    # (values, many) pairs; an axis the caller gave as a scalar is not nested
-    for values, many in reversed(axes):
-        n = len(values)
-        flat = [flat[i : i + n] if many else flat[i] for i in range(0, len(flat), n)]
-    return flat[0]
 
 
 def simulate(
@@ -380,26 +371,32 @@ def simulate(
     SimEstimate otherwise.  relays is the number of relayed paths summed,
     1 <= relays <= cfg.relays; None means cfg.relays.
 
-    One call is one pass over the streams, and three arguments may be
-    sequences to ask for several results from it:
-
-    - params: ChannelParams that share the three fading rates and differ
-      only in gamma, e.g. an SNR grid (gamma never enters the draws);
-    - metric: a tuple of metric names, all reduced from the same draws;
-    - relays: a tuple of relay counts, each at most cfg.relays; the total
-      over r relays is a prefix of the total over more, so the links are
-      drawn once, up to the largest count, and each count reads its prefix.
-
-    Each sequence argument adds one level of nested lists, in the order
-    relays, metric, params, and each result is bit-identical to the call
-    that asks for it alone.  For example, with cfg.relays = 2,
-    ``simulate(grid, cfg, ("bep", "capacity"), relays=(1, 2))[1][0][i]``
-    is ``simulate(grid[i], cfg, "bep")``.
+    One call is one pass over the streams, and it may ask for several
+    results: params, metric and relays are each one value shared by every
+    request or a sequence, all sequences of one length n (else a
+    ValueError).  Request i is (relays[i], params[i].gamma, metric[i]), and
+    the call returns the list of its n results in request order; with no
+    sequence it returns the one result.  The params share the three fading
+    rates and may differ in gamma, which never enters the draws; the total
+    over r relays is a prefix of the total over more, so the links are
+    drawn once, up to the largest count.  Each result is bit-identical to
+    the call that asks for it alone.  For example, with cfg.relays = 2,
+    ``simulate([p, p], cfg, ("bep", "capacity"), relays=(2, 1))[1]`` is
+    ``simulate(p, cfg, "capacity", relays=1)``.
     """
-    grid, many_params = _axis("params", params, ChannelParams)
+    axes = {
+        "params": _axis("params", params, ChannelParams),
+        "metric": _axis("metric", metric, str),
+        "relays": _axis("relays", cfg.relays if relays is None else relays, numbers.Number),
+    }
+    lengths = {name: len(values) for name, (values, many) in axes.items() if many}
+    if len(set(lengths.values())) > 1:
+        got = ", ".join(f"{name} {k}" for name, k in lengths.items())
+        raise ValueError(f"sequence arguments must have one length, got {got}")
+    n = max(lengths.values(), default=1)
+    grid, metrics, counts = (values if many else values * n for values, many in axes.values())
     if len({(p.lambda_sd, p.lambda_sr, p.lambda_rd) for p in grid}) > 1:
         raise ValueError("params in one simulate call may differ only in gamma")
-    metrics, many_metrics = _axis("metric", metric, str)
     for m in metrics:
         if m not in _METRICS:
             raise ValueError(f"metric must be one of {_METRICS}, got {m!r}")
@@ -408,15 +405,14 @@ def simulate(
         raise ValueError(f"metric 'cdf' needs x, got {x!r}")
     if "outage" in metrics and (threshold is None or not threshold > 0.0):
         raise ValueError(f"metric 'outage' needs a positive threshold, got {threshold!r}")
-    counts, many_relays = _axis("relays", cfg.relays if relays is None else relays, numbers.Number)
     for r in counts:
         _require_count("relays", r, 1, cfg.relays)
 
-    reducers = [_reducer(m, cfg, x, threshold) for m in metrics]
-    jobs = [(r, p.gamma, red) for r in counts for red in reducers for p in grid]
-    partials = _run(grid[0], cfg, [(r, g, reduce) for r, g, (reduce, _) in jobs], workers)
-    flat = [finish(*part) for (_, _, (_, finish)), part in zip(jobs, partials)]
-    return _nest(flat, ((counts, many_relays), (metrics, many_metrics), (grid, many_params)))
+    reducers = {m: _reducer(m, cfg, x, threshold) for m in metrics}
+    requests = [(r, p.gamma, reducers[m][0]) for r, p, m in zip(counts, grid, metrics)]
+    partials = _run(grid[0], cfg, requests, workers)
+    results = [reducers[m][1](*part) for m, part in zip(metrics, partials)]
+    return results if lengths else results[0]
 
 
 def histogram_at_edges(

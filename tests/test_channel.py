@@ -11,6 +11,7 @@ import dataclasses
 import itertools
 import math
 import re
+import sys
 import warnings
 
 import mpmath as mp
@@ -61,9 +62,13 @@ class TestChannelParams:
             with pytest.raises(ValueError):
                 ChannelParams(**kw)
 
-    @pytest.mark.parametrize("sr,rd", [(1e155, 1e155), (1e-200, 1e-200), (1e308, 1e308)])
+    @pytest.mark.parametrize("sr,rd", [
+        (1e155, 1e155), (1e-200, 1e-200), (1e308, 1e308), (1e-300, 1e-20), (2.0**-511, 2.0**-512),
+    ])
     def test_rejects_rates_whose_combinations_leave_the_doubles(self, sr, rd):
-        # lambda_p overflows, lambda_p underflows, lambda_s overflows
+        # lambda_p overflows, lambda_p underflows, lambda_s overflows;
+        # lambda_p subnormal: 1e-320 is held as 0x0.00000000007e8p-1022,
+        # 1.1e-5 off, and 2**-1023 is exact but below the normal doubles
         at = f"lambda_sr={sr!r}, lambda_rd={rd!r}"
         with pytest.raises(ValueError, match=re.escape(f"leaves the doubles at {at}")):
             ChannelParams(gamma=1.0, lambda_sd=1.0, lambda_sr=sr, lambda_rd=rd)
@@ -73,6 +78,8 @@ class TestChannelParams:
         assert p.lambda_p == pytest.approx(1.0)
         assert p.lambda_s == pytest.approx(2.5)
         assert p.lambda_srd == pytest.approx((math.sqrt(2.0) + math.sqrt(0.5)) ** 2)
+        # the smallest normal lambda_p is served
+        assert ChannelParams(1.0, 1.0, 2.0**-511, 2.0**-511).lambda_p == sys.float_info.min
         assert p.lambda_srd > p.lambda_s
 
     def test_derived_computed_once(self):
@@ -185,6 +192,21 @@ class TestExactModelAtTheDoubleEdges:
         p = ChannelParams(1e-300, 1.0, 1.0, 1.0)
         assert srd_cdf(p, 0.5) == 1.0
         assert combined_cdf_exact(p, 2.0) == pytest.approx(-math.expm1(-2.0), rel=1e-15)
+
+    @pytest.mark.parametrize("gamma", (5.57e-309, 1e-308, 1e-307))
+    def test_gamma_where_the_bessel_argument_overflows(self, gamma):
+        # lambda_p x (x + 1/gamma) overflows at x = 2: z K_1(z) read
+        # inf * 0 = nan, capped to 1, so srd_cdf read 0.98168 at 5.57e-309,
+        # and combined_cdf_exact warned of an overflow and raised
+        # QuadratureError; z from the three roots reads the gamma -> 0 limit
+        p = ChannelParams(gamma, 1.0, 1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert srd_cdf(p, 2.0) == 1.0
+            assert srd_pdf(p, 2.0) == 0.0
+            assert combined_cdf_exact(p, 2.0) == -math.expm1(-2.0) == 0.8646647167633873
+            xs = np.array([0.5, 2.0, 1e300])
+            assert combined_cdf_exact(p, xs).tolist() == [combined_cdf_exact(p, x) for x in xs]
 
     @staticmethod
     def _density(p: ChannelParams, x: float) -> float:

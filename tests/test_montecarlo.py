@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from afrelay import montecarlo, validation
 from afrelay.channel import ChannelParams, combined_cdf, combined_cdf_coeffs, minbound_cdf
 from afrelay.bessel_series import series_coeffs
 from afrelay.montecarlo import (
@@ -208,7 +209,7 @@ class TestSimulate:
         with pytest.raises(ValueError, match="positive threshold"):
             simulate(UNIT, cfg, "outage", threshold=math.nan)
         with pytest.raises(ValueError, match="positive threshold"):
-            simulate([UNIT, UNIT], cfg, ("outage",), threshold=np.float64("nan"))
+            simulate([UNIT, UNIT], cfg, ("bep", "outage"), threshold=np.float64("nan"))
 
     def test_infinite_threshold_is_certain(self):
         est = simulate(UNIT, SimConfig(seed=1, samples=1000), "outage", threshold=math.inf)
@@ -275,8 +276,8 @@ def _same(a, b) -> bool:
 
 
 class TestGrid:
-    """simulate over a sequence of gamma: one pass, each element
-    bit-identical to the call with that element alone."""
+    """simulate with a request per gamma, the metric shared by all: one
+    pass, each result bit-identical to the call with that gamma alone."""
 
     @pytest.mark.parametrize("relays", (1, 2))
     @pytest.mark.parametrize("metric", sorted(GRID_KW))
@@ -326,52 +327,107 @@ def _all_same(got, want) -> bool:
     return len(got) == len(want) and all(_same(g, w) for g, w in zip(got, want))
 
 
+def _requests(cells):
+    # simulate's three sequence arguments for (relay count, metric, grid
+    # index) cells: a request per cell
+    counts, metrics, at = zip(*cells)
+    return [ONE_PASS_GRID[i] for i in at], metrics, counts
+
+
 class TestOnePass:
-    """Relay counts and metrics asked of one simulate call come from one
-    pass, each result bit-identical to its own call."""
+    """Requests of several relay counts and metrics in one simulate call
+    come from one pass, each result bit-identical to its own call."""
 
     @pytest.mark.parametrize("workers", (1, 2, 4))
     def test_relay_prefix_matches_separate_calls(self, alone, workers):
+        n = len(ONE_PASS_GRID)
         for m in METRICS:
-            one, two = simulate(
-                ONE_PASS_GRID, ONE_PASS_CFG[2], m, workers=workers, relays=(1, 2), **GRID_KW[m]
+            both = simulate(
+                ONE_PASS_GRID * 2, ONE_PASS_CFG[2], m, workers=workers, relays=[1] * n + [2] * n,
+                **GRID_KW[m],
             )
+            one, two = both[:n], both[n:]
             assert _all_same(one, alone[(1, m)]), (m, workers)
             assert _all_same(two, alone[(2, m)]), (m, workers)
             if m == "capacity":  # a second relay never lowers a sample's capacity
                 assert all(t.value >= o.value for o, t in zip(one, two)), workers
-            # a scalar relay count below cfg.relays reads the same prefix
+            # a shared relay count below cfg.relays reads the same prefix
             below = simulate(ONE_PASS_GRID, ONE_PASS_CFG[2], m, workers=workers, relays=1, **GRID_KW[m])
             assert _all_same(below, alone[(1, m)]), (m, workers)
 
     @pytest.mark.parametrize("workers", (1, 2, 4))
-    def test_metric_tuple_matches_one_metric_calls(self, alone, workers):
+    def test_metric_requests_match_one_metric_calls(self, alone, workers):
+        n = len(ONE_PASS_GRID)
         for r in (1, 2):
             fused = simulate(
-                ONE_PASS_GRID, ONE_PASS_CFG[r], METRICS, x=1.0, threshold=1.0, workers=workers
+                ONE_PASS_GRID * len(METRICS), ONE_PASS_CFG[r], [m for m in METRICS for _ in range(n)],
+                x=1.0, threshold=1.0, workers=workers,
             )
-            assert len(fused) == len(METRICS)
-            for m, got in zip(METRICS, fused):
-                assert _all_same(got, alone[(r, m)]), (r, m, workers)
+            assert len(fused) == n * len(METRICS)
+            for j, m in enumerate(METRICS):
+                assert _all_same(fused[j * n : (j + 1) * n], alone[(r, m)]), (r, m, workers)
 
     def test_relays_and_metrics_in_one_call(self, alone):
-        fused = simulate(
-            ONE_PASS_GRID, ONE_PASS_CFG[2], METRICS, x=1.0, threshold=1.0, workers=2,
-            relays=(2, 1),
-        )
-        for r, by_metric in zip((2, 1), fused):
-            for m, got in zip(METRICS, by_metric):
-                assert _all_same(got, alone[(r, m)]), (r, m)
+        cells = [(r, m, i) for r in (2, 1) for m in METRICS for i in range(len(ONE_PASS_GRID))]
+        grid, metrics, counts = _requests(cells)
+        fused = simulate(grid, ONE_PASS_CFG[2], metrics, x=1.0, threshold=1.0, workers=2,
+                         relays=counts)
+        assert len(fused) == len(cells)
+        for (r, m, i), got in zip(cells, fused):
+            assert _same(got, alone[(r, m)][i]), (r, m, i)
 
-    def test_nesting_follows_the_sequence_arguments(self):
+
+class TestRequests:
+    """simulate's request form: params, metric and relays position by
+    position, a shared value serving every request."""
+
+    def test_length_mismatch_is_refused(self):
+        cfg = SimConfig(seed=5, samples=1000, relays=2)
+        with pytest.raises(ValueError, match="one length, got params 2, metric 3"):
+            simulate([UNIT, UNIT], cfg, ("bep", "capacity", "bep"))
+        with pytest.raises(ValueError, match="one length, got metric 2, relays 1"):
+            simulate(UNIT, cfg, ("bep", "capacity"), relays=(2,))
+
+    def test_a_single_value_serves_every_request(self):
         cfg = SimConfig(seed=5, samples=1000, relays=2)
         est = simulate(UNIT, cfg, "capacity", relays=1)
         assert isinstance(est, SimEstimate)
-        by_relays = simulate(UNIT, cfg, "capacity", relays=(1, 2))
-        assert by_relays == [est, simulate(UNIT, cfg, "capacity")]
-        by_metric = simulate(UNIT, cfg, ("capacity", "bep"))
-        assert by_metric == [simulate(UNIT, cfg, "capacity"), simulate(UNIT, cfg, "bep")]
-        assert simulate([UNIT], cfg, ("capacity",), relays=(1,)) == [[[est]]]
+        assert simulate(UNIT, cfg, "capacity", relays=(1, 2)) == [est, simulate(UNIT, cfg, "capacity")]
+        assert simulate([UNIT, UNIT], cfg, "capacity", relays=1) == [est, est]
+        assert simulate(UNIT, cfg, ("capacity", "bep"), relays=1) == [
+            est, simulate(UNIT, cfg, "bep", relays=1)
+        ]
+        # a sequence of one is a list of one, whichever argument it is
+        for kw in ({"params": [UNIT]}, {"metric": ["capacity"]}, {"relays": [1]}):
+            args = {"params": UNIT, "metric": "capacity", "relays": 1, **kw}
+            assert simulate(cfg=cfg, **args) == [est], kw
+
+    @pytest.mark.parametrize("workers", (1, 2, 4))
+    def test_results_come_in_request_order(self, alone, workers):
+        # interleaved relay counts, metrics and SNRs, one cell asked twice
+        cells = [(2, "bep", 3), (1, "pdf", 0), (2, "cdf", 1), (1, "capacity", 2),
+                 (2, "outage", 0), (1, "bep", 1), (2, "pdf", 2), (1, "cdf", 3),
+                 (2, "capacity", 0), (1, "outage", 3), (2, "bep", 3)]
+        grid, metrics, counts = _requests(cells)
+        got = simulate(grid, ONE_PASS_CFG[2], metrics, x=1.0, threshold=1.0, workers=workers,
+                       relays=counts)
+        assert len(got) == len(cells)
+        for (r, m, i), result in zip(cells, got):
+            assert _same(result, alone[(r, m)][i]), (r, m, i, workers)
+
+    def test_capacity_check_asks_for_the_cells_it_reports(self, monkeypatch):
+        # five one-relay and three two-relay capacities, in one pass
+        calls = []
+
+        def run(params, cfg, requests, workers, minbound=False):
+            calls.append([(r, gamma) for r, gamma, _ in requests])
+            return kernel(params, cfg, requests, workers, minbound)
+
+        kernel = montecarlo._run
+        monkeypatch.setattr(montecarlo, "_run", run)
+        validation.check_capacity_vs_mc(42, 1000, 1)
+        gammas = [10 ** (db / 10) for db in (0.0, 5.0, 10.0, 15.0, 20.0)]
+        assert calls == [[(1, g) for g in gammas] + [(2, g) for g in gammas[::2]]]
 
 
 @pytest.fixture(scope="module")
@@ -530,15 +586,16 @@ class TestChunks:
             assert got.hex() == float(a.sum()).hex()
 
     def test_peak_memory_is_chunk_sized(self):
-        # one block at 2 relays, 9 SNRs and three metrics: whole-block
-        # arrays would peak near 100 MB
+        # one block at 2 relays, a request per metric of three at each of
+        # 9 SNRs: whole-block arrays would peak near 100 MB
         grid = [ChannelParams(gamma=10 ** (db / 10), lambda_sd=1.0, lambda_sr=1.0, lambda_rd=1.0)
                 for db in range(0, 45, 5)]
-        metrics = ("outage", "bep", "capacity")
-        simulate(grid, SimConfig(seed=3, samples=100, relays=2), metrics, threshold=1.0)  # imports
+        params = grid * 3
+        metrics = [m for m in ("outage", "bep", "capacity") for _ in grid]
+        simulate(params, SimConfig(seed=3, samples=100, relays=2), metrics, threshold=1.0)  # imports
         tracemalloc.start()
         try:
-            simulate(grid, SimConfig(seed=3, samples=BLOCK, relays=2), metrics, threshold=1.0)
+            simulate(params, SimConfig(seed=3, samples=BLOCK, relays=2), metrics, threshold=1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -600,17 +657,18 @@ ORACLE_GRID = GRID[:2]
 class TestKernelOracle:
     @pytest.mark.parametrize("workers", (1, 3))
     def test_simulate_matches_whole_block_arithmetic(self, workers):
-        got = simulate(ORACLE_GRID, ORACLE_CFG, METRICS, x=1.0, threshold=1.0,
-                       workers=workers, relays=(1, 2))
-        for r, by_metric in zip((1, 2), got):
-            for metric, by_gamma in zip(METRICS, by_metric):
-                for p, est in zip(ORACLE_GRID, by_gamma):
-                    if metric == "pdf":
-                        want = _oracle(p, ORACLE_CFG, metric, r, edges=np.linspace(0.0, 8.0, 81))
-                        assert np.array_equal(est.counts, want[0]), (r, p.gamma)
-                        assert (est.below, est.above) == want[1:], (r, p.gamma)
-                    else:
-                        assert est == _oracle(p, ORACLE_CFG, metric, r), (r, metric, p.gamma)
+        cells = [(r, metric, p) for r in (1, 2) for metric in METRICS for p in ORACLE_GRID]
+        counts, metrics, grid = zip(*cells)
+        got = simulate(grid, ORACLE_CFG, metrics, x=1.0, threshold=1.0, workers=workers,
+                       relays=counts)
+        assert len(got) == len(cells)
+        for (r, metric, p), est in zip(cells, got):
+            if metric == "pdf":
+                want = _oracle(p, ORACLE_CFG, metric, r, edges=np.linspace(0.0, 8.0, 81))
+                assert np.array_equal(est.counts, want[0]), (r, p.gamma)
+                assert (est.below, est.above) == want[1:], (r, p.gamma)
+            else:
+                assert est == _oracle(p, ORACLE_CFG, metric, r), (r, metric, p.gamma)
 
     @pytest.mark.parametrize("workers", (1, 3))
     @pytest.mark.parametrize("minbound", (False, True))
