@@ -19,7 +19,7 @@ from afrelay.channel import (
     combined_pdf,
     minbound_pdf,
 )
-from afrelay.montecarlo import SimConfig, histogram_at_edges
+from afrelay.montecarlo import SimConfig, simulate
 
 params = ChannelParams(gamma=1000.0, lambda_sd=1.0, lambda_sr=1.0, lambda_rd=1.0)
 coeffs = combined_cdf_coeffs(params, series_coeffs(1.0, 10))
@@ -34,8 +34,8 @@ print()
 # histogram of the exact model on 80 bins over [0, 8]; the density is
 # normalized by every sample drawn, so the mass past 8 is not spread
 # over the bins
-hist = histogram_at_edges(
-    params, SimConfig(seed=42, samples=10**7), np.linspace(0.0, 8.0, 81), workers=4
+hist = simulate(
+    params, SimConfig(seed=42, samples=10**7), "pdf", edges=np.linspace(0.0, 8.0, 81), workers=4
 )
 density = hist.sample_density
 centers = hist.centers

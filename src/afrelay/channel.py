@@ -33,7 +33,8 @@ Closed forms implemented here:
   only; a whole grid of powers at once;
 * the classical min(X, Y) upper-bound baseline (minbound_cdf/minbound_pdf),
   a hypoexponential Exp(lambda_sd) + Exp(lambda_sr + lambda_rd), in one
-  form that keeps its accuracy at every spacing of the two rates.
+  form that keeps its accuracy at every spacing of the two rates, and the
+  CDF near the origin by its power series.
 
 The vectorized closed forms take a scalar or an array of powers through one
 formula, and a scalar comes back as a Python float.  In the series forms a
@@ -460,6 +461,12 @@ def combined_cdf_exact(params: ChannelParams, x):
     return _result(out.reshape(np.shape(v)), v)
 
 
+# minbound_cdf's power series serves (a + b) v < 0.5, where its 15 terms
+# reach below 1e-17 of the first: h_m <= 0.5**m
+_MINBOUND_REACH = 0.5
+_MINBOUND_TERMS = 15
+
+
 def _hypoexp(params: ChannelParams, x):
     """The powers v, the min-of-hops rates a <= b and exp(-a v) g(v), with
     g(v) = (1 - exp(-(b - a) v)) / (b - a), which is v at equal rates.
@@ -476,10 +483,28 @@ def minbound_cdf(params: ChannelParams, x):
 
     F(v) = 1 - exp(-a v) - a exp(-a v) g(v) (see _hypoexp): one formula,
     accurate at every spacing of the two rates, Erlang(2) at equal ones.
-    With Histogram.cdf_at_edges, the reference pair of TestMinbound.
+    Its two terms cancel as v -> 0 (relative error ~ eps/(a v)), so below
+    (a + b) v = _MINBOUND_REACH F is the power series
+    y z sum_m (-1)^m h_m(y, z) / (m + 2)!, with y = a v, z = b v and
+    h_m(y, z) = sum_j y^j z^(m-j) = z h_(m-1) + y^m: every h_m is
+    positive, and nothing divides by b - a or overflows.  With
+    Histogram.cdf_at_edges, the reference pair of TestMinbound.
     """
-    v, a, _, eg = _hypoexp(params, x)
-    return _result(np.clip(-np.expm1(-a * v) - a * eg, 0.0, 1.0), v)
+    v, a, b, eg = _hypoexp(params, x)
+    f = np.array(np.clip(-np.expm1(-a * v) - a * eg, 0.0, 1.0))
+    near = np.asarray(v) < _MINBOUND_REACH / (a + b)
+    if near.any():
+        u = np.asarray(v)[near]
+        y, z = a * u, b * u
+        h, yp = [np.ones_like(u)], np.ones_like(u)
+        for _ in range(1, _MINBOUND_TERMS):
+            yp = yp * y
+            h.append(z * h[-1] + yp)
+        s = np.zeros_like(u)
+        for m in reversed(range(_MINBOUND_TERMS)):  # the smallest terms first
+            s += (-1) ** m / math.factorial(m + 2) * h[m]
+        f[near] = y * z * s
+    return _result(f, v)
 
 
 def minbound_pdf(params: ChannelParams, x):

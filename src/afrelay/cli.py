@@ -41,8 +41,7 @@ from .channel import (
     combined_pdf,
 )
 from .reference import QuadratureError
-from .montecarlo import SimConfig, histogram_at_edges
-from .montecarlo import simulate as run_simulation
+from .montecarlo import SimConfig, simulate as run_simulation
 
 __all__ = ["main"]
 
@@ -202,21 +201,19 @@ def _cmd_dist(args) -> int:
     pdf = combined_pdf(params, co, xs)
     cdfq = combined_cdf_exact(params, xs)
 
-    mc = mb = None
+    densities = {}  # minbound flag -> sampled density
     if args.with_mc or args.with_minbound:
         # bins centered on the grid; the first edge is clamped at zero
         inner = 0.5 * (xs[:-1] + xs[1:])
         first = max(xs[0] - (inner[0] - xs[0]), 0.0)
         edges = np.concatenate([[first], inner, [xs[-1] + (xs[-1] - inner[-1])]])
-        if args.with_mc:
-            mc = histogram_at_edges(params, cfg, edges, workers=args.workers).sample_density
-        if args.with_minbound:
-            mb = histogram_at_edges(
-                params, cfg, edges, workers=args.workers, minbound=True
-            ).sample_density
+        # one pass: the model's histogram, the bound's or both, on the same streams
+        asked = [b for b, on in ((False, args.with_mc), (True, args.with_minbound)) if on]
+        hists = run_simulation(params, cfg, "pdf", edges=edges, workers=args.workers, minbound=asked)
+        densities = {b: h.sample_density for b, h in zip(asked, hists)}
 
     # one row per x; a column not asked for is empty
-    values = (xs, cdf, pdf, cdfq, mc, mb)
+    values = (xs, cdf, pdf, cdfq, densities.get(False), densities.get(True))
     rows = zip(*([None] * len(xs) if v is None else v.tolist() for v in values))
     columns = ("x", "cdf_eq", "pdf_eq", "cdf_quadrature", "mc_density", "minbound_density")
     _deliver(_render(args, columns, rows), args.out)

@@ -13,20 +13,23 @@ Exponentials come from the inverse CDF, -log(1 - U)/rate, one uniform
 per draw, keeping the draw count per sample fixed (a requirement for the
 counter arithmetic above).
 
-One pass per call: every entry point runs the same block kernel, which
-draws each link once per block and reduces the block at every requested
-(relay count, gamma, metric).  Two facts make that exact:
+One pass per call: `simulate` runs one block kernel, which draws each
+link once per block and reduces the block at every requested (relay
+count, gamma, model or min-of-hops bound, metric).  Three facts make that
+exact:
 
 - gamma never enters the draws: it appears only in the relayed-path power
   x*y/(x + y + 1/gamma), whose gamma-free parts x*y and x + y are
   computed once per sample, and in the metric reductions;
+- the bound's relayed power min(x, y) is formed from the same hop draws
+  as the model's x*y and x + y;
 - the combined power is built in relay order, D, then D + S_1, then
   D + S_1 + S_2, ..., so the total for r relays is a prefix of the total
   for more relays, on the same streams.
 
-So a `simulate` call is one pass however many (relay count, gamma,
-metric) requests it holds, and each of its results is bit-identical to
-the call that asks for that one result alone.
+So a `simulate` call is one pass however many requests it holds, and each
+of its results is bit-identical to the call that asks for that one result
+alone.
 
 Chunks: a block runs in chunks of at most _CHUNK samples, so every
 per-sample array is chunk-sized and stays in cache; no array is as long
@@ -63,7 +66,6 @@ __all__ = [
     "Histogram",
     "relay_power",
     "simulate",
-    "histogram_at_edges",
 ]
 
 BLOCK = 1_000_000  # samples per block; multiple of 4 (Philox counter step)
@@ -73,10 +75,6 @@ BLOCK = 1_000_000  # samples per block; multiple of 4 (Philox counter step)
 _CHUNK = 2**15
 
 _METRICS = ("cdf", "pdf", "outage", "bep", "capacity")
-
-# np.linspace arguments of the 'pdf' metric's bin edges: 80 bins on [0, 8]
-_PDF_EDGES = (0.0, 8.0, 81)
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -225,23 +223,26 @@ def _map_blocks(fn, blocks, workers: int):
         return list(pool.map(lambda bm: fn(*bm), blocks))
 
 
-def _run(params: ChannelParams, cfg: SimConfig, requests, workers, minbound=False) -> list[tuple]:
+def _run(params: ChannelParams, cfg: SimConfig, requests, workers) -> list[tuple]:
     """The block kernel: one pass over the streams for every request.
 
-    requests holds (r, gamma, reduce) triples with 1 <= r <= cfg.relays.
-    Per chunk, links 0..max r are drawn once.  For each distinct gamma the
-    running total D + S_1 + ... + S_r is built in relay order, and every
-    request with that gamma is reduced, reduce(total, gamma), when the
-    total reaches its relay count.  With minbound every S_r is the
-    min-of-hops bound min(X_r, Y_r) instead of the model's relay term.
-    Returns each request's partial over all samples: the chunks' partials
-    joined in _pairwise's tree within a block, then the blocks' in block
-    order.
+    requests holds (r, gamma, bound, reduce) with 1 <= r <= cfg.relays.
+    Per chunk, links 0..max r are drawn once, and each relay's hop pair
+    gives x*y and x + y if a model request needs them and min(x, y) if a
+    bound request does.  For each distinct (gamma, bound) the running total
+    D + S_1 + ... + S_r is built in relay order, S_r the model's relay term
+    at gamma or, for the bound, min(X_r, Y_r), and every request with that
+    key is reduced, reduce(total, gamma), when the total reaches its relay
+    count.  Returns each request's partial over all samples: the chunks'
+    partials joined in _pairwise's tree within a block, then the blocks'
+    in block order.
     """
-    plan: dict = {}  # gamma -> {relay count -> [(request index, reduce)]}
-    for i, (r, gamma, reduce) in enumerate(requests):
-        plan.setdefault(gamma, {}).setdefault(r, []).append((i, reduce))
-    depth = max(r for r, _, _ in requests)
+    plan: dict = {}  # (gamma, bound) -> {relay count -> [(request index, reduce)]}
+    for i, (r, gamma, is_bound, reduce) in enumerate(requests):
+        plan.setdefault((gamma, is_bound), {}).setdefault(r, []).append((i, reduce))
+    depth = max(r for r, *_ in requests)
+    model = not all(b for _, b in plan)  # some request needs x*y and x + y
+    bound = any(b for _, b in plan)  # some request needs min(x, y)
     hop_rates = (params.lambda_sr, params.lambda_rd)
 
     def block(b, m):
@@ -249,8 +250,8 @@ def _run(params: ChannelParams, cfg: SimConfig, requests, workers, minbound=Fals
         streams += [_stream(cfg.seed, r, 2 * b * BLOCK) for r in range(1, depth + 1)]
         k = min(m, _CHUNK)
         direct, total, term, x, y = (np.empty(k) for _ in range(5))
-        # per relay, its hop pair's uniforms, then (x*y, x + y) or min(x, y)
-        hops = [np.empty(2 * k) for _ in range(depth)]
+        # per relay, its hop pair's uniforms, then x*y, x + y and min(x, y)
+        hops = [np.empty(3 * k) for _ in range(depth)]
 
         def chunk(lo, hi):
             n = hi - lo
@@ -258,16 +259,19 @@ def _run(params: ChannelParams, cfg: SimConfig, requests, workers, minbound=Fals
             _exponentials(streams[0], d, (params.lambda_sd,), (d,))
             for stream, h in zip(streams[1:], hops):
                 _exponentials(stream, h[: 2 * n], hop_rates, (xn, yn))
-                if minbound:
-                    np.minimum(xn, yn, out=h[:n])
-                else:
+                if model:
                     np.multiply(xn, yn, out=h[:n])
                     np.add(xn, yn, out=h[n : 2 * n])
+                if bound:
+                    np.minimum(xn, yn, out=h[2 * n : 3 * n])
             out = [None] * len(requests)
-            for gamma, at in plan.items():
+            for (gamma, is_bound), at in plan.items():
                 for r in range(1, max(at) + 1):
                     h = hops[r - 1]
-                    s_r = h[:n] if minbound else _relay_term(h[:n], h[n : 2 * n], 1.0 / gamma, t)
+                    if is_bound:
+                        s_r = h[2 * n : 3 * n]
+                    else:
+                        s_r = _relay_term(h[:n], h[n : 2 * n], 1.0 / gamma, t)
                     np.add(d if r == 1 else s, s_r, out=s)
                     for i, reduce in at.get(r, ()):
                         out[i] = reduce(s, gamma)
@@ -301,15 +305,20 @@ def _bin(powers: np.ndarray, edges: np.ndarray):
     return np.diff(cuts), int(cuts[0]), int(end - cuts[-1])
 
 
-def _histogram(edges: np.ndarray, n: int):
-    # (reduce, finish) of the histogram of n samples on edges
-    return (
-        lambda s, gamma: _bin(s, edges),
-        lambda counts, below, above: Histogram(edges, counts, below, above, n),
-    )
+def _edges(edges) -> np.ndarray:
+    # the 'pdf' metric's bin edges as a float array, refused unless
+    # finite, ascending with two bins or more, and nonnegative
+    edges = np.asarray(edges, dtype=float)
+    if not np.all(np.isfinite(edges)):
+        raise ValueError("edges must be finite")
+    if edges.ndim != 1 or len(edges) < 3 or np.any(np.diff(edges) <= 0):
+        raise ValueError("edges must be a 1-D ascending array with >= 2 bins")
+    if edges[0] < 0:
+        raise ValueError("edges must be nonnegative (powers are nonnegative)")
+    return edges
 
 
-def _reducer(metric: str, cfg: SimConfig, x, threshold):
+def _reducer(metric: str, cfg: SimConfig, x, threshold, edges):
     """(reduce, finish) of one metric: reduce(total, gamma) takes one
     chunk's combined power to a partial, a tuple of sums or counts, and
     finish takes the partial over all samples to the result."""
@@ -321,7 +330,10 @@ def _reducer(metric: str, cfg: SimConfig, x, threshold):
 
         return reduce, lambda hits: _count_estimate(hits, n)
     if metric == "pdf":
-        return _histogram(np.linspace(*_PDF_EDGES), n)
+        return (
+            lambda s, gamma: _bin(s, edges),
+            lambda counts, below, above: Histogram(edges, counts, below, above, n),
+        )
     if metric == "bep":
         # imported in the calling thread, so no worker thread runs an
         # import, and only where it is used: importing the package does
@@ -360,41 +372,49 @@ def simulate(
     threshold: float | None = None,
     workers: int = 1,
     relays: int | Sequence[int] | None = None,
+    edges=None,
+    minbound: bool | Sequence[bool] = False,
 ):
-    """Monte Carlo estimate over the exact model.
+    """Monte Carlo estimate over the exact model or the min-of-hops bound.
 
     metric is one of 'cdf' (P[D + sum S_r <= x], needs x), 'pdf'
-    (Histogram of the combined power, 80 bins on [0, 8]; histogram_at_edges
-    takes any other edges), 'outage' (needs threshold, linear
-    SNR), 'bep' (mean conditional BPSK error rate) or 'capacity' (mean
+    (Histogram of the combined power on edges, an ascending array of
+    finite nonnegative values, e.g. bins centered on a caller's x grid;
+    None means 80 bins on [0, 8]), 'outage' (needs threshold, linear SNR),
+    'bep' (mean conditional BPSK error rate) or 'capacity' (mean
     half-duplex rate, nats).  Returns a Histogram for 'pdf' and a
     SimEstimate otherwise.  relays is the number of relayed paths summed,
-    1 <= relays <= cfg.relays; None means cfg.relays.
+    1 <= relays <= cfg.relays; None means cfg.relays.  With minbound each
+    relayed path is the min-of-hops bound min(X_r, Y_r) instead of the
+    model's x*y/(x + y + 1/gamma), drawn from the model's own streams, so
+    bound and model are compared on common randomness.
 
     One call is one pass over the streams, and it may ask for several
-    results: params, metric and relays are each one value shared by every
-    request or a sequence, all sequences of one length n (else a
-    ValueError).  Request i is (relays[i], params[i].gamma, metric[i]), and
-    the call returns the list of its n results in request order; with no
-    sequence it returns the one result.  The params share the three fading
-    rates and may differ in gamma, which never enters the draws; the total
-    over r relays is a prefix of the total over more, so the links are
-    drawn once, up to the largest count.  Each result is bit-identical to
-    the call that asks for it alone.  For example, with cfg.relays = 2,
-    ``simulate([p, p], cfg, ("bep", "capacity"), relays=(2, 1))[1]`` is
-    ``simulate(p, cfg, "capacity", relays=1)``.
+    results: params, metric, relays and minbound are each one value shared
+    by every request or a sequence, all sequences of one length n (else a
+    ValueError).  Request i is (relays[i], params[i].gamma, minbound[i],
+    metric[i]), and the call returns the list of its n results in request
+    order; with no sequence it returns the one result.  The params share
+    the three fading rates and may differ in gamma, which never enters the
+    draws; the total over r relays is a prefix of the total over more, so
+    the links are drawn once, up to the largest count.  Each result is
+    bit-identical to the call that asks for it alone.  For example,
+    ``simulate(p, cfg, "pdf", minbound=(False, True))`` is the model's
+    histogram and the bound's, and its second entry is
+    ``simulate(p, cfg, "pdf", minbound=True)``.
     """
     axes = {
         "params": _axis("params", params, ChannelParams),
         "metric": _axis("metric", metric, str),
         "relays": _axis("relays", cfg.relays if relays is None else relays, numbers.Number),
+        "minbound": _axis("minbound", minbound, bool),
     }
     lengths = {name: len(values) for name, (values, many) in axes.items() if many}
     if len(set(lengths.values())) > 1:
         got = ", ".join(f"{name} {k}" for name, k in lengths.items())
         raise ValueError(f"sequence arguments must have one length, got {got}")
     n = max(lengths.values(), default=1)
-    grid, metrics, counts = (values if many else values * n for values, many in axes.values())
+    grid, metrics, counts, bounds = (values if many else values * n for values, many in axes.values())
     if len({(p.lambda_sd, p.lambda_sr, p.lambda_rd) for p in grid}) > 1:
         raise ValueError("params in one simulate call may differ only in gamma")
     for m in metrics:
@@ -407,37 +427,12 @@ def simulate(
         raise ValueError(f"metric 'outage' needs a positive threshold, got {threshold!r}")
     for r in counts:
         _require_count("relays", r, 1, cfg.relays)
+    if not all(isinstance(b, bool) for b in bounds):
+        raise ValueError(f"minbound must be True or False, got {minbound!r}")
+    edges = np.linspace(0.0, 8.0, 81) if edges is None else _edges(edges)
 
-    reducers = {m: _reducer(m, cfg, x, threshold) for m in metrics}
-    requests = [(r, p.gamma, reducers[m][0]) for r, p, m in zip(counts, grid, metrics)]
+    reducers = {m: _reducer(m, cfg, x, threshold, edges) for m in metrics}
+    requests = [(r, p.gamma, b, reducers[m][0]) for r, p, b, m in zip(counts, grid, bounds, metrics)]
     partials = _run(grid[0], cfg, requests, workers)
     results = [reducers[m][1](*part) for m, part in zip(metrics, partials)]
     return results if lengths else results[0]
-
-
-def histogram_at_edges(
-    params: ChannelParams,
-    cfg: SimConfig,
-    edges,
-    workers: int = 1,
-    minbound: bool = False,
-) -> Histogram:
-    """Histogram of the combined power on an explicit (possibly non-uniform)
-    ascending edge array, e.g. bins centered on a caller's x grid.
-
-    With minbound it is the histogram of the min-of-hops bound
-    D + min(X_1, Y_1) of the first relay instead, drawn from the model's
-    own streams, so bound and model are compared on common randomness.
-    """
-    edges = np.asarray(edges, dtype=float)
-    if not np.all(np.isfinite(edges)):
-        raise ValueError("edges must be finite")
-    if edges.ndim != 1 or len(edges) < 3 or np.any(np.diff(edges) <= 0):
-        raise ValueError("edges must be a 1-D ascending array with >= 2 bins")
-    if edges[0] < 0:
-        raise ValueError("edges must be nonnegative (powers are nonnegative)")
-
-    reduce, finish = _histogram(edges, cfg.samples)
-    request = (1 if minbound else cfg.relays, params.gamma, reduce)
-    [partial] = _run(params, cfg, [request], workers, minbound)
-    return finish(*partial)

@@ -376,10 +376,12 @@ def test_one_refusal_for_every_integer_argument(name, call):
     ),
 )
 def test_one_refusal_for_every_positive_real_argument(name, zero, call):
-    # one gate: nan, an infinity, a value at or below 0 (0 is an order
-    # where the caller serves K_0), a bool, a string and None are refused
-    # by name; an int and a numpy float are the float they equal
-    for bad in (math.nan, math.inf, -math.inf, -1.0, True, "1", None, *(() if zero else (0.0,))):
+    # one gate: nan, an infinity, an int past the doubles, a value at or
+    # below 0 (0 is an order where the caller serves K_0), a bool, a string
+    # and None are refused by name; an int and a numpy float are the float
+    # they equal
+    for bad in (math.nan, math.inf, -math.inf, 10**400, -1.0, True, "1", None,
+                *(() if zero else (0.0,))):
         with pytest.raises(ValueError, match=f"^{name} must be a finite real"):
             call(bad)
     if zero:

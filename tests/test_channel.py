@@ -907,6 +907,38 @@ class TestMinboundBaseline:
                 assert abs(pdfs[i] - pdf) <= 2e-15 * pdf, (rel, x)
                 assert (minbound_cdf(p, x), minbound_pdf(p, x)) == (cdfs[i], pdfs[i])
 
+    @staticmethod
+    def _hypoexp_cdf(a: float, b: float, x: float) -> float:
+        # by 600-digit mpmath: F is 1 less terms within 1e-200 of 1 at the
+        # smallest powers below, where 50 and 80 digits read 0
+        with mp.workdps(600):
+            a, b, x = mp.mpf(a), mp.mpf(b), mp.mpf(x)
+            if a == b:
+                return 1 - mp.exp(-a * x) * (1 + a * x)
+            return 1 - (b * mp.exp(-a * x) - a * mp.exp(-b * x)) / (b - a)
+
+    @pytest.mark.parametrize("rel", (None, 0.0, 1e-12, 1e-9, 1e-4, 0.1, 3.0, -0.5))
+    def test_small_powers_keep_their_digits(self, rel):
+        # unit rates and the spacings of the test above: the closed form's
+        # two terms cancel toward the origin (6.1e-7 relative at unit rates,
+        # x = 1e-10), which its power series does not
+        p = UNIT if rel is None else ChannelParams(10.0, 2.0 * (1.0 + rel), 1.0, 1.0)
+        xs = [1e-10, 1e-8, 1e-6, 1e-4, 1e-3]
+        got = minbound_cdf(p, np.array(xs)).tolist()
+        assert got == [minbound_cdf(p, x) for x in xs]
+        for x, g in zip(xs, got):
+            want = self._hypoexp_cdf(p.lambda_sd, p.lambda_s, x)
+            assert abs(g - want) <= 1e-15 * want, (rel, x, g)
+
+    def test_cdf_at_rates_near_the_doubles(self):
+        # lambda_sd = lambda_s = 1e200: F = 5e-201 at x = 1e-300, which the
+        # closed form read as 0
+        p = ChannelParams(1.0, 1e200, 1e200 - 1.0, 1.0)
+        assert p.lambda_sd == p.lambda_s
+        for x in (1e-300, 1e-250, 1e-210):
+            want = self._hypoexp_cdf(p.lambda_sd, p.lambda_s, x)
+            assert abs(minbound_cdf(p, x) - want) <= 1e-15 * want, x
+
     def test_pdf_at_rates_whose_product_overflows(self):
         # lambda_sd = lambda_s = 1e200: the Erlang(2) density a**2 x exp(-a x)
         # is a double, 1e100 at x = 1e-300, where a * b = 1e400 overflowed to

@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 import pytest
 
-from afrelay import validation
+from afrelay import montecarlo, validation
 from afrelay.cli import _build_parser, _parse_grid, main
 
 
@@ -425,6 +425,33 @@ class TestDist:
         assert manifest["artifact_checksum"] == (
             "aa1a9233edc22ce17acbe9d2053539bc0e40a1a7ae1f453c32a3dfb82676b9ae"
         )
+
+    # golden: the artifact_checksum of this command while the model's and
+    # the bound's histograms were two separate passes over the streams
+    SAMPLED_ARGV = ("dist", "--with-mc", "--with-minbound", "--samples", "200000")
+    SAMPLED_CHECKSUM = "7962f9157b83e39a20c35f24b710590627ee5d6bad38a3db1a41178b554e6f57"
+
+    @pytest.mark.parametrize("workers", ("1", "2"))
+    def test_pinned_sampled_artifact(self, capsys, workers):
+        code, out, _ = run_cli(capsys, *self.SAMPLED_ARGV, "--workers", workers)
+        assert code == 0
+        manifest, _, _ = parse_csv(out)
+        assert manifest["artifact_checksum"] == self.SAMPLED_CHECKSUM
+
+    def test_model_and_bound_share_one_pass(self, capsys, monkeypatch):
+        # one stream opened per (link, block): the direct link and the one
+        # relay of the single block, read once for both histograms
+        opened = []
+
+        def stream(seed, link, start):
+            opened.append((link, start))
+            return open_stream(seed, link, start)
+
+        open_stream = montecarlo._stream
+        monkeypatch.setattr(montecarlo, "_stream", stream)
+        code, _, _ = run_cli(capsys, *self.SAMPLED_ARGV)
+        assert code == 0
+        assert sorted(opened) == [(0, 0), (1, 0)]
 
 
 class TestPerf:

@@ -28,7 +28,6 @@ from afrelay.montecarlo import (
     _pairwise,
     _relay_term,
     _stream,
-    histogram_at_edges,
     relay_power,
     simulate,
 )
@@ -198,6 +197,11 @@ class TestSimulate:
                 simulate(UNIT, two, "bep", relays=relays)
         with pytest.raises(ValueError, match="relays sequence is empty"):
             simulate(UNIT, two, "bep", relays=())
+        with pytest.raises(ValueError, match="minbound sequence is empty"):
+            simulate(UNIT, cfg, "pdf", minbound=())
+        for bad in ("yes", (False, 1), (None,)):
+            with pytest.raises(ValueError, match="minbound must be True or False"):
+                simulate(UNIT, cfg, "pdf", minbound=bad)
 
     def test_nan_x_and_threshold_are_refused(self):
         # nan compares False: counted, it would read 0.0 +- 0.0
@@ -387,6 +391,8 @@ class TestRequests:
             simulate([UNIT, UNIT], cfg, ("bep", "capacity", "bep"))
         with pytest.raises(ValueError, match="one length, got metric 2, relays 1"):
             simulate(UNIT, cfg, ("bep", "capacity"), relays=(2,))
+        with pytest.raises(ValueError, match="one length, got metric 2, minbound 3"):
+            simulate(UNIT, cfg, ("bep", "pdf"), minbound=(False, True, True))
 
     def test_a_single_value_serves_every_request(self):
         cfg = SimConfig(seed=5, samples=1000, relays=2)
@@ -419,15 +425,32 @@ class TestRequests:
         # five one-relay and three two-relay capacities, in one pass
         calls = []
 
-        def run(params, cfg, requests, workers, minbound=False):
-            calls.append([(r, gamma) for r, gamma, _ in requests])
-            return kernel(params, cfg, requests, workers, minbound)
+        def run(params, cfg, requests, workers):
+            calls.append([(r, gamma, bound) for r, gamma, bound, _ in requests])
+            return kernel(params, cfg, requests, workers)
 
         kernel = montecarlo._run
         monkeypatch.setattr(montecarlo, "_run", run)
         validation.check_capacity_vs_mc(42, 1000, 1)
         gammas = [10 ** (db / 10) for db in (0.0, 5.0, 10.0, 15.0, 20.0)]
-        assert calls == [[(1, g) for g in gammas] + [(2, g) for g in gammas[::2]]]
+        assert calls == [[(1, g, False) for g in gammas] + [(2, g, False) for g in gammas[::2]]]
+
+    @pytest.mark.parametrize("workers", (1, 2, 4))
+    def test_bound_requests_beside_model_requests(self, workers):
+        # the bound is one more request axis: model and bound, every metric
+        # and both relay counts in one pass, each result bit-identical to
+        # its own call; the edges serve every 'pdf' request
+        cfg = ONE_PASS_CFG[2]
+        edges = np.linspace(0.0, 5.0, 41)
+        cells = [(r, m, b, i) for b in (True, False) for r in (2, 1) for m in METRICS
+                 for i in (0, 1)]
+        counts, metrics, bounds, at = zip(*cells)
+        got = simulate([GRID[i] for i in at], cfg, metrics, x=1.0, threshold=1.0,
+                       workers=workers, relays=counts, edges=edges, minbound=bounds)
+        assert len(got) == len(cells)
+        for (r, m, b, i), result in zip(cells, got):
+            own = simulate(GRID[i], cfg, m, x=1.0, threshold=1.0, relays=r, edges=edges, minbound=b)
+            assert _same(result, own), (r, m, b, i, workers)
 
 
 @pytest.fixture(scope="module")
@@ -460,13 +483,11 @@ class TestHistogram:
         assert abs(hist.cdf_at_edges()[i] - est.value) <= 2 / hist.samples_used
 
     @pytest.mark.parametrize("workers", (1, 2))
-    def test_pdf_metric_is_histogram_at_its_edges(self, workers):
-        # the 'pdf' metric bins on 80 bins over [0, 8]; asking
-        # histogram_at_edges for those edges gives the same histogram
+    def test_pdf_metric_defaults_to_80_bins_on_0_to_8(self, workers):
         cfg = SimConfig(seed=42, samples=BLOCK + 1000)
         edges = np.linspace(0, 8, 81)
         pdf = simulate(UNIT, cfg, "pdf", workers=workers)
-        at = histogram_at_edges(UNIT, cfg, edges, workers=workers)
+        at = simulate(UNIT, cfg, "pdf", workers=workers, edges=edges)
         assert pdf.edges.tobytes() == edges.tobytes()
         assert np.array_equal(pdf.counts, at.counts)
         assert (pdf.below, pdf.above) == (at.below, at.above)
@@ -513,15 +534,15 @@ class TestBin:
             assert above == np.count_nonzero(powers > edges[-1]), len(powers)
 
 
-class TestHistogramAtEdges:
+class TestEdges:
     def test_edge_validation(self):
         cfg = SimConfig(seed=1, samples=100)
         with pytest.raises(ValueError, match="ascending"):
-            histogram_at_edges(UNIT, cfg, [0.0, 1.0])  # single bin
+            simulate(UNIT, cfg, "pdf", edges=[0.0, 1.0])  # single bin
         with pytest.raises(ValueError, match="ascending"):
-            histogram_at_edges(UNIT, cfg, [0.0, 2.0, 1.0])
+            simulate(UNIT, cfg, "pdf", edges=[0.0, 2.0, 1.0])
         with pytest.raises(ValueError, match="nonnegative"):
-            histogram_at_edges(UNIT, cfg, [-1.0, 0.0, 1.0])
+            simulate(UNIT, cfg, "pdf", edges=[-1.0, 0.0, 1.0])
 
     @pytest.mark.parametrize(
         "edges",
@@ -532,12 +553,12 @@ class TestHistogramAtEdges:
         # a nan edge passes the ascending check (nan compares False) and
         # would bin into negative counts
         with pytest.raises(ValueError, match="finite"):
-            histogram_at_edges(UNIT, SimConfig(seed=1, samples=1000), edges, minbound=minbound)
+            simulate(UNIT, SimConfig(seed=1, samples=1000), "pdf", edges=edges, minbound=minbound)
 
     def test_nonuniform_edges_agree_with_closed_form(self):
         cfg = SimConfig(seed=42, samples=10**6)
         edges = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
-        h = histogram_at_edges(UNIT, cfg, edges, workers=2)
+        h = simulate(UNIT, cfg, "pdf", edges=edges, workers=2)
         co = combined_cdf_coeffs(UNIT, series_coeffs(1.0, 10))
         emp = h.cdf_at_edges()
         for i, e in enumerate(edges):
@@ -547,7 +568,7 @@ class TestHistogramAtEdges:
 class TestMinbound:
     def test_histogram_matches_closed_cdf(self):
         cfg = SimConfig(seed=42, samples=10**6)
-        h = histogram_at_edges(UNIT, cfg, np.linspace(0.0, 10.0, 81), workers=2, minbound=True)
+        h = simulate(UNIT, cfg, "pdf", edges=np.linspace(0.0, 10.0, 81), workers=2, minbound=True)
         emp = h.cdf_at_edges()
         worst = max(
             abs(emp[i] - minbound_cdf(UNIT, float(e)))
@@ -557,12 +578,12 @@ class TestMinbound:
 
     def test_dominates_model_on_common_randomness(self):
         # min(X, Y) >= XY/(X + Y + 1/gamma) sample by sample, and both
-        # histograms consume identical streams, so the bound's CDF sits
-        # below the model's at every edge surely, not just on average
+        # histograms come from one pass over the same streams, so the
+        # bound's CDF sits below the model's at every edge surely, not just
+        # on average
         cfg = SimConfig(seed=11, samples=10**6)
         edges = np.linspace(0.0, 8.0, 33)
-        bound = histogram_at_edges(UNIT, cfg, edges, minbound=True)
-        model = histogram_at_edges(UNIT, cfg, edges, minbound=False)
+        model, bound = simulate(UNIT, cfg, "pdf", edges=edges, minbound=(False, True))
         assert np.all(bound.cdf_at_edges() <= model.cdf_at_edges())
 
 
@@ -657,26 +678,32 @@ ORACLE_GRID = GRID[:2]
 class TestKernelOracle:
     @pytest.mark.parametrize("workers", (1, 3))
     def test_simulate_matches_whole_block_arithmetic(self, workers):
-        cells = [(r, metric, p) for r in (1, 2) for metric in METRICS for p in ORACLE_GRID]
-        counts, metrics, grid = zip(*cells)
+        # the model and the bound, D + min(X_1, Y_1) + ..., at both relay counts
+        cells = [(r, metric, p, b) for r in (1, 2) for metric in METRICS for p in ORACLE_GRID
+                 for b in (False, True)]
+        counts, metrics, grid, bounds = zip(*cells)
         got = simulate(grid, ORACLE_CFG, metrics, x=1.0, threshold=1.0, workers=workers,
-                       relays=counts)
+                       relays=counts, minbound=bounds)
         assert len(got) == len(cells)
-        for (r, metric, p), est in zip(cells, got):
+        for (r, metric, p, b), est in zip(cells, got):
             if metric == "pdf":
-                want = _oracle(p, ORACLE_CFG, metric, r, edges=np.linspace(0.0, 8.0, 81))
-                assert np.array_equal(est.counts, want[0]), (r, p.gamma)
-                assert (est.below, est.above) == want[1:], (r, p.gamma)
+                want = _oracle(p, ORACLE_CFG, metric, r, edges=np.linspace(0.0, 8.0, 81),
+                               minbound=b)
+                assert np.array_equal(est.counts, want[0]), (r, p.gamma, b)
+                assert (est.below, est.above) == want[1:], (r, p.gamma, b)
             else:
-                assert est == _oracle(p, ORACLE_CFG, metric, r), (r, metric, p.gamma)
+                assert est == _oracle(p, ORACLE_CFG, metric, r, minbound=b), (r, metric, p.gamma, b)
 
     @pytest.mark.parametrize("workers", (1, 3))
     @pytest.mark.parametrize("minbound", (False, True))
     def test_histogram_matches_whole_block_arithmetic(self, workers, minbound):
+        # explicit edges, at one and two relays
         edges = np.linspace(0.0, 5.0, 41)
         p = ORACLE_GRID[0]
-        h = histogram_at_edges(p, ORACLE_CFG, edges, workers=workers, minbound=minbound)
-        counts, below, above = _oracle(p, ORACLE_CFG, "pdf", 1 if minbound else 2, edges=edges,
-                                       minbound=minbound)
-        assert np.array_equal(h.counts, counts)
-        assert (h.below, h.above, h.samples_used) == (below, above, ORACLE_CFG.samples)
+        got = simulate(p, ORACLE_CFG, "pdf", edges=edges, workers=workers, relays=(1, 2),
+                       minbound=minbound)
+        for r, h in zip((1, 2), got):
+            counts, below, above = _oracle(p, ORACLE_CFG, "pdf", r, edges=edges,
+                                           minbound=minbound)
+            assert np.array_equal(h.counts, counts), r
+            assert (h.below, h.above, h.samples_used) == (below, above, ORACLE_CFG.samples), r
