@@ -11,23 +11,17 @@ every claim.
 """
 
 from .bessel_series import series_coeffs
-from .channel import (
-    ChannelParams,
-    DegenerateParameterError,
-    combined_cdf,
-    combined_cdf_coeffs,
-)
+from .channel import ChannelParams, combined_cdf, combined_cdf_coeffs
 from .metrics import bit_error_prob, capacity, outage
 from .montecarlo import SimConfig, simulate
 from .reference import QuadratureError
 
 __version__ = "0.1.0"
 
-# the quick start's names and the two errors they raise; every other
+# the quick start's names and the error its quadrature raises; every other
 # public name is imported from the module that defines it
 __all__ = [
     "ChannelParams",
-    "DegenerateParameterError",
     "QuadratureError",
     "SimConfig",
     "__version__",

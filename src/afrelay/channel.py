@@ -66,7 +66,6 @@ from .reference import _PANEL_RATIO, QuadratureError, _panel_rule, _panel_tail
 __all__ = [
     "ChannelParams",
     "SeriesCdfCoeffs",
-    "DegenerateParameterError",
     "srd_cdf",
     "srd_pdf",
     "combined_cdf_coeffs",
@@ -100,10 +99,6 @@ _TINY = sys.float_info.min
 # rule, fewer in proportion on more panels: bounds its temporaries to a few
 # MB, as each point takes one value per node.
 _EXACT_CHUNK = 1024
-
-
-class DegenerateParameterError(RuntimeError):
-    """Parameters sit on a removable singularity of the closed form."""
 
 
 @dataclass(frozen=True)
@@ -171,18 +166,18 @@ def combined_cdf_coeffs(
     in q order.  The powers d^m (one pow each) and the factorials c! (the
     running product) are computed once per call, and every term reads
     them from those tables.  The table must be for order nu = 1 (the CDF
-    of S involves K_1 only).  Raises DegenerateParameterError when
-    lambda_srd is within relative 1e-9 of lambda_sd, where the coefficients
-    blow up; one part in 1e6 off it the series CDF is still off by orders
-    of magnitude, so that band needs combined_cdf_exact or Monte Carlo.
-    Raises ValueError where a power of d or of 2 sqrt(lambda_p) leaves the
-    doubles: a rate of 1e30 with the others at 1, or depth 30 at rates 1e-20.
+    of S involves K_1 only).  Raises ValueError when lambda_srd is within
+    relative 1e-9 of lambda_sd, where the coefficients blow up (one part
+    in 1e6 off it the series CDF is still off by orders of magnitude, so
+    that band needs combined_cdf_exact or Monte Carlo), and where a power
+    of d or of 2 sqrt(lambda_p) leaves the doubles: a rate of 1e30 with
+    the others at 1, or depth 30 at rates 1e-20.
     """
     if table.nu != 1.0:
         raise ValueError(f"coefficients need the order-1 table, got nu={table.nu}")
     d = params.lambda_srd - params.lambda_sd
     if abs(d) < DEGENERATE_REL_TOL * params.lambda_srd:
-        raise DegenerateParameterError(
+        raise ValueError(
             f"lambda_srd={params.lambda_srd!r} and lambda_sd={params.lambda_sd!r} "
             f"coincide to within {DEGENERATE_REL_TOL:g} relative; the series "
             f"CDF has a removable singularity there and is far off near it. "

@@ -15,8 +15,8 @@ with the three --lambda-* rates on dist and perf; and --seed, --samples
 and --workers on dist, perf and validate.
 
 Exit codes: 0 success, 1 validation checks failed, 2 usage or domain
-error, 3 numerical failure (quadrature non-convergence or degenerate
-parameters).
+error (an input the closed forms cannot serve among them), 3 a quadrature
+that did not reach its tolerance.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from . import metrics, reference
 from .bessel_series import _require_count, evaluate, series_coeffs
 from .channel import (
     ChannelParams,
-    DegenerateParameterError,
     combined_cdf,
     combined_cdf_coeffs,
     combined_cdf_exact,
@@ -385,7 +384,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DegenerateParameterError, QuadratureError) as exc:
+    except QuadratureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -1,6 +1,7 @@
-"""Cold start: importing afrelay loads numpy and no scipy module, nor
+"""Cold start: importing afrelay loads numpy and, beyond it, only three
+standard-library modules and the package's own six; no scipy module, nor
 numpy.polynomial, nor the thread pool of the Monte Carlo workers, nor the
-validation suite or the command line; a command other than validate
+validation suite or the command line.  A command other than validate
 loads no validation suite either.
 
 Each scipy function is imported where it is first used.  These tests run
@@ -26,6 +27,30 @@ def run_fresh(code: str, env: dict) -> str:
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+LOADED = "sorted(sys.modules)"
+
+# what `import afrelay` loads beyond `import numpy`: a module added here
+# costs every cold start
+ADDED_BY_AFRELAY = [
+    "__future__",
+    "afrelay",
+    "afrelay.bessel_series",
+    "afrelay.channel",
+    "afrelay.metrics",
+    "afrelay.montecarlo",
+    "afrelay.reference",
+    "copy",
+    "dataclasses",
+]
+
+
+def test_import_adds_only_its_own_modules_to_numpy(child_env):
+    numpy_only = set(eval(run_fresh(f"import sys, numpy\nprint({LOADED})", child_env)))
+    with_afrelay = set(eval(run_fresh(f"import sys, afrelay\nprint({LOADED})", child_env)))
+    assert numpy_only <= with_afrelay
+    assert sorted(with_afrelay - numpy_only) == ADDED_BY_AFRELAY
 
 
 def test_import_loads_no_scipy(child_env):
