@@ -23,9 +23,9 @@ Closed forms implemented here:
 
       F(x) = 1 - A exp(-lambda_sd x) + exp(-lambda_srd x) sum_c cols[c] x^c,
 
-  and its density, of the same form with the polynomial pdf; one
-  evaluator (_expoly) computes both;
-
+  and its density, of the same form with the polynomial pdf; one evaluator
+  (_expoly) computes both at the rates their coefficients (SeriesCdfCoeffs)
+  carry, and every series form refuses params of another model;
 * the exact CDF of D + S (combined_cdf_exact), used to audit the high-SNR
   form: the convolution of the direct path with the survival function of
   S, taken over the direct path's own probability, in which its density
@@ -45,9 +45,8 @@ set-up.  An array grid is evaluated in place, in one result buffer plus
 the relay decay and the polynomial.  The exact forms and the min bound run
 numpy on a scalar.  Facts that depend only on the parameters are computed
 once: ChannelParams derives its rate combinations on construction,
-combined_cdf_coeffs builds the CDF's and the density's polynomials
-together from one table of powers of d, and bessel_series.series_coeffs
-returns one cached table per order and depth.
+combined_cdf_coeffs builds both polynomials, for every gamma, from one
+table of powers of d, and series_coeffs caches one table per order and depth.
 """
 
 from __future__ import annotations
@@ -139,20 +138,29 @@ class SeriesCdfCoeffs:
     F(x) = 1 - A exp(-lambda_sd x) + exp(-lambda_srd x) sum_{c=0..k} cols[c] x^c,
     f(x) = A lambda_sd exp(-lambda_sd x) + exp(-lambda_srd x) sum_{c=0..k} pdf[c] x^c,
 
-    with cols and pdf tuples of Python floats, so a scalar power stays a
-    Python float.  A = 1 + cols[0] pins F(0) = 0 and pdf[0] = -A lambda_sd
-    pins f(0) = 0 at every truncation depth.  The depth k and A are derived
-    from cols on construction and are not fields.
+    with cols and pdf tuples of k + 1 >= 1 Python floats, so a scalar power stays a
+    Python float.  A = 1 + cols[0] pins F(0) = 0 and pdf[0] = -A lambda_sd pins
+    f(0) = 0 at every depth.  They come from the order-1 table (k = table.k) at the
+    rates lambda_sd, lambda_p and lambda_s of one model, which the series forms
+    read here.  k, A and lambda_srd are derived on construction, not fields.
     """
 
     cols: tuple[float, ...]
     pdf: tuple[float, ...]
+    table: bessel_series.CoefficientTable
+    lambda_sd: float
+    lambda_p: float
+    lambda_s: float
 
     def __post_init__(self):
         for name in ("cols", "pdf"):
             object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
-        object.__setattr__(self, "k", len(self.cols) - 1)
+        object.__setattr__(self, "k", self.table.k)
+        if not len(self.cols) == len(self.pdf) == self.k + 1 > 0:
+            n = f"{len(self.cols)} and {len(self.pdf)}"
+            raise ValueError(f"cols and pdf need k + 1 >= 1 entries at k={self.k}, got {n}")
         object.__setattr__(self, "A", 1.0 + self.cols[0])
+        object.__setattr__(self, "lambda_srd", self.lambda_s + 2.0 * math.sqrt(self.lambda_p))
 
 
 def combined_cdf_coeffs(
@@ -165,13 +173,14 @@ def combined_cdf_coeffs(
     base_q = lambda_sd (2 sqrt(lambda_p))^q q! a_q; each column is summed
     in q order.  The powers d^m (one pow each) and the factorials c! (the
     running product) are computed once per call, and every term reads
-    them from those tables.  The table must be for order nu = 1 (the CDF
-    of S involves K_1 only).  Raises ValueError when lambda_srd is within
-    relative 1e-9 of lambda_sd, where the coefficients blow up (one part
-    in 1e6 off it the series CDF is still off by orders of magnitude, so
-    that band needs combined_cdf_exact or Monte Carlo), and where a power
-    of d or of 2 sqrt(lambda_p) leaves the doubles: a rate of 1e30 with
-    the others at 1, or depth 30 at rates 1e-20.
+    them from those tables.  The result carries the table, which must be
+    for order nu = 1 (the CDF of S involves K_1 only), and the rates of
+    params, and serves params of any gamma.  Raises ValueError when
+    lambda_srd is within relative 1e-9 of lambda_sd, where the coefficients
+    blow up (one part in 1e6 off it the series CDF is still off by orders
+    of magnitude, so that band needs combined_cdf_exact or Monte Carlo),
+    and where a power of d or of 2 sqrt(lambda_p) leaves the doubles: a
+    rate of 1e30 with the others at 1, or depth 30 at rates 1e-20.
     """
     if table.nu != 1.0:
         raise ValueError(f"coefficients need the order-1 table, got nu={table.nu}")
@@ -204,7 +213,7 @@ def combined_cdf_coeffs(
     # -A lambda_sd, as cols[1] - d cols[0] + lambda_sd = lambda_sd (1 - a_0) = 0
     pdf = [(c + 1) * cols[c + 1] - params.lambda_srd * cols[c] for c in range(table.k + 1)]
     pdf[0] = -((1.0 + cols[0]) * params.lambda_sd)
-    return SeriesCdfCoeffs(tuple(cols[:-1]), tuple(pdf))
+    return SeriesCdfCoeffs(cols[:-1], pdf, table, params.lambda_sd, params.lambda_p, params.lambda_s)
 
 
 def _powers(x):
@@ -229,20 +238,28 @@ def _result(out, v):
     return out if isinstance(v, np.ndarray) else float(out)
 
 
-def _expoly(params: ChannelParams, v, const: float, a: float, poly):
-    """const + a exp(-lambda_sd v) + exp(-lambda_srd v) sum_c poly[c] v^c, a
-    float for a scalar v.  The relay term is 0 where exp(-lambda_srd v) is
-    0, so 0 times an overflowed polynomial gives no nan at any v.
+def _require_model(params: ChannelParams, coeffs: SeriesCdfCoeffs) -> None:
+    """Refuse params of another model than coeffs'; swapped hop rates are the same one."""
+    own = (coeffs.lambda_sd, coeffs.lambda_p, coeffs.lambda_s)
+    got = (params.lambda_sd, params.lambda_p, params.lambda_s)
+    if got != own:
+        raise ValueError(f"coefficients at (lambda_sd, lambda_p, lambda_s) = {own} refuse params at {got}")
+
+
+def _expoly(coeffs: SeriesCdfCoeffs, v, const: float, a: float, poly):
+    """const + a exp(-lambda_sd v) + exp(-lambda_srd v) sum_c poly[c] v^c at the
+    rates of coeffs, a float for a scalar v.  The relay term is 0 where
+    exp(-lambda_srd v) is 0, so 0 times an overflowed polynomial gives no nan.
 
     An array fills a new result buffer in place, never v itself.  A scalar
     turns each np.exp into a Python float at once, and the rest is float
     arithmetic; np.exp and not math.exp, whose bits differ."""
     if isinstance(v, np.ndarray):
-        out = np.multiply(v, -params.lambda_sd)
+        out = np.multiply(v, -coeffs.lambda_sd)
         np.exp(out, out=out)
         out *= a
         out += const
-        relay = np.multiply(v, -params.lambda_srd)
+        relay = np.multiply(v, -coeffs.lambda_srd)
         np.exp(relay, out=relay)
         term = _horner(poly, v)
         term *= relay
@@ -250,8 +267,8 @@ def _expoly(params: ChannelParams, v, const: float, a: float, poly):
             term[relay == 0.0] = 0.0
         out += term
         return out
-    direct = const + a * float(np.exp(-params.lambda_sd * v))
-    relay = float(np.exp(-params.lambda_srd * v))
+    direct = const + a * float(np.exp(-coeffs.lambda_sd * v))
+    relay = float(np.exp(-coeffs.lambda_srd * v))
     return direct + relay * _horner(poly, v) if relay else direct
 
 
@@ -262,7 +279,8 @@ def combined_cdf(params: ChannelParams, coeffs: SeriesCdfCoeffs, x, clamp: bool 
     RuntimeWarning as a truncation diagnostic.  Pass clamp=False for the
     raw values.  No x, however large, gives nan (see _expoly).
     """
-    raw = _expoly(params, _powers(x), 1.0, -coeffs.A, coeffs.cols)
+    _require_model(params, coeffs)
+    raw = _expoly(coeffs, _powers(x), 1.0, -coeffs.A, coeffs.cols)
     if isinstance(raw, np.ndarray):
         excursion = max(float(raw.max(initial=1.0)) - 1.0, -float(raw.min(initial=0.0)))
         out = raw.clip(0.0, 1.0, out=raw) if clamp else raw
@@ -285,7 +303,8 @@ def combined_pdf(params: ChannelParams, coeffs: SeriesCdfCoeffs, x):
     Exactly 0 at x = 0; like combined_cdf, it takes the relay term as 0
     where exp(-lambda_srd x) underflows to 0.
     """
-    return _expoly(params, _powers(x), 0.0, coeffs.A * params.lambda_sd, coeffs.pdf)
+    _require_model(params, coeffs)
+    return _expoly(coeffs, _powers(x), 0.0, coeffs.A * coeffs.lambda_sd, coeffs.pdf)
 
 
 def _require_inverse_gamma(params: ChannelParams) -> None:

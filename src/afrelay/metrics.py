@@ -1,10 +1,10 @@
 """Outage, bit error probability and ergodic capacity in closed form.
 
-All three metrics consume the exponential-polynomial CDF coefficients
-(channel.SeriesCdfCoeffs) and reduce to elementary functions plus, for
-capacity, the exponential integral E_1.  Each closed form ships with an
-adaptive-quadrature twin over the same distribution so the algebra can be
-checked independently of the model approximation.
+All three metrics read gamma from their params and the rates from the
+exponential-polynomial CDF coefficients (channel.SeriesCdfCoeffs), refuse
+params of another model, and reduce to elementary functions plus, for
+capacity, the exponential integral E_1.  Each has an adaptive-quadrature
+twin over the same distribution, to check the algebra apart from the model.
 
 Capacity derivation used here: for a combined-power CDF F,
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 
 from .bessel_series import _past_doubles
-from .channel import ChannelParams, SeriesCdfCoeffs, combined_cdf, combined_pdf
+from .channel import ChannelParams, SeriesCdfCoeffs, _require_model, combined_cdf, combined_pdf
 from .reference import adaptive_quad
 
 __all__ = [
@@ -90,14 +90,15 @@ def bit_error_prob(params: ChannelParams, coeffs: SeriesCdfCoeffs) -> float:
         p = 1/2 [ 1 - A sqrt(g/(g+l1))
                   + sqrt(g/pi) sum_c col_c Gamma(c+1/2)/(g+l2)^(c+1/2) ].
     """
+    _require_model(params, coeffs)
     g = params.gamma
-    g_srd = g + params.lambda_srd
+    g_srd = g + coeffs.lambda_srd
     try:
         s = math.fsum(
             col * gh / g_srd ** (c + 0.5)
             for c, (col, gh) in enumerate(zip(coeffs.cols, _HALF_GAMMAS))
         )
-        p = 0.5 * (1.0 - coeffs.A * math.sqrt(g / (g + params.lambda_sd))
+        p = 0.5 * (1.0 - coeffs.A * math.sqrt(g / (g + coeffs.lambda_sd))
                    + math.sqrt(g / math.pi) * s)
         if coeffs.k < len(_HALF_GAMMAS) and math.isfinite(p):
             return p
@@ -162,10 +163,11 @@ def capacity(params: ChannelParams, coeffs: SeriesCdfCoeffs) -> float:
     moments described in the module docstring.  Multiply by 1/ln(2) for
     bits.
     """
+    _require_model(params, coeffs)
     g = params.gamma
     try:
-        t_direct = e1_scaled(params.lambda_sd / g)
-        t_relay = _t_moments(params.lambda_srd / g, coeffs.k)
+        t_direct = e1_scaled(coeffs.lambda_sd / g)
+        t_relay = _t_moments(coeffs.lambda_srd / g, coeffs.k)
         relay_part = math.fsum(col * t_relay[c] / g**c for c, col in enumerate(coeffs.cols))
         nats = 0.5 * (coeffs.A * t_direct - relay_part)
         if math.isfinite(nats):
@@ -186,5 +188,5 @@ def capacity_quadrature(params: ChannelParams, coeffs: SeriesCdfCoeffs) -> float
     def integrand(x: float) -> float:
         return g * (1.0 - combined_cdf(params, coeffs, x, clamp=False)) / (1.0 + g * x)
 
-    hi = 60.0 / min(params.lambda_sd, params.lambda_srd)
+    hi = 60.0 / min(coeffs.lambda_sd, coeffs.lambda_srd)
     return 0.5 * adaptive_quad(integrand, 0.0, hi)

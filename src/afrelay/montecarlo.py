@@ -51,7 +51,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -354,14 +354,15 @@ def _reducer(metric: str, cfg: SimConfig, x, threshold, edges):
     return reduce, lambda total, total_sq: _mean_estimate(0.5 * total, 0.25 * total_sq, n)
 
 
-def _axis(name: str, value, one_type) -> tuple[tuple, bool]:
-    # (values, many): a one_type value is one value shared by every request; else a sequence
-    if isinstance(value, one_type):
-        return (value,), False
-    values = tuple(value)
+def _axis(name: str, value, one_type, what: str) -> tuple[tuple, bool]:
+    # (values, many): a one_type value is one value shared by every request; else a sequence of them
+    many = not isinstance(value, one_type)
+    values = tuple(value) if many and isinstance(value, Iterable) else (value,)
     if not values:
         raise ValueError(f"{name} sequence is empty")
-    return values, True
+    if not all(isinstance(v, one_type) for v in values):
+        raise ValueError(f"{name} must be {what}, or a sequence of them, got {value!r}")
+    return values, many
 
 
 def simulate(
@@ -404,10 +405,10 @@ def simulate(
     ``simulate(p, cfg, "pdf", minbound=True)``.
     """
     axes = {
-        "params": _axis("params", params, ChannelParams),
-        "metric": _axis("metric", metric, str),
-        "relays": _axis("relays", cfg.relays if relays is None else relays, numbers.Number),
-        "minbound": _axis("minbound", minbound, bool),
+        "params": _axis("params", params, ChannelParams, "a ChannelParams"),
+        "metric": _axis("metric", metric, str, "a metric name"),
+        "relays": _axis("relays", cfg.relays if relays is None else relays, numbers.Number, "an integer"),
+        "minbound": _axis("minbound", minbound, bool, "True or False"),
     }
     lengths = {name: len(values) for name, (values, many) in axes.items() if many}
     if len(set(lengths.values())) > 1:
@@ -427,8 +428,6 @@ def simulate(
         raise ValueError(f"metric 'outage' needs a positive threshold, got {threshold!r}")
     for r in counts:
         _require_count("relays", r, 1, cfg.relays)
-    if not all(isinstance(b, bool) for b in bounds):
-        raise ValueError(f"minbound must be True or False, got {minbound!r}")
     edges = np.linspace(0.0, 8.0, 81) if edges is None else _edges(edges)
 
     reducers = {m: _reducer(m, cfg, x, threshold, edges) for m in metrics}

@@ -405,6 +405,10 @@ def _at_depth(metric, params, k):
     return metric(params, combined_cdf_coeffs(params, series_coeffs(1.0, k)))
 
 
+# the model of the hand-built two-column coefficients whose BEP sum meets inf - inf
+_TINY_HOPS = ChannelParams(1e-3, 1.0, 1e-6, 1e-6)
+
+
 @pytest.mark.parametrize(
     "call, named",
     (
@@ -415,8 +419,9 @@ def _at_depth(metric, params, k):
         (lambda: ChannelParams(1.0, 1.0, 1e155, 1e155), dict(lambda_sr=1e155, lambda_rd=1e155)),
         (lambda: _at_depth(bit_error_prob, ChannelParams(1e-30, 1.0, 1e-20, 1e-20), 30),
          dict(gamma=1e-30, k=30)),
-        (lambda: bit_error_prob(ChannelParams(1e-3, 1.0, 1e-6, 1e-6),
-                                SeriesCdfCoeffs([1.7e308, -1.7e308], [0.0, 0.0])),
+        (lambda: bit_error_prob(_TINY_HOPS, SeriesCdfCoeffs(
+            [1.7e308, -1.7e308], [0.0, 0.0], CoefficientTable(nu=1.0, a=(1.0, 0.0)),
+            _TINY_HOPS.lambda_sd, _TINY_HOPS.lambda_p, _TINY_HOPS.lambda_s)),
          dict(gamma=1e-3, k=1)),
         (lambda: _at_depth(capacity, ChannelParams(1e11, 1.0, 1.0, 1.0), 30), dict(gamma=1e11, k=30)),
         (lambda: _at_depth(capacity, ChannelParams(1e300, 1e-30, 1.0, 1.0), 0),

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from afrelay import channel, reference
-from afrelay.bessel_series import series_coeffs
+from afrelay.bessel_series import CoefficientTable, series_coeffs
 from afrelay.channel import (
     EXACT_ABS_TOL,
     ChannelParams,
@@ -331,6 +331,26 @@ class TestSeriesCdfCoeffs:
     def test_wrong_order_table_rejected(self):
         with pytest.raises(ValueError):
             combined_cdf_coeffs(UNIT, series_coeffs(2.0, 5))
+
+    def test_carries_its_table_and_rates(self):
+        # the order-1 table it was built from, and the rates of its model
+        p = ChannelParams(gamma=100.0, lambda_sd=0.7, lambda_sr=2.0, lambda_rd=0.3)
+        co = combined_cdf_coeffs(p, TABLE10)
+        assert co.table is TABLE10 and co.k == TABLE10.k == 10
+        got = (co.lambda_sd, co.lambda_p, co.lambda_s, co.lambda_srd)
+        assert got == (p.lambda_sd, p.lambda_p, p.lambda_s, p.lambda_srd)
+
+    @pytest.mark.parametrize(
+        "cols, pdf, k",
+        (([1.0, 2.0], [0.0], 1), ([1.0], [0.0, 1.0], 1), ([1.0, 2.0], [0.0, 1.0], 2), ([], [], -1)),
+        ids=("ragged-pdf", "ragged-cols", "off-the-table", "empty"),
+    )
+    def test_ragged_or_empty_polynomials_refused(self, cols, pdf, k):
+        # each polynomial has table.k + 1 >= 1 entries; a short pdf was
+        # evaluated (0.4047), an empty pair raised IndexError
+        table = CoefficientTable(nu=1.0, a=(0.0,) * (k + 1))
+        with pytest.raises(ValueError, match=re.escape(f"entries at k={k}, got {len(cols)} and {len(pdf)}")):
+            SeriesCdfCoeffs(cols, pdf, table, UNIT.lambda_sd, UNIT.lambda_p, UNIT.lambda_s)
 
     def test_immutable(self):
         co = unit_coeffs(4)

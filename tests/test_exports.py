@@ -1,12 +1,15 @@
 """Export lists: the package re-exports each public name from the submodule
-that defines it, every submodule export resolves, and every import in
-README's code blocks resolves."""
+that defines it, every submodule export resolves, every import in
+README's code blocks resolves, and README's quick start runs."""
 
 import ast
 import importlib
+import math
 import pkgutil
 import re
 from pathlib import Path
+
+import pytest
 
 import afrelay
 
@@ -64,9 +67,14 @@ def test_package_exports_are_pinned():
     ]
 
 
+def readme_blocks() -> list[str]:
+    """README's python code blocks, in order."""
+    return re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+
+
 def readme_imports() -> list[ast.stmt]:
     """The afrelay import statements of README's python code blocks."""
-    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    blocks = readme_blocks()
     imports = []
     for block in blocks:
         for node in ast.walk(ast.parse(block)):
@@ -101,3 +109,25 @@ def test_readme_module_list_matches_exports():
     for module, names in bullets:
         exports = importlib.import_module(f"afrelay.{module}").__all__
         assert sorted(re.findall(r"`(\w+)`", names)) == sorted(exports), module
+
+
+def test_readme_quick_start_runs():
+    # the first block, the closed forms, run whole: each value it shows is
+    # a finite number, and each line marked "raises ValueError" raises it
+    block = readme_blocks()[0]
+    lines = block.splitlines()
+    namespace, shown, refused = {}, 0, 0
+    for node in ast.parse(block).body:
+        if not isinstance(node, ast.Expr):
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+            continue
+        line = lines[node.lineno - 1]
+        value = compile(ast.Expression(node.value), "README.md", "eval")
+        if line.endswith("# raises ValueError"):
+            with pytest.raises(ValueError):
+                eval(value, namespace)
+            refused += 1
+        else:
+            assert math.isfinite(eval(value, namespace)), line
+            shown += 1
+    assert (shown, refused) == (5, 1)

@@ -15,7 +15,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from afrelay.bessel_series import K_MAX, series_coeffs
+from afrelay.bessel_series import K_MAX, CoefficientTable, series_coeffs
 from afrelay.channel import (
     ChannelParams,
     SeriesCdfCoeffs,
@@ -47,6 +47,13 @@ def unit_params(gamma: float) -> ChannelParams:
 def unit_coeffs(gamma: float):
     p = unit_params(gamma)
     return p, combined_cdf_coeffs(p, TABLE10)
+
+
+def direct_coeffs(p: ChannelParams, cols, pdf) -> SeriesCdfCoeffs:
+    """Coefficients built by hand, deeper than any series table, for the
+    model of p: their order-1 table has one (unread) entry per column."""
+    table = CoefficientTable(nu=1.0, a=(0.0,) * len(cols))
+    return SeriesCdfCoeffs(cols, pdf, table, p.lambda_sd, p.lambda_p, p.lambda_s)
 
 
 class TestE1:
@@ -180,7 +187,7 @@ class TestBitErrorProb:
         # table cut at K_MAX + 1 columns would move the bits
         p = unit_params(1.0)  # gamma + lambda_srd = 5
         cols = [1e-2 * (-5.0) ** c / math.factorial(c) for c in range(36)]
-        co = SeriesCdfCoeffs(cols, [0.0] * 36)
+        co = direct_coeffs(p, cols, [0.0] * 36)
         assert co.k > K_MAX
         assert bit_error_prob(p, co).hex() == self._per_term(p, co).hex()
 
@@ -188,9 +195,9 @@ class TestBitErrorProb:
         # Gamma(171.5) is the last finite factor: 172 columns give the
         # per-term bits, and 173 refuse where math.gamma overflowed
         p = unit_params(1.0)
-        co = SeriesCdfCoeffs([1e-3] * 172, [0.0] * 172)
+        co = direct_coeffs(p, [1e-3] * 172, [0.0] * 172)
         assert bit_error_prob(p, co).hex() == self._per_term(p, co).hex()
-        co = SeriesCdfCoeffs([1e-3] * 173, [0.0] * 173)
+        co = direct_coeffs(p, [1e-3] * 173, [0.0] * 173)
         with pytest.raises(OverflowError):
             self._per_term(p, co)
         with pytest.raises(ValueError, match=re.escape(f"leaves the doubles at gamma={p.gamma!r}, k=172")):
@@ -343,3 +350,41 @@ def test_closed_forms_pinned_near_degenerate_band():
     assert h.hexdigest() == (
         "738b0a9e109dbc20bed7cf4b409cda9229223f4ddb1a58bfe50dd5488bf29541"
     )
+
+
+# every consumer of the series coefficients, at one power or threshold
+SERIES_FORMS = {
+    "combined_cdf": lambda p, co: combined_cdf(p, co, np.linspace(0.0, 6.0, 61)),
+    "combined_pdf": lambda p, co: combined_pdf(p, co, 0.5),
+    "outage": lambda p, co: outage(p, co, 10.0),
+    "bit_error_prob": bit_error_prob,
+    "bit_error_prob_quadrature": bit_error_prob_quadrature,
+    "capacity": capacity,
+    "capacity_quadrature": capacity_quadrature,
+}
+
+
+class TestModelGate:
+    @pytest.mark.parametrize("lambda_sd", (4.0, 50.0))
+    @pytest.mark.parametrize("form", SERIES_FORMS)
+    def test_params_of_another_model_are_refused(self, form, lambda_sd):
+        # unit-rate coefficients with lambda_sd = 50 read BEP 0.1315 for
+        # 0.001414 and capacity -0.0209 at 20 dB; with 4 (inside the
+        # band their own build refuses) BEP 0.0107, with no warning
+        _, co = unit_coeffs(100.0)
+        p = ChannelParams(gamma=100.0, lambda_sd=lambda_sd, lambda_sr=1.0, lambda_rd=1.0)
+        named = f"(lambda_sd, lambda_p, lambda_s) = (1.0, 1.0, 2.0) refuse params at ({lambda_sd!r}, 1.0, 2.0)"
+        with pytest.raises(ValueError, match=re.escape(named)):
+            SERIES_FORMS[form](p, co)
+
+    @pytest.mark.parametrize("form", SERIES_FORMS)
+    def test_swapped_hop_rates_are_the_same_model(self, form):
+        # lambda_p and lambda_s are symmetric in the hop rates, so one build
+        # serves both orders, bit for bit
+        p = ChannelParams(gamma=100.0, lambda_sd=0.7, lambda_sr=2.0, lambda_rd=0.3)
+        swapped = ChannelParams(gamma=100.0, lambda_sd=0.7, lambda_sr=0.3, lambda_rd=2.0)
+        co = combined_cdf_coeffs(p, TABLE10)
+        own = combined_cdf_coeffs(swapped, TABLE10)
+        assert (own.cols, own.pdf) == (co.cols, co.pdf)
+        want = np.asarray(SERIES_FORMS[form](p, co)).tobytes()
+        assert np.asarray(SERIES_FORMS[form](swapped, co)).tobytes() == want

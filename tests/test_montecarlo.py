@@ -199,9 +199,14 @@ class TestSimulate:
             simulate(UNIT, two, "bep", relays=())
         with pytest.raises(ValueError, match="minbound sequence is empty"):
             simulate(UNIT, cfg, "pdf", minbound=())
-        for bad in ("yes", (False, 1), (None,)):
+        # a value neither of the axis' one type nor a sequence is refused by name
+        for bad in ("yes", (False, 1), (None,), np.True_, None, 1):
             with pytest.raises(ValueError, match="minbound must be True or False"):
                 simulate(UNIT, cfg, "pdf", minbound=bad)
+        for name, bad in (("metric", 5), ("params", None), ("params", 3.0), ("params", [3.0])):
+            args = {"params": UNIT, "cfg": cfg, "metric": "bep", name: bad}
+            with pytest.raises(ValueError, match=f"{name} must be"):
+                simulate(**args)
 
     def test_nan_x_and_threshold_are_refused(self):
         # nan compares False: counted, it would read 0.0 +- 0.0
