@@ -83,12 +83,15 @@ def _require_count(name: str, value, lo: int, hi: int | None = None) -> int:
     return n
 
 
+def _is_real(value) -> bool:
+    """Ints, floats and numpy reals are real; bools, strings, None and 0-d arrays are not."""
+    return isinstance(value, float) or isinstance(value, numbers.Real) and type(value) is not bool
+
+
 def _require_positive(name: str, value, zero: bool = False) -> float:
-    """value as a finite float > 0 (>= 0 where zero is set), or a ValueError naming
-    it.  Ints and numpy reals pass; bools, strings, None and 0-d arrays do not."""
-    real = isinstance(value, float) or isinstance(value, numbers.Real) and type(value) is not bool
+    """A real value as a finite float > 0 (>= 0 where zero is set), or a ValueError naming it."""
     try:
-        x = float(value) if real else math.nan
+        x = float(value) if _is_real(value) else math.nan
     except OverflowError:  # an int past the doubles
         x = math.inf
     if (x >= 0.0 if zero else x > 0.0) and x < math.inf:

@@ -23,9 +23,9 @@ Closed forms implemented here:
 
       F(x) = 1 - A exp(-lambda_sd x) + exp(-lambda_srd x) sum_c cols[c] x^c,
 
-  and its density, of the same form with the polynomial pdf; one evaluator
-  (_expoly) computes both at the rates their coefficients (SeriesCdfCoeffs)
-  carry, and every series form refuses params of another model;
+  and its density, the same form with the polynomial pdf that SeriesCdfCoeffs
+  derives from cols; one evaluator (_expoly) computes both at the rates the
+  coefficients carry, and every series form refuses params of another model;
 * the exact CDF of D + S (combined_cdf_exact), used to audit the high-SNR
   form: the convolution of the direct path with the survival function of
   S, taken over the direct path's own probability, in which its density
@@ -45,7 +45,7 @@ set-up.  An array grid is evaluated in place, in one result buffer plus
 the relay decay and the polynomial.  The exact forms and the min bound run
 numpy on a scalar.  Facts that depend only on the parameters are computed
 once: ChannelParams derives its rate combinations on construction,
-combined_cdf_coeffs builds both polynomials, for every gamma, from one
+combined_cdf_coeffs builds the CDF's columns, for every gamma, from one
 table of powers of d, and series_coeffs caches one table per order and depth.
 """
 
@@ -55,11 +55,13 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
 from . import bessel_series
-from .bessel_series import _horner, _past_doubles, _require_positive
+from .bessel_series import _horner, _is_real, _past_doubles, _require_positive
 from .reference import _PANEL_RATIO, QuadratureError, _panel_rule, _panel_tail
 
 __all__ = [
@@ -136,37 +138,39 @@ class SeriesCdfCoeffs:
     """The polynomials of the high-SNR series CDF of D + S and its density:
 
     F(x) = 1 - A exp(-lambda_sd x) + exp(-lambda_srd x) sum_{c=0..k} cols[c] x^c,
-    f(x) = A lambda_sd exp(-lambda_sd x) + exp(-lambda_srd x) sum_{c=0..k} pdf[c] x^c,
+    f(x) = A lambda_sd exp(-lambda_sd x) + exp(-lambda_srd x) sum_{c=0..k} pdf[c] x^c.
 
-    with cols and pdf tuples of k + 1 >= 1 Python floats, so a scalar power stays a
-    Python float.  A = 1 + cols[0] pins F(0) = 0 and pdf[0] = -A lambda_sd pins
-    f(0) = 0 at every depth.  They come from the order-1 table (k = table.k) at the
-    rates lambda_sd, lambda_p and lambda_s of one model, which the series forms
-    read here.  k, A and lambda_srd are derived on construction, not fields.
+    SeriesCdfCoeffs(cols, table, lambda_sd, lambda_p, lambda_s) takes F's k + 1 >= 1 columns,
+    their order-1 table (k = table.k; another order is refused) and the rates of one model,
+    which the series forms read here.  It derives k, lambda_srd, A = 1 + cols[0], which pins
+    F(0) to 0 up to its rounding, and the density's pdf, F' term by term with pdf[0] = -A
+    lambda_sd, which pins f(0) = 0 exactly; so pdf is F' where cols[1] = d cols[0] - lambda_sd
+    (d = lambda_srd - lambda_sd), as in every built table.  cols and pdf hold Python floats.
     """
 
     cols: tuple[float, ...]
-    pdf: tuple[float, ...]
     table: bessel_series.CoefficientTable
     lambda_sd: float
     lambda_p: float
     lambda_s: float
 
     def __post_init__(self):
-        for name in ("cols", "pdf"):
-            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
-        object.__setattr__(self, "k", self.table.k)
-        if not len(self.cols) == len(self.pdf) == self.k + 1 > 0:
-            n = f"{len(self.cols)} and {len(self.pdf)}"
-            raise ValueError(f"cols and pdf need k + 1 >= 1 entries at k={self.k}, got {n}")
-        object.__setattr__(self, "A", 1.0 + self.cols[0])
-        object.__setattr__(self, "lambda_srd", self.lambda_s + 2.0 * math.sqrt(self.lambda_p))
+        if self.table.nu != 1.0:
+            raise ValueError(f"coefficients need the order-1 table, got nu={self.table.nu}")
+        cols, k = tuple(map(float, self.cols)), self.table.k
+        if not len(cols) == k + 1 > 0:
+            raise ValueError(f"cols need k + 1 >= 1 entries at k={k}, got {len(cols)}")
+        A, lambda_srd = 1.0 + cols[0], self.lambda_s + 2.0 * math.sqrt(self.lambda_p)
+        padded = cols + (0.0,)
+        pdf = [(c + 1) * padded[c + 1] - lambda_srd * padded[c] for c in range(k + 1)]
+        pdf[0] = -(A * self.lambda_sd)
+        self.__dict__.update(cols=cols, k=k, A=A, lambda_srd=lambda_srd, pdf=tuple(pdf))
 
 
 def combined_cdf_coeffs(
     params: ChannelParams, table: bessel_series.CoefficientTable
 ) -> SeriesCdfCoeffs:
-    """Build the high-SNR series CDF and density coefficients from a depth-k table.
+    """Build the high-SNR series CDF coefficients from a depth-k table.
 
     With d = lambda_srd - lambda_sd, term q of the series adds
     base_q / (c! d^(q-c+1)) to cols[c] for c = 0..q, where
@@ -175,15 +179,13 @@ def combined_cdf_coeffs(
     running product) are computed once per call, and every term reads
     them from those tables.  The result carries the table, which must be
     for order nu = 1 (the CDF of S involves K_1 only), and the rates of
-    params, and serves params of any gamma.  Raises ValueError when
-    lambda_srd is within relative 1e-9 of lambda_sd, where the coefficients
-    blow up (one part in 1e6 off it the series CDF is still off by orders
-    of magnitude, so that band needs combined_cdf_exact or Monte Carlo),
-    and where a power of d or of 2 sqrt(lambda_p) leaves the doubles: a
-    rate of 1e30 with the others at 1, or depth 30 at rates 1e-20.
+    params, derives the density, and serves params of any gamma.  Raises
+    ValueError when lambda_srd is within relative 1e-9 of lambda_sd, where
+    the coefficients blow up (one part in 1e6 off it the series CDF is still
+    off by orders of magnitude, so that band needs combined_cdf_exact or
+    Monte Carlo), and where a power of d or of 2 sqrt(lambda_p) leaves the
+    doubles: a rate of 1e30 with the others at 1, or depth 30 at rates 1e-20.
     """
-    if table.nu != 1.0:
-        raise ValueError(f"coefficients need the order-1 table, got nu={table.nu}")
     d = params.lambda_srd - params.lambda_sd
     if abs(d) < DEGENERATE_REL_TOL * params.lambda_srd:
         raise ValueError(
@@ -195,32 +197,26 @@ def combined_cdf_coeffs(
     two_root_p = 2.0 * math.sqrt(params.lambda_p)
     try:
         d_pow = [d**m for m in range(1, table.k + 2)]  # d_pow[m] = d^(m+1)
-        fact = []  # fact[c] = c!, the running product in floats
-        q_fact = 1.0
-        cols = [0.0] * (table.k + 2)  # cols[k+1] = 0 pads the density's top term
+        fact = list(accumulate(range(1, table.k + 1), mul, initial=1.0))  # fact[c] = c!, in floats
+        cols = [0.0] * (table.k + 1)
         for q, a_q in enumerate(table.a):
-            if q > 0:
-                q_fact *= q
-            fact.append(q_fact)
-            base = params.lambda_sd * two_root_p**q * q_fact * a_q
+            base = params.lambda_sd * two_root_p**q * fact[q] * a_q
             for c in range(q + 1):
                 cols[c] += base / (fact[c] * d_pow[q - c])
     except ArithmeticError:  # a power of d overflowed, or underflowed to 0
         raise _past_doubles(
             "the series CDF", lambda_sd=params.lambda_sd, lambda_srd=params.lambda_srd, k=table.k
         ) from None
-    # pdf[c] = (c + 1) cols[c+1] - lambda_srd cols[c]; at c = 0 that is exactly
-    # -A lambda_sd, as cols[1] - d cols[0] + lambda_sd = lambda_sd (1 - a_0) = 0
-    pdf = [(c + 1) * cols[c + 1] - params.lambda_srd * cols[c] for c in range(table.k + 1)]
-    pdf[0] = -((1.0 + cols[0]) * params.lambda_sd)
-    return SeriesCdfCoeffs(cols[:-1], pdf, table, params.lambda_sd, params.lambda_p, params.lambda_s)
+    return SeriesCdfCoeffs(cols, table, params.lambda_sd, params.lambda_p, params.lambda_s)
 
 
 def _powers(x):
-    """The checked power argument: a Python float for a scalar (float, int,
-    np.float64 or 0-d array), else a float ndarray."""
-    if not isinstance(x, (float, int)):
-        x = np.asarray(x, dtype=float)
+    """The checked power argument: a Python float for a real number (see _is_real) or a
+    0-d array, else a float ndarray; an array of other than integers or floats is refused."""
+    if not _is_real(x):
+        if (a := np.asarray(x)).dtype.kind not in "iuf":
+            raise ValueError(f"power must be a real number or an array of them, got {x!r}")
+        x = a.astype(float, copy=False)
         if x.ndim:
             # one reduction; fmin skips nan, so a negative entry among nans
             # is refused, and an empty or all-nan grid reads the initial 0

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-from .bessel_series import _past_doubles
+from .bessel_series import _is_real, _past_doubles
 from .channel import ChannelParams, SeriesCdfCoeffs, _require_model, combined_cdf, combined_pdf
 from .reference import adaptive_quad
 
@@ -72,11 +72,11 @@ def e1_scaled(x: float) -> float:
 def outage(params: ChannelParams, coeffs: SeriesCdfCoeffs, snr_threshold: float) -> float:
     """Probability that the total receive SNR falls below snr_threshold.
 
-    The threshold is linear (not dB).  Total SNR is gamma * (D + S), so
+    The threshold is a linear (not dB) real > 0.  Total SNR is gamma * (D + S), so
     this is the combined-power CDF at snr_threshold / gamma.
     """
-    if not snr_threshold > 0.0:
-        raise ValueError(f"threshold must be positive, got {snr_threshold!r}")
+    if not (_is_real(snr_threshold) and snr_threshold > 0.0):
+        raise ValueError(f"snr_threshold must be a real > 0, got {snr_threshold!r}")
     return combined_cdf(params, coeffs, snr_threshold / params.gamma)
 
 

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel_series import _require_count
+from .bessel_series import _is_real, _require_count
 from .channel import ChannelParams
 
 __all__ = [
@@ -421,10 +421,10 @@ def simulate(
     for m in metrics:
         if m not in _METRICS:
             raise ValueError(f"metric must be one of {_METRICS}, got {m!r}")
-    # nan compares False, so it is refused by name rather than counted
-    if "cdf" in metrics and (x is None or math.isnan(x)):
+    # nan (which compares False), bools, None and strings are refused by name
+    if "cdf" in metrics and not (_is_real(x) and not math.isnan(x)):
         raise ValueError(f"metric 'cdf' needs x, got {x!r}")
-    if "outage" in metrics and (threshold is None or not threshold > 0.0):
+    if "outage" in metrics and not (_is_real(threshold) and threshold > 0.0):
         raise ValueError(f"metric 'outage' needs a positive threshold, got {threshold!r}")
     for r in counts:
         _require_count("relays", r, 1, cfg.relays)

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from afrelay import channel, reference
-from afrelay.bessel_series import CoefficientTable, series_coeffs
+from afrelay.bessel_series import K_MAX, CoefficientTable, series_coeffs
 from afrelay.channel import (
     EXACT_ABS_TOL,
     ChannelParams,
@@ -329,8 +329,74 @@ class TestSeriesCdfCoeffs:
         assert (co.cols, co.pdf) == (unit_coeffs().cols, unit_coeffs().pdf)
 
     def test_wrong_order_table_rejected(self):
-        with pytest.raises(ValueError):
+        # by the type itself, so hand-built coefficients are refused too
+        with pytest.raises(ValueError, match="order-1 table, got nu=2.0"):
             combined_cdf_coeffs(UNIT, series_coeffs(2.0, 5))
+        table = CoefficientTable(nu=2.0, a=(1.0, 0.5))
+        with pytest.raises(ValueError, match="order-1 table, got nu=2.0"):
+            SeriesCdfCoeffs([0.5, 0.25], table, UNIT.lambda_sd, UNIT.lambda_p, UNIT.lambda_s)
+
+    def test_derived_density_keeps_the_builders_bits(self):
+        # the density polynomial the builder used to compute, pdf[c] =
+        # (c + 1) cols[c+1] - lambda_srd cols[c] on the columns padded with one
+        # 0.0, then pdf[0] = -A lambda_sd, at every depth: with rates anywhere,
+        # lambda_sd up to 1e22, and relative spacings |lambda_srd - lambda_sd| /
+        # lambda_srd down to just outside the 1e-9 guard
+        rng = np.random.default_rng(37)
+        points = [(1e22, 1.0, 1.0), (1e22, 1e-2, 1e2)]
+        points += [(4.0 * (1.0 + rel), 1.0, 1.0) for rel in (1.01e-9, -1.01e-9)]  # lambda_srd = 4
+        for i in range(60):
+            sr, rd = np.exp(rng.uniform(math.log(1e-2), math.log(1e2), 2)).tolist()
+            srd = (math.sqrt(sr) + math.sqrt(rd)) ** 2
+            rel = 10.0 ** rng.uniform(math.log10(1.01e-9), -1.0) * rng.choice((-1.0, 1.0))
+            lsd = (10.0 ** rng.uniform(-3.0, 22.0), srd * (1.0 + rel), 10.0 ** rng.uniform(18.0, 22.0))[i % 3]
+            points.append((lsd, sr, rd))
+        built = 0
+        for rates in points:
+            p = ChannelParams(1.0, *rates)
+            for k in range(K_MAX + 1):
+                try:
+                    co = combined_cdf_coeffs(p, series_coeffs(1.0, k))
+                except ValueError as exc:  # a power of d or of 2 sqrt(lambda_p)
+                    assert "leaves the doubles" in str(exc), (rates, k)
+                    continue
+                cols = co.cols + (0.0,)
+                want = [(c + 1) * cols[c + 1] - p.lambda_srd * cols[c] for c in range(k + 1)]
+                want[0] = -((1.0 + cols[0]) * p.lambda_sd)
+                assert [v.hex() for v in co.pdf] == [v.hex() for v in want], (rates, k)
+                built += 1
+        assert built > 1000
+
+    def test_hand_built_coefficients_keep_their_invariants(self):
+        # any finite columns: f(0) = 0 exactly, as pdf[0] = -A lambda_sd, and
+        # F(0) = (1 - A) + cols[0] is the rounding error of A = 1 + cols[0],
+        # which the clamp takes to 0 where it is negative.  Where cols[1] =
+        # d cols[0] - lambda_sd, as in every built table (a_0 = 1), pdf is F's
+        # derivative: a central difference of F agrees with it to 1e-7 of the
+        # size of the density's terms
+        p = ChannelParams(gamma=100.0, lambda_sd=0.7, lambda_sr=2.0, lambda_rd=0.3)
+        d = p.lambda_srd - p.lambda_sd
+        rng = np.random.default_rng(41)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # F leaves [0, 1]
+            for _ in range(300):
+                k = int(rng.integers(1, 12))
+                cols = (rng.uniform(-3.0, 3.0, k + 1) * 10.0 ** rng.uniform(-3.0, 3.0, k + 1)).tolist()
+                table = CoefficientTable(nu=1.0, a=(0.0,) * (k + 1))
+                co = SeriesCdfCoeffs(cols, table, p.lambda_sd, p.lambda_p, p.lambda_s)
+                raw = combined_cdf(p, co, 0.0, clamp=False)
+                assert abs(raw) <= math.ulp(max(1.0, abs(cols[0]), abs(co.A))), cols
+                assert combined_cdf(p, co, 0.0) == max(raw, 0.0) and combined_pdf(p, co, 0.0) == 0.0
+
+                cols[1] = d * cols[0] - p.lambda_sd
+                co = SeriesCdfCoeffs(cols, table, p.lambda_sd, p.lambda_p, p.lambda_s)
+                for x in (0.5, 1.0, 2.0):
+                    h = 1e-5 * x
+                    diff = combined_cdf(p, co, x + h, clamp=False) - combined_cdf(p, co, x - h, clamp=False)
+                    size = abs(co.A) * p.lambda_sd * math.exp(-p.lambda_sd * x) + math.exp(-p.lambda_srd * x) * sum(
+                        abs(c) * x**j for j, c in enumerate(co.pdf)
+                    )
+                    assert abs(combined_pdf(p, co, x) - diff / (2.0 * h)) <= 1e-7 * size, (cols, x)
 
     def test_carries_its_table_and_rates(self):
         # the order-1 table it was built from, and the rates of its model
@@ -341,16 +407,16 @@ class TestSeriesCdfCoeffs:
         assert got == (p.lambda_sd, p.lambda_p, p.lambda_s, p.lambda_srd)
 
     @pytest.mark.parametrize(
-        "cols, pdf, k",
-        (([1.0, 2.0], [0.0], 1), ([1.0], [0.0, 1.0], 1), ([1.0, 2.0], [0.0, 1.0], 2), ([], [], -1)),
-        ids=("ragged-pdf", "ragged-cols", "off-the-table", "empty"),
+        "cols, k",
+        (([1.0], 1), ([1.0, 2.0], 2), ([], -1)),
+        ids=("ragged-cols", "off-the-table", "empty"),
     )
-    def test_ragged_or_empty_polynomials_refused(self, cols, pdf, k):
-        # each polynomial has table.k + 1 >= 1 entries; a short pdf was
-        # evaluated (0.4047), an empty pair raised IndexError
+    def test_ragged_or_empty_polynomials_refused(self, cols, k):
+        # the columns have table.k + 1 >= 1 entries, and the derived density as
+        # many; an empty pair raised IndexError
         table = CoefficientTable(nu=1.0, a=(0.0,) * (k + 1))
-        with pytest.raises(ValueError, match=re.escape(f"entries at k={k}, got {len(cols)} and {len(pdf)}")):
-            SeriesCdfCoeffs(cols, pdf, table, UNIT.lambda_sd, UNIT.lambda_p, UNIT.lambda_s)
+        with pytest.raises(ValueError, match=re.escape(f"entries at k={k}, got {len(cols)}")):
+            SeriesCdfCoeffs(cols, table, UNIT.lambda_sd, UNIT.lambda_p, UNIT.lambda_s)
 
     def test_immutable(self):
         co = unit_coeffs(4)
@@ -472,16 +538,24 @@ GRID_FORMS = {
 class TestPowerGrid:
     """Every closed form checks a grid of powers with one reduction that
     skips nan: a negative entry is refused wherever it sits, and nan, -0.0
-    and empty grids pass as they always did."""
+    and empty grids pass as they always did.  A power that is not a number,
+    or an array of other than integers or floats, is refused by name."""
 
     @pytest.mark.parametrize(
-        "grid",
-        ([math.nan, -1.0, -0.0, math.inf], [-0.0, math.inf, math.nan, -1e-300],
-         [math.nan, math.nan, -math.inf], [[math.nan, 1.0], [2.0, -1.0]]),
+        "x, message",
+        [(np.array(grid), "power must be >= 0") for grid in (
+            [math.nan, -1.0, -0.0, math.inf], [-0.0, math.inf, math.nan, -1e-300],
+            [math.nan, math.nan, -math.inf], [[math.nan, 1.0], [2.0, -1.0]],
+        )] + [(x, "power must be a real number") for x in (
+            None, True, np.True_, "1.0", np.array([True, False]), np.array(["1.0"]), [1.0, None], 1j,
+        )],
+        ids=("negative-4", "negative-last", "negative-inf", "negative-2d", "None", "True", "np.True_",
+             "str", "bool-array", "str-array", "None-in-list", "complex"),
     )
-    def test_negative_among_nan_signed_zero_and_inf_refused(self, form, grid):
-        with pytest.raises(ValueError, match="power must be >= 0"):
-            form(np.array(grid))
+    def test_negative_or_non_number_refused(self, form, x, message):
+        # a non-number was read as nan (None), parsed ("1.0") or read as 1 and 0 (bools)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            form(x)
 
     @staticmethod
     def _outcome(form, x) -> list[str]:

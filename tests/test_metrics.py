@@ -49,11 +49,11 @@ def unit_coeffs(gamma: float):
     return p, combined_cdf_coeffs(p, TABLE10)
 
 
-def direct_coeffs(p: ChannelParams, cols, pdf) -> SeriesCdfCoeffs:
+def direct_coeffs(p: ChannelParams, cols) -> SeriesCdfCoeffs:
     """Coefficients built by hand, deeper than any series table, for the
     model of p: their order-1 table has one (unread) entry per column."""
     table = CoefficientTable(nu=1.0, a=(0.0,) * len(cols))
-    return SeriesCdfCoeffs(cols, pdf, table, p.lambda_sd, p.lambda_p, p.lambda_s)
+    return SeriesCdfCoeffs(cols, table, p.lambda_sd, p.lambda_p, p.lambda_s)
 
 
 class TestE1:
@@ -119,9 +119,12 @@ class TestOutage:
         assert outage(p, co, 1e6) == pytest.approx(1.0, abs=1e-9)
 
     def test_threshold_must_be_positive(self):
+        # True was served as a threshold of 1, None and "1" raised TypeError
         p, co = unit_coeffs(100.0)
-        with pytest.raises(ValueError):
-            outage(p, co, 0.0)
+        for bad in (0.0, math.nan, True, None, "1"):
+            with pytest.raises(ValueError, match="snr_threshold must be a real > 0"):
+                outage(p, co, bad)
+        assert outage(p, co, np.float64(2.0)) == outage(p, co, 2) == outage(p, co, 2.0)
 
     def test_nonincreasing_in_snr(self):
         # more transmit SNR never hurts at a fixed absolute threshold
@@ -187,7 +190,7 @@ class TestBitErrorProb:
         # table cut at K_MAX + 1 columns would move the bits
         p = unit_params(1.0)  # gamma + lambda_srd = 5
         cols = [1e-2 * (-5.0) ** c / math.factorial(c) for c in range(36)]
-        co = direct_coeffs(p, cols, [0.0] * 36)
+        co = direct_coeffs(p, cols)
         assert co.k > K_MAX
         assert bit_error_prob(p, co).hex() == self._per_term(p, co).hex()
 
@@ -195,9 +198,9 @@ class TestBitErrorProb:
         # Gamma(171.5) is the last finite factor: 172 columns give the
         # per-term bits, and 173 refuse where math.gamma overflowed
         p = unit_params(1.0)
-        co = direct_coeffs(p, [1e-3] * 172, [0.0] * 172)
+        co = direct_coeffs(p, [1e-3] * 172)
         assert bit_error_prob(p, co).hex() == self._per_term(p, co).hex()
-        co = direct_coeffs(p, [1e-3] * 173, [0.0] * 173)
+        co = direct_coeffs(p, [1e-3] * 173)
         with pytest.raises(OverflowError):
             self._per_term(p, co)
         with pytest.raises(ValueError, match=re.escape(f"leaves the doubles at gamma={p.gamma!r}, k=172")):

@@ -179,8 +179,13 @@ class TestSimulate:
             simulate(UNIT, cfg, "cdf")
         with pytest.raises(ValueError, match="positive threshold"):
             simulate(UNIT, cfg, "outage")
-        with pytest.raises(ValueError, match="positive threshold"):
-            simulate(UNIT, cfg, "outage", threshold=0.0)
+        # True was served as 1, "1" raised TypeError
+        for bad in (0.0, True, np.True_, "1"):
+            with pytest.raises(ValueError, match="positive threshold"):
+                simulate(UNIT, cfg, "outage", threshold=bad)
+        for bad in (True, "1"):
+            with pytest.raises(ValueError, match="needs x"):
+                simulate(UNIT, cfg, "cdf", x=bad)
         # 2.5 would size the thread pool from a float, True run as 1 worker
         for workers in (0, -3, 2.5, True):
             with pytest.raises(ValueError, match="workers"):
