@@ -42,11 +42,12 @@ scalar stays a Python float end to end: each of its two np.exp calls turns
 into a float at once, and the rest is float arithmetic, so a quadrature
 integrand pays for a few float operations, not for numpy scalars or array
 set-up.  An array grid is evaluated in place, in one result buffer plus
-the relay decay and the polynomial.  The exact forms and the min bound run
-numpy on a scalar.  Facts that depend only on the parameters are computed
-once: ChannelParams derives its rate combinations on construction,
-combined_cdf_coeffs builds the CDF's columns, for every gamma, from one
-table of powers of d, and series_coeffs caches one table per order and depth.
+the relay decay, the powers the polynomial reads and the polynomial.  The
+exact forms and the min bound run numpy on a scalar.  Facts that depend
+only on the parameters are computed once: ChannelParams derives its rate
+combinations on construction, combined_cdf_coeffs builds the CDF's columns,
+for every gamma, from one table of powers of d, and series_coeffs caches one
+table per order and depth.
 """
 
 from __future__ import annotations
@@ -244,8 +245,9 @@ def _require_model(params: ChannelParams, coeffs: SeriesCdfCoeffs) -> None:
 
 def _expoly(coeffs: SeriesCdfCoeffs, v, const: float, a: float, poly):
     """const + a exp(-lambda_sd v) + exp(-lambda_srd v) sum_c poly[c] v^c at the
-    rates of coeffs, a float for a scalar v.  The relay term is 0 where
-    exp(-lambda_srd v) is 0, so 0 times an overflowed polynomial gives no nan.
+    rates of coeffs, a float for a scalar v.  The polynomial is read only
+    where exp(-lambda_srd v) is nonzero (an array reads it at 0 elsewhere),
+    so a power past the double range neither overflows it nor gives nan.
 
     An array fills a new result buffer in place, never v itself.  A scalar
     turns each np.exp into a Python float at once, and the rest is float
@@ -257,10 +259,8 @@ def _expoly(coeffs: SeriesCdfCoeffs, v, const: float, a: float, poly):
         out += const
         relay = np.multiply(v, -coeffs.lambda_srd)
         np.exp(relay, out=relay)
-        term = _horner(poly, v)
+        term = _horner(poly, np.where(relay, v, 0.0))
         term *= relay
-        if not relay.all():
-            term[relay == 0.0] = 0.0
         out += term
         return out
     direct = const + a * float(np.exp(-coeffs.lambda_sd * v))

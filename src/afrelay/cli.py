@@ -167,16 +167,14 @@ def _cmd_bessel(args) -> int:
     if np.any(betas <= 0) or np.any(xs <= 0):
         raise ValueError("beta and x values must be positive")
     rows = []
-    for beta in betas:
-        for x in xs:
+    for beta in betas.tolist():
+        for x in xs.tolist():
             z = beta * x
             # the series refuses z past 708.4, where exp(-z) is subnormal,
             # so the oracle is never 0 here (it underflows from z ~ 745)
             value = evaluate(args.nu, args.k, z)
             oracle = reference.bessel_k(args.nu, z)
-            rows.append(
-                (float(beta), float(x), value, oracle, abs(value - oracle) / abs(oracle))
-            )
+            rows.append((beta, x, value, oracle, abs(value - oracle) / abs(oracle)))
     _deliver(_render(args, ("beta", "x", "series", "oracle", "rel_error"), rows), args.out)
     return 0
 

@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 import pytest
 
-from afrelay import montecarlo, validation
+from afrelay import channel, montecarlo, validation
 from afrelay.cli import _build_parser, _parse_grid, main
 
 
@@ -243,6 +243,12 @@ class TestBessel:
         code, _, err = run_cli(capsys, "bessel", "--nu", "1", "--beta", "-1", "--x", "1")
         assert code == 2
         assert "positive" in err
+
+    def test_overflowing_argument_refused_as_a_python_float(self, capsys):
+        # beta * x is a float product: inf with no numpy overflow warning
+        code, out, err = run_cli(capsys, "bessel", "--beta-list", "1e308", "--x-grid", "10")
+        assert (code, out) == (2, "")
+        assert err == "error: series argument z must be a finite real > 0, got inf\n"
 
     def test_large_order_row(self, capsys):
         # K_100(1) = 5.90e185: the oracle's cosh(nu t) alone would overflow
@@ -648,7 +654,8 @@ class TestValidate:
 def _contract_sweep():
     """bessel over orders, depths and arguments; dist and perf at depths 10
     and 30 with one rate, both hop rates or all three at each of six
-    magnitudes, at each of five SNRs from -300 to 300 dB."""
+    magnitudes, at each of five SNRs from -300 to 300 dB; dist at powers
+    past the double range and bessel at a beta * x that overflows."""
     for nu, k, x in itertools.product(
         ("0", "0.25", "1", "2.5000001", "7.25", "60", "100", "149", "1e-300"),
         ("0", "2", "30"),
@@ -665,6 +672,9 @@ def _contract_sweep():
         ("-300", "-50", "0", "50", "300"),
     ):
         yield [cmd[0], f"{cmd[1]}={db}", "--k", k, *(a for f in flags for a in (f, v))]
+    yield ["dist", "--k", "30", "--x-grid", "0,1e20"]
+    yield ["dist", "--x-grid", "0,1e300"]
+    yield ["bessel", "--beta-list", "1e308", "--x-grid", "10"]
 
 
 class TestExitContract:
@@ -678,15 +688,23 @@ class TestExitContract:
         assert err.startswith("error: ")
         assert "Use combined_cdf_exact or Monte Carlo in this band." in err
 
+    def test_quadrature_short_of_its_tolerance_exits_3(self, capsys, monkeypatch):
+        # no exact CDF reaches an absolute error of 1e-300
+        monkeypatch.setattr(channel, "EXACT_ABS_TOL", 1e-300)
+        code, out, err = run_cli(capsys, "dist", "--x-grid", "0.5,1")
+        assert (code, out) == (3, "")
+        assert err.startswith("numerical failure: exact CDF at x = ")
+
     def test_no_run_escapes_the_exit_codes(self, capsys):
         # every run answers (0) or refuses (2 usage or domain, 3 a
         # quadrature short of its tolerance): no exception escapes main,
-        # and no answer holds a nan or inf cell
+        # no run raises a warning of any kind, and no answer holds a nan
+        # or inf cell
         bad = []
         for argv in _contract_sweep():
             try:
                 with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
+                    warnings.simplefilter("error")
                     code, out, _ = run_cli(capsys, *argv)
             except Exception as exc:
                 bad.append((argv, repr(exc)))
